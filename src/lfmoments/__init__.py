@@ -68,6 +68,7 @@ from .mollifier import (
 from .numeric_core import (
     FactoredInteger,
     abs_least_residue,
+    decimal_string,
     factor_integer,
     factorial,
     half_floor_bracket,
@@ -103,6 +104,7 @@ __all__ = [
     "is_prime",
     "FactoredInteger",
     "factor_integer",
+    "decimal_string",
     # symmetry classes and exact moments
     "SymmetryClass",
     "MomentConstant",

@@ -24,7 +24,7 @@ import mpmath as mp
 from . import analytic_moments, euler_products, mollifier, self_similar
 from .errors import DomainError, LfmomentsError
 from .exact_moments import SymmetryClass, log_power, moment_constant, moment_factored
-from .numeric_core import is_prime
+from .numeric_core import decimal_string, is_prime
 from .padic_valuation import valuation, zero_valuation_window
 from .precision import RealApprox
 
@@ -47,7 +47,11 @@ def _fraction(text: str) -> Fraction:
 
 def _positive_prime(text: str) -> int:
     value = int(text)
-    if not is_prime(value):
+    try:
+        prime = is_prime(value)
+    except LfmomentsError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+    if not prime:
         raise argparse.ArgumentTypeError(f"{value} is not prime")
     return value
 
@@ -59,10 +63,8 @@ def _coeff_list(text: str):
 def _serialize(value, digits: int = _DISPLAY_DIGITS):
     if isinstance(value, bool):
         return value
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, Fraction):
-        return str(value.numerator) if value.denominator == 1 else str(value)
+    if isinstance(value, (int, Fraction)):
+        return decimal_string(value)
     if isinstance(value, RealApprox):
         return value.digits(digits)
     if isinstance(value, mp.mpf):
@@ -88,8 +90,8 @@ def _cmd_gk(args) -> dict:
         record["result"] = "1"
         record["note"] = "k = 0 is the empty product; every class gives 1"
         return record
-    record["result"] = str(moment_constant(args.sym, args.k))
-    record["log_power"] = str(log_power(args.sym, args.k))
+    record["result"] = _serialize(moment_constant(args.sym, args.k))
+    record["log_power"] = _serialize(log_power(args.sym, args.k))
     if args.factor:
         factored = moment_factored(args.sym, args.k)
         record["factorization"] = {
@@ -101,7 +103,7 @@ def _cmd_gk(args) -> dict:
 def _cmd_vp(args) -> dict:
     return {
         "inputs": {"sym": args.sym.value, "p": args.p, "k": args.k},
-        "result": str(valuation(args.sym, args.p, args.k)),
+        "result": _serialize(valuation(args.sym, args.p, args.k)),
     }
 
 
@@ -265,8 +267,14 @@ def _cmd_asym(args) -> dict:
         "err_estimate": f"{approx.err_estimate:.3e}",
     }
     if args.k <= 2000:
+        primes_by_exponent = {}
+        for p, e in moment_factored(args.sym, args.k).exponents.items():
+            primes_by_exponent.setdefault(e, []).append(p)
         with mp.workprec(approx.precision_bits + 16):
-            exact = mp.log(mp.mpf(moment_constant(args.sym, args.k)))
+            # log g_k = sum e_p log p, with one logarithm per distinct exponent
+            exact = mp.fsum(
+                e * mp.log(mp.fprod(ps)) for e, ps in primes_by_exponent.items()
+            )
             record["log_gk_exact"] = mp.nstr(exact, _DISPLAY_DIGITS)
             record["abs_error"] = mp.nstr(abs(exact - approx.value), 3)
     return record
@@ -482,10 +490,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # the exact constants overflow CPython's default int-to-str guard well
-    # before k = 100 (the order-100 unitary constant has 16154 digits)
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(2_000_000)
     parser = build_parser()
     args = parser.parse_args(argv)
     started = time.perf_counter()

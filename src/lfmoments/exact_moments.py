@@ -1,9 +1,8 @@
 """Exact integer moment constants for the three classical symmetry types.
 
 For a symmetry type (unitary U, orthogonal O, symplectic Sp) and a positive
-integer k, the leading-order moment constant is a positive integer given by
-a closed product over factorials / odd double factorials.  The first few
-values per class are
+integer k, the leading-order moment constant is a positive integer.  The
+first few values per class are
 
     U:  1, 2, 42, 24024, ...
     O:  1, 2, 8, 128, ...
@@ -12,6 +11,12 @@ values per class are
 The log-power B(k) (k^2, k(k-1)/2 or k(k+1)/2) is the exponent of the
 logarithm in the associated mean value, and the constants are normalized so
 the mean value carries a 1/Gamma(1+B(k)) alongside.
+
+Each constant is a ratio of factorials, so one engine applies Legendre's
+formula to that all-factorial form and yields the exponent of every prime
+without building g_k.  The factorization, the valuations and the integer (a
+product tree over p**e) all come from it; moment_constant_factorial_form,
+by exact division, is the independent test oracle.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from dataclasses import dataclass
 from math import prod
 
 from .errors import DomainError, IntegralityViolation
-from .numeric_core import FactoredInteger, factorial, odd_double_factorial, primes_up_to
+from .numeric_core import FactoredInteger, factorial, primes_up_to
 
 
 class SymmetryClass(enum.Enum):
@@ -68,37 +73,16 @@ def _check_k(k: int) -> None:
 
 
 def moment_constant(sym: SymmetryClass, k: int) -> int:
-    """The exact integer moment constant, via odd-double-factorial products.
-
-    Raises IntegralityViolation if the defining exact division leaves a
-    remainder (it never should; the check guards the implementation).
-    """
-    _check_k(k)
-    b = log_power(sym, k)
-    if sym is SymmetryClass.U:
-        numer = factorial(b) * 2**k
-        denom = 2 ** (k * k) * prod(
-            odd_double_factorial(j) * odd_double_factorial(j + 1) for j in range(1, k)
-        )
-    elif sym is SymmetryClass.O:
-        numer = factorial(b) * 2 ** (k - 1)
-        denom = prod(odd_double_factorial(j) for j in range(1, k))
-    else:
-        numer = factorial(b)
-        denom = prod(odd_double_factorial(j) for j in range(1, k + 1))
-    g, rem = divmod(numer, denom)
-    if rem:
-        raise IntegralityViolation(
-            f"moment constant for {sym.value}, k={k} is not integral"
-        )
-    return g
+    """The exact integer moment constant: a balanced product of p**e over
+    its factorization (see moment_factored)."""
+    return moment_factored(sym, k).value()
 
 
 def moment_constant_factorial_form(sym: SymmetryClass, k: int) -> int:
-    """The same integer via the equivalent all-factorial products.
+    """The same integer by exact division of the all-factorial products.
 
-    Kept as an independent route; tests require it to agree with
-    moment_constant everywhere.
+    The independent test oracle for the Legendre engine; tests require it
+    to agree with moment_constant everywhere.
     """
     _check_k(k)
     b = log_power(sym, k)
@@ -128,30 +112,58 @@ def two_adic_valuation(n: int) -> int:
     return (n & -n).bit_length() - 1
 
 
-def moment_factored(sym: SymmetryClass, k: int) -> FactoredInteger:
-    """Exact prime factorization of the moment constant.
+def _floor_sum(m: int, q: int) -> int:
+    """sum_{j=0}^{m} floor(j/q), in closed form."""
+    a = m // q
+    return q * a * (a - 1) // 2 + a * (m - q * a + 1)
 
-    Odd primes go through the closed valuation formulas (fast even for
-    large k); the power of 2 comes from exact division of the integer
-    itself.  Zero exponents are dropped.
+
+def _legendre_exponents(sym: SymmetryClass, k: int, primes) -> dict:
+    """{p: exponent of p in the moment constant} for the given primes, zeros dropped.
+
+    Legendre's formula, one level q = p^i at a time, applied to the
+    all-factorial form that moment_constant_factorial_form multiplies out.
+    A product of j! over j <= m contributes _floor_sum(m, q) per level; for
+    (2j)!, floor(2j/q) = floor(j/q) + floor((j + (q-1)/2)/q) when q is odd
+    and floor(j/(q/2)) when q is even.
+    """
+    b = log_power(sym, k)
+    m = k - 1 if sym is SymmetryClass.O else k
+    top = max(b, 2 * k)
+    exps = {}
+    for p in primes:
+        e = 0
+        if p == 2 and sym is not SymmetryClass.U:
+            e = b + k - 1 if sym is SymmetryClass.O else b
+        q = p
+        while q <= top:
+            e += b // q
+            if sym is SymmetryClass.U:
+                e += 2 * _floor_sum(k - 1, q) - _floor_sum(2 * k - 1, q)
+            elif q % 2:
+                e -= _floor_sum(m + q // 2, q)  # the floor(j/q) parts cancel
+            else:
+                e += _floor_sum(m, q) - _floor_sum(m, q // 2)
+            q *= p
+        if e < 0:
+            raise IntegralityViolation(
+                f"moment constant for {sym.value}, k={k} has a negative power of {p}"
+            )
+        if e:
+            exps[p] = e
+    return exps
+
+
+def moment_factored(sym: SymmetryClass, k: int) -> FactoredInteger:
+    """Exact prime factorization of the moment constant, by Legendre's formula.
+
+    No prime above max(2, B(k)) divides the constant (2 is the exception
+    to B: g_O(2) = 2 while B = 1).  The integer itself is never built.
     """
     _check_k(k)
-    from .padic_valuation import valuation  # local import to avoid a cycle
-
-    g = moment_constant(sym, k)
-    exps = {}
-    v2 = two_adic_valuation(g)
-    if v2:
-        exps[2] = v2
-    # no odd prime beyond B(k) divides the constant (B_Sp(k) = B_O(k+1))
-    bound = log_power(sym, k)
-    for p in primes_up_to(bound):
-        if p == 2:
-            continue
-        v = valuation(sym, p, k)
-        if v:
-            exps[p] = v
-    return FactoredInteger(exps)
+    return FactoredInteger(
+        _legendre_exponents(sym, k, primes_up_to(max(2, log_power(sym, k))))
+    )
 
 
 @dataclass

@@ -22,6 +22,7 @@ from fractions import Fraction
 
 from .errors import ConstraintError, DomainError
 from .exact_moments import SymmetryClass
+from .numeric_core import decimal_string
 
 __all__ = [
     "RationalPolynomial",
@@ -191,10 +192,10 @@ class LaurentPolynomial:
             c = self.coeffs[power]
             mag = -c if c < 0 else c
             if power == 0:
-                body = str(mag)
+                body = decimal_string(mag)
             else:
                 var = "theta" if power == 1 else f"theta^{power}"
-                body = var if mag == 1 else f"{mag}*{var}"
+                body = var if mag == 1 else f"{decimal_string(mag)}*{var}"
             if not pieces:
                 pieces.append(f"-{body}" if c < 0 else body)
             else:

@@ -62,15 +62,39 @@ def primes_up_to(limit: int) -> List[int]:
     return [i for i, flag in enumerate(sieve) if flag]
 
 
+# the thirteen prime bases 2..41, and the least strong pseudoprime to all of
+# them (Sorenson and Webster, 2017): below it Miller-Rabin is deterministic
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MILLER_RABIN_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic trial division; adequate for command-line inputs."""
+    """Deterministic Miller-Rabin test, exact for n < 3.317 * 10^24.
+
+    Larger n raise DomainError instead of returning an unproven answer.
+    """
     if n < 2:
         return False
-    for p in prime_stream():
-        if p * p > n:
-            return True
-        if n % p == 0:
-            return n == p
+    if n >= _MILLER_RABIN_LIMIT:
+        raise DomainError(
+            f"beyond the deterministic primality range (n < {_MILLER_RABIN_LIMIT})"
+        )
+    for a in _MILLER_RABIN_BASES:
+        if n % a == 0:
+            return n == a
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def prime_stream() -> Iterator[int]:
@@ -105,10 +129,11 @@ class FactoredInteger:
     exponents: Dict[int, int] = field(default_factory=dict)
 
     def value(self) -> int:
-        out = 1
-        for p, e in self.exponents.items():
-            out *= p**e
-        return out
+        """The integer, as a balanced product tree over the prime powers."""
+        factors = [p**e for p, e in self.exponents.items()]
+        while len(factors) > 1:
+            factors = [math.prod(factors[i : i + 2]) for i in range(0, len(factors), 2)]
+        return factors[0] if factors else 1
 
     def largest_prime(self) -> int:
         """Largest prime factor; 1 for the empty factorization."""
@@ -145,3 +170,42 @@ def factor_integer(n: int) -> FactoredInteger:
     if remaining > 1:
         exps[remaining] = exps.get(remaining, 0) + 1
     return FactoredInteger(dict(sorted(exps.items())))
+
+
+_DECIMAL_LEAF_BITS = 4096
+
+
+def decimal_string(n: Rational) -> str:
+    """str(n) for an int or Fraction, sub-quadratic and free of the int-to-str limit.
+
+    Splits an integer at powers of two and recombines the halves exactly in
+    decimal arithmetic, whose multiplication is sub-quadratic; pieces of at
+    most 4096 bits convert directly.
+    """
+    if isinstance(n, Fraction):
+        text = decimal_string(n.numerator)
+        return text if n.denominator == 1 else f"{text}/{decimal_string(n.denominator)}"
+    if n.bit_length() <= _DECIMAL_LEAF_BITS:
+        return str(n)
+    if n < 0:
+        return "-" + decimal_string(-n)
+    import decimal  # only large integers pay for the import
+
+    ctx = decimal.Context(
+        prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=[decimal.Inexact]
+    )
+    # powers[i] = 2**(4096 * 2**i), one per split level
+    powers = [decimal.Decimal(1 << _DECIMAL_LEAF_BITS)]
+    while _DECIMAL_LEAF_BITS << len(powers) < n.bit_length():
+        powers.append(ctx.multiply(powers[-1], powers[-1]))
+
+    def convert(m: int, level: int):
+        # m < 2**(4096 * 2**level)
+        if level == 0:
+            return decimal.Decimal(m)
+        half = _DECIMAL_LEAF_BITS << (level - 1)
+        high = convert(m >> half, level - 1)
+        low = convert(m & ((1 << half) - 1), level - 1)
+        return ctx.add(ctx.multiply(high, powers[level - 1]), low)
+
+    return str(convert(n, len(powers)))

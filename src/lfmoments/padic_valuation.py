@@ -1,24 +1,24 @@
-"""Closed-form p-adic valuations of the exact moment constants.
+"""p-adic valuations of the exact moment constants, and the zero windows.
 
-For an odd prime p the valuation of the U / O constants is a finite sum of
-per-level terms (level ell corresponds to the power q = p^ell); each term is
-a nonnegative integer built from floor divisions.  The symplectic case
-reduces to the orthogonal one through the exact shift identity
-g_{k+1,O} = 2^k * g_{k,Sp}, and p = 2 is handled by exact division of the
-integer constant itself.
+valuation(sym, p, k) is the Legendre exponent engine of exact_moments: one
+closed sum per level q = p^ell over the all-factorial form, for every prime
+(2 included) and every class, without building the constant.  For the U and
+O constants at an odd prime the level-ell summand equals the paper's closed
+per-level term, valuation_term, a nonnegative integer built from floor
+divisions.  The zero-window criterion covers U and O at odd primes.
 """
 
 from __future__ import annotations
 
 from .errors import DomainError, IntegralityViolation, OutOfRegime, UnsupportedClass
-from .exact_moments import SymmetryClass, log_power, moment_constant, two_adic_valuation
+from .exact_moments import SymmetryClass, _legendre_exponents, log_power
 
 
-def _check_odd_prime(p: int) -> None:
+def _check_odd_prime(p: int, what: str) -> None:
     # Primality itself is a documented precondition (checked at the CLI
     # boundary); here we only reject what would silently corrupt results.
     if not isinstance(p, int) or p < 3 or p % 2 == 0:
-        raise UnsupportedClass(f"closed valuation terms need an odd prime, got {p}")
+        raise UnsupportedClass(f"{what} need an odd prime, got {p}")
 
 
 def valuation_term(sym: SymmetryClass, p: int, ell: int, k: int) -> int:
@@ -31,9 +31,7 @@ def valuation_term(sym: SymmetryClass, p: int, ell: int, k: int) -> int:
         raise UnsupportedClass("symplectic valuations reduce to the O case at k+1")
     if sym not in (SymmetryClass.U, SymmetryClass.O):
         raise UnsupportedClass(f"no closed valuation term for {sym!r}")
-    if p == 2:
-        raise UnsupportedClass("p = 2 is handled by exact division, not a closed term")
-    _check_odd_prime(p)
+    _check_odd_prime(p, "closed valuation terms")
     if ell < 1:
         raise DomainError(f"level must be >= 1, got {ell}")
     if k < 1:
@@ -60,34 +58,21 @@ def valuation_term(sym: SymmetryClass, p: int, ell: int, k: int) -> int:
 
 
 def valuation(sym: SymmetryClass, p: int, k: int) -> int:
-    """v_p of the exact moment constant.
+    """v_p of the exact moment constant, for every prime p and class.
 
-    Odd primes: sum of closed per-level terms, truncated at the first level
-    with p^ell > k^2 (all later terms vanish).  p = 2: exact division.
-    Sp: the O valuation at k+1, minus k when p = 2.
+    Legendre's formula on the all-factorial form; the constant itself is
+    never built.  For U and O at odd p the level-ell summand is
+    valuation_term(sym, p, ell, k).
     """
     if k < 1:
         raise DomainError(f"order must be >= 1, got {k}")
     if not isinstance(p, int) or p < 2:
         raise DomainError(f"p must be a prime >= 2, got {p!r}")
-    if sym is SymmetryClass.Sp:
-        v = valuation(SymmetryClass.O, p, k + 1)
-        return v - k if p == 2 else v
-    if p == 2:
-        return two_adic_valuation(moment_constant(sym, k))
-    total = 0
-    q = p
-    ell = 1
-    ksq = k * k
-    while q <= ksq:
-        total += valuation_term(sym, p, ell, k)
-        q *= p
-        ell += 1
-    return total
+    return _legendre_exponents(sym, k, [p]).get(p, 0)
 
 
 def zero_valuation_window(sym: SymmetryClass, p: int, k: int) -> bool:
-    """Whether v_p vanishes, by the window criterion (regime p^2 > B(k) > p).
+    """Whether v_p vanishes, by the window criterion (odd p, regime p^2 > B(k) > p).
 
     U window:  k < p < k + sqrt(p)
     O window:  k - sqrt(k+p) < p < k + sqrt(k+p)
@@ -101,6 +86,7 @@ def zero_valuation_window(sym: SymmetryClass, p: int, k: int) -> bool:
         )
     if sym not in (SymmetryClass.U, SymmetryClass.O):
         raise UnsupportedClass(f"no window criterion for {sym!r}")
+    _check_odd_prime(p, "the window criteria")
     if k < 1:
         raise DomainError(f"order must be >= 1, got {k}")
     b = log_power(sym, k)

@@ -2,18 +2,35 @@
 
 import json
 import re
+import sys
 from fractions import Fraction
 
 import pytest
 
 from lfmoments import (
     density_exact,
+    mean_square,
     moment_closed_form,
     moment_constant,
+    parse_theta_poly,
     sample_density,
     SymmetryClass,
 )
 from lfmoments.cli import main
+
+
+@pytest.fixture(autouse=True)
+def int_str_limit():
+    """Lift CPython's int-parsing limit on the test side only.
+
+    Some records carry integers longer than the default 4300 digits, which
+    the tests read back with int(); cli.main itself must neither need nor
+    change the setting.  Yields the limit that was in force.
+    """
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    yield before
+    sys.set_int_max_str_digits(before)
 
 
 def run(capsys, *argv):
@@ -57,6 +74,20 @@ def test_usage_error_exits_two(capsys):
     assert exc.value.code == 2
 
 
+def test_prime_beyond_deterministic_range_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["vp", "U", "3317044064679887385961981", "10"])
+    assert exc.value.code == 2
+    assert "deterministic primality range" in capsys.readouterr().err
+
+
+def test_window_at_two_is_an_error_record(capsys):
+    # v_2(g_3) = 3 for O, so the odd-prime criterion must not answer
+    code, rec = run_json(capsys, "window", "O", "2", "3")
+    assert code == 1
+    assert rec["error"]["type"] == "UnsupportedClass"
+
+
 def test_unknown_subcommand_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
@@ -95,6 +126,14 @@ def test_gk_survives_huge_constants(capsys):
     assert len(rec["result"]) > 16_000
     assert rec["factorization"]["199"] == 49
     assert int(rec["result"]) == moment_constant(SymmetryClass.U, 100)
+
+
+def test_main_leaves_int_str_limit_alone(capsys, int_str_limit):
+    sys.set_int_max_str_digits(int_str_limit)
+    code, rec = run_json(capsys, "gk", "U", "100")
+    assert code == 0
+    assert sys.get_int_max_str_digits() == int_str_limit
+    assert len(rec["result"]) == 16154
 
 
 def test_gk_zero_gets_a_note(capsys):
@@ -181,6 +220,17 @@ def test_mollify_evaluates_at_theta(capsys):
     assert code == 0
     assert rec["value_at_theta"] == "9"
     assert rec["theta_validity"] == "1"
+
+
+def test_mollify_with_long_coefficients(capsys, int_str_limit):
+    # squared coefficients pass CPython's default int-to-str limit
+    big = "7" * 3000
+    sys.set_int_max_str_digits(int_str_limit)
+    code, rec = run_json(capsys, "mollify", "U", "--P", f"0,{big}", "--Q", "1")
+    assert code == 0
+    sys.set_int_max_str_digits(0)
+    want = mean_square(SymmetryClass.U, [Fraction(0), Fraction(big)], [Fraction(1)])
+    assert parse_theta_poly(rec["result"]) == want
 
 
 # ------------------------------------------------------------ output formats

@@ -104,7 +104,9 @@ def test_factored_u100_display():
 @pytest.mark.parametrize("sym", list(SymmetryClass))
 def test_factored_matches_direct_factorization(sym):
     for k in (1, 2, 3, 5, 8, 12, 17):
-        assert moment_factored(sym, k) == factor_integer(moment_constant(sym, k))
+        assert moment_factored(sym, k) == factor_integer(
+            moment_constant_factorial_form(sym, k)
+        )
 
 
 @pytest.mark.parametrize("sym", list(SymmetryClass))

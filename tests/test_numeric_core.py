@@ -1,5 +1,6 @@
 """Integer helpers: factorials, brackets, residues, primes, factoring."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from lfmoments import (
     DomainError,
     FactoredInteger,
     abs_least_residue,
+    decimal_string,
     factor_integer,
     factorial,
     half_floor_bracket,
@@ -102,6 +104,87 @@ def test_is_prime_agrees_with_sieve():
     sieve = set(primes_up_to(2000))
     for n in range(2, 2001):
         assert is_prime(n) == (n in sieve)
+
+
+def _strong_probable_prime(n, a):
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    x = pow(a, (n - 1) >> s, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+CARMICHAEL = [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265,
+              321197185, 5394826801, 232250619601, 9746347772161]
+STRONG_PSEUDOPRIMES_BASE_2 = [2047, 3277, 4033, 4681, 8321, 15841, 29341,
+                              42799, 49141, 52633, 65281, 74665, 80581, 85489]
+# the least strong pseudoprimes to the first 12 and 13 prime bases
+PSI_12 = 318665857834031151167461
+PSI_13 = 3317044064679887385961981
+
+
+def test_is_prime_rejects_pseudoprimes():
+    for n in CARMICHAEL:
+        assert all(pow(a, n - 1, n) == 1 for a in (2, 5, 17) if n % a), n
+        assert not is_prime(n), n
+    for n in STRONG_PSEUDOPRIMES_BASE_2:
+        assert _strong_probable_prime(n, 2), n
+        assert not is_prime(n), n
+    assert all(_strong_probable_prime(PSI_12, a)
+               for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37))
+    assert not is_prime(PSI_12)
+
+
+def test_is_prime_near_large_powers_of_ten():
+    primes = {10**12 - 11, 10**12 + 39, 10**12 + 61, 10**12 + 63,
+              10**18 - 11, 10**18 + 3, 10**18 + 9, 10**18 + 31}
+    # composites with known factors: prime squares, semiprimes, 10^18 + 1
+    composites = {999983**2, 999983 * 1000003, (10**9 + 7) ** 2,
+                  (10**9 + 7) * (10**9 + 9), 101 * 9901 * 999999000001}
+    for n in primes:
+        assert is_prime(n), n
+    for n in composites:
+        assert not is_prime(n), n
+    for base in (10**12, 10**18):
+        for n in range(base - 12, base + 64):
+            if n not in primes:
+                assert not is_prime(n), n
+
+
+def test_is_prime_refuses_beyond_deterministic_range():
+    assert not is_prime(PSI_13 - 1)  # even
+    with pytest.raises(DomainError):
+        is_prime(PSI_13)
+    with pytest.raises(DomainError):
+        is_prime(10**30 + 57)
+
+
+@given(st.one_of(
+    st.sampled_from([0, 1, -1, 10**1233, 10**1234, 10**5000, 10**5000 - 1]),
+    st.integers(min_value=4090, max_value=4200).map(lambda b: 2**b - 1),
+    st.integers(min_value=-(2**20000), max_value=2**20000),
+    st.integers(min_value=0, max_value=2**4096 + 2**100),
+))
+@settings(max_examples=300)
+def test_decimal_string_matches_str(n):
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # str(n) is the reference at any length
+    try:
+        expected = str(n)
+    finally:
+        sys.set_int_max_str_digits(before)
+    assert decimal_string(n) == expected
+
+
+def test_decimal_string_ignores_int_str_limit():
+    g = 3**20000  # 9543 digits, past CPython's default 4300-digit limit
+    text = decimal_string(g)
+    assert len(text) == 9543
+    assert int(text[-12:]) == g % 10**12
 
 
 def test_factor_integer_values():

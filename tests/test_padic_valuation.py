@@ -11,6 +11,7 @@ from lfmoments import (
     factor_integer,
     log_power,
     moment_constant,
+    moment_constant_factorial_form,
     primes_up_to,
     valuation,
     valuation_term,
@@ -68,6 +69,58 @@ def test_valuation_matches_factor_oracle(sym):
             assert valuation(sym, p, k) == factored[p], (sym, p, k)
 
 
+def _legendre(n, p):
+    """v_p(n!) by Legendre's formula."""
+    v = 0
+    while n:
+        n //= p
+        v += n
+    return v
+
+
+def _factorial_form_valuation(sym, p, k):
+    """v_p of the all-factorial form, one factorial at a time."""
+    b = log_power(sym, k)
+    if sym is U:
+        return (
+            _legendre(b, p)
+            + 2 * sum(_legendre(j, p) for j in range(1, k))
+            - sum(_legendre(j, p) for j in range(1, 2 * k))
+        )
+    m, twos = (k - 1, b + k - 1) if sym is O else (k, b)
+    return (
+        (twos if p == 2 else 0)
+        + _legendre(b, p)
+        + sum(_legendre(j, p) - _legendre(2 * j, p) for j in range(1, m + 1))
+    )
+
+
+@pytest.mark.parametrize("sym", list(SymmetryClass))
+def test_valuation_matches_legendre_on_factorial_form(sym):
+    # k = 150 reaches prime powers above 10^4 in every class
+    for k in [*range(1, 61), 150]:
+        g = moment_constant_factorial_form(sym, k)
+        for p in primes_up_to(max(2, log_power(sym, k))):
+            v = valuation(sym, p, k)
+            assert v == _factorial_form_valuation(sym, p, k), (sym, p, k)
+            q, r = divmod(g, p**v)
+            assert r == 0 and q % p != 0, (sym, p, k)
+
+
+@pytest.mark.parametrize("sym", [U, O])
+def test_closed_terms_sum_to_valuation(sym):
+    for k in range(1, 61):
+        for p in ODD_PRIMES:
+            if p > log_power(sym, k):
+                break
+            terms = 0
+            ell = 1
+            while p**ell <= k * k:
+                terms += valuation_term(sym, p, ell, k)
+                ell += 1
+            assert terms == valuation(sym, p, k), (sym, p, k)
+
+
 def test_symplectic_shift_in_valuations():
     # v_p(g_{k,Sp}) = v_p(g_{k+1,O}) minus k twos
     for k in (3, 7, 12, 20):
@@ -89,6 +142,16 @@ def test_window_out_of_regime():
         zero_valuation_window(U, 3, 100)  # p^2 <= B(k)
     with pytest.raises(UnsupportedClass):
         zero_valuation_window(SP, 101, 100)
+
+
+def test_window_rejects_two():
+    # O, k = 3 puts p = 2 in the regime (4 > B = 3 > 2), yet v_2(g_3) = 3:
+    # the criterion is for odd primes only
+    assert valuation(O, 2, 3) == 3
+    with pytest.raises(UnsupportedClass):
+        zero_valuation_window(O, 2, 3)
+    with pytest.raises(UnsupportedClass):
+        zero_valuation_window(U, 2, 2)
 
 
 @pytest.mark.parametrize("sym", [U, O])
