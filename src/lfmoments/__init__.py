@@ -58,7 +58,6 @@ from .mollifier import (
     THETA_VALIDITY,
     LaurentPolynomial,
     RationalPolynomial,
-    evaluate_at_theta,
     m_orthogonal,
     m_symplectic,
     m_unitary,
@@ -156,7 +155,6 @@ __all__ = [
     "m_orthogonal",
     "m_symplectic",
     "mean_square",
-    "evaluate_at_theta",
     "parse_theta_poly",
     "THETA_VALIDITY",
     # precision plumbing

@@ -34,13 +34,12 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from fractions import Fraction
 
 import mpmath as mp
 
 from .errors import DomainError, NoConvergence, PoleError
-from .exact_moments import SymmetryClass
-from .precision import RealApprox, default_precision
+from .exact_moments import SymmetryClass, log_power
+from .precision import RealApprox, approx, to_mpf, working_precision
 
 __all__ = [
     "FundamentalConstants",
@@ -57,41 +56,9 @@ __all__ = [
     "SUM_KINDS",
 ]
 
-_GUARD_BITS = 48
 _POLE_RADIUS = mp.mpf("1e-8")
 _LADDER_START = 32
 _LADDER_MAX_N = 1 << 20
-
-
-def _resolve_bits(precision_bits) -> int:
-    bits = default_precision() if precision_bits is None else int(precision_bits)
-    if bits < 64:
-        raise DomainError(f"need at least 64 bits of precision, got {bits}")
-    return bits
-
-
-def _to_mpf(x) -> mp.mpf:
-    # Fractions convert exactly; everything else goes through mpmathify.
-    if isinstance(x, Fraction):
-        return mp.mpf(x.numerator) / mp.mpf(x.denominator)
-    if isinstance(x, RealApprox):
-        return x.value
-    value = mp.mpmathify(x)
-    if isinstance(value, mp.mpc):
-        raise DomainError("complex degree parameters are not supported here")
-    return value
-
-
-def _approx(value: mp.mpf, bits: int, err: mp.mpf | None = None) -> RealApprox:
-    if err is None:
-        err = abs(value) * mp.mpf(2) ** (8 - bits)
-    try:
-        err_f = float(err)
-    except OverflowError:
-        err_f = float("inf")
-    # no unary plus here: it would re-round value at the ambient global
-    # precision, which is 53 bits whenever the caller sits outside workprec
-    return RealApprox(value=value, precision_bits=bits, err_estimate=err_f)
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +80,7 @@ class FundamentalConstants:
 
 @functools.lru_cache(maxsize=None)
 def _constants_cached(bits: int) -> FundamentalConstants:
-    with mp.workprec(bits + _GUARD_BITS):
+    with working_precision(bits):
         log_2 = mp.log(2)
         log_2pi = mp.log(2 * mp.pi)
         zp0 = -log_2pi / 2
@@ -121,7 +88,7 @@ def _constants_cached(bits: int) -> FundamentalConstants:
         zpm1 = mp.mpf(1) / 12 - mp.log(mp.glaisher)
         zp2 = mp.zeta(2, derivative=1)
         gamma = +mp.euler
-        wrap = lambda v: _approx(v, bits)
+        wrap = lambda v: approx(v, bits)
         return FundamentalConstants(
             euler_gamma=wrap(gamma),
             zeta_prime_0=wrap(zp0),
@@ -135,7 +102,8 @@ def _constants_cached(bits: int) -> FundamentalConstants:
 
 def constants(precision_bits=None) -> FundamentalConstants:
     """Constant bundle at the requested precision (cached, immutable)."""
-    return _constants_cached(_resolve_bits(precision_bits))
+    with working_precision(precision_bits) as bits:
+        return _constants_cached(bits)
 
 
 # ---------------------------------------------------------------------------
@@ -204,24 +172,22 @@ def barnes_g(z, precision_bits=None) -> RealApprox:
     log-G series.  Nonpositive integers are zeros of G; they are rejected
     so that the reciprocal is well defined everywhere we accept input.
     """
-    bits = _resolve_bits(precision_bits)
-    with mp.workprec(bits + _GUARD_BITS):
-        zv = _to_mpf(z)
+    with working_precision(precision_bits) as bits:
+        zv = to_mpf(z)
         _check_not_nonpositive_integer(zv, "barnes_g")
         zpm1 = constants(bits).zeta_prime_minus1.value
         value = _barnes_g_raw(zv, zpm1)
-        return _approx(value, bits)
+        return approx(value, bits)
 
 
 def double_gamma(z, precision_bits=None) -> RealApprox:
     """Reciprocal Barnes G; the double gamma normalization used throughout."""
-    bits = _resolve_bits(precision_bits)
-    with mp.workprec(bits + _GUARD_BITS):
-        zv = _to_mpf(z)
+    with working_precision(precision_bits) as bits:
+        zv = to_mpf(z)
         _check_not_nonpositive_integer(zv, "double_gamma")
         zpm1 = constants(bits).zeta_prime_minus1.value
         value = 1 / _barnes_g_raw(zv, zpm1)
-        return _approx(value, bits)
+        return approx(value, bits)
 
 
 # ---------------------------------------------------------------------------
@@ -250,14 +216,6 @@ def _check_pole(sym: SymmetryClass, lam: mp.mpf) -> None:
             f"{sym.value} moment has a pole at degree {mp.nstr(location, 8)}; "
             "requested point is within 1e-8 of it"
         )
-
-
-def _log_power_mpf(sym: SymmetryClass, lam: mp.mpf) -> mp.mpf:
-    if sym is SymmetryClass.U:
-        return lam * lam
-    if sym is SymmetryClass.O:
-        return lam * (lam - 1) / 2
-    return lam * (lam + 1) / 2
 
 
 def _ratio_closed_raw(sym: SymmetryClass, lam: mp.mpf, c: FundamentalConstants) -> mp.mpf:
@@ -303,12 +261,11 @@ def moment_ratio_closed_form(sym: SymmetryClass, lam, precision_bits=None) -> Re
     This is the analytic object whose poles sit at half-integers below
     1/2; ``pole_order`` probes it directly.
     """
-    bits = _resolve_bits(precision_bits)
-    with mp.workprec(bits + _GUARD_BITS):
-        lam_v = _to_mpf(lam)
+    with working_precision(precision_bits) as bits:
+        lam_v = to_mpf(lam)
         _check_pole(sym, lam_v)
         value = _ratio_closed_raw(sym, lam_v, constants(bits))
-        return _approx(value, bits)
+        return approx(value, bits)
 
 
 def moment_closed_form(sym: SymmetryClass, lam, precision_bits=None) -> RealApprox:
@@ -317,15 +274,14 @@ def moment_closed_form(sym: SymmetryClass, lam, precision_bits=None) -> RealAppr
     Includes the Gamma(1 + B(lambda)) factor, so integer degrees
     reproduce the exact integer constants.
     """
-    bits = _resolve_bits(precision_bits)
-    with mp.workprec(bits + _GUARD_BITS):
-        lam_v = _to_mpf(lam)
+    with working_precision(precision_bits) as bits:
+        lam_v = to_mpf(lam)
         _check_pole(sym, lam_v)
         c = constants(bits)
-        value = mp.gamma(1 + _log_power_mpf(sym, lam_v)) * _ratio_closed_raw(
+        value = mp.gamma(1 + log_power(sym, lam_v)) * _ratio_closed_raw(
             sym, lam_v, c
         )
-        return _approx(value, bits)
+        return approx(value, bits)
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +314,7 @@ class _RunningProduct:
 def _limit_state(sym: SymmetryClass, lam: mp.mpf):
     """Build an f(N) evaluator for the finite-N product of the given class."""
     half = mp.mpf("0.5")
-    b_exp = _log_power_mpf(sym, lam)
+    b_exp = log_power(sym, lam)
     if sym is SymmetryClass.U:
         prod = _RunningProduct(
             mp.gamma(1 + 2 * lam) / mp.gamma(1 + lam) ** 2,
@@ -432,18 +388,17 @@ def moment_by_limit(
     higher powers cancelled level by level) until two successive
     extrapolants agree to ``target_digits`` significant digits.
     """
-    bits = _resolve_bits(precision_bits)
     if target_digits < 1:
         raise DomainError("target_digits must be at least 1")
-    with mp.workprec(bits + _GUARD_BITS):
-        lam_v = _to_mpf(lam)
+    with working_precision(precision_bits) as bits:
+        lam_v = to_mpf(lam)
         _check_pole(sym, lam_v)
         if lam_v < mp.mpf("-0.5"):
             raise DomainError(
                 "the limit products are used only for degree >= -1/2; "
                 "use moment_closed_form below that"
             )
-        gamma_factor = mp.gamma(1 + _log_power_mpf(sym, lam_v))
+        gamma_factor = mp.gamma(1 + log_power(sym, lam_v))
         f = _limit_state(sym, lam_v)
         tol = mp.mpf(10) ** (-target_digits)
         values = []
@@ -461,7 +416,7 @@ def moment_by_limit(
                     scale = abs(best) if best != 0 else mp.mpf(1)
                     if err <= tol * scale:
                         value = gamma_factor * best
-                        return _approx(
+                        return approx(
                             value, bits, err=abs(gamma_factor) * err
                         )
                 best_prev = best
@@ -481,8 +436,7 @@ def half_moment_unitary(precision_bits=None) -> RealApprox:
 
     Gamma(5/4) pi^{1/4} 2^{-1/6} exp((zeta'(2)/zeta(2) - gamma + 1)/4).
     """
-    bits = _resolve_bits(precision_bits)
-    with mp.workprec(bits + _GUARD_BITS):
+    with working_precision(precision_bits) as bits:
         c = constants(bits)
         zeta2 = mp.pi ** 2 / 6
         value = (
@@ -493,7 +447,7 @@ def half_moment_unitary(precision_bits=None) -> RealApprox:
                 (c.zeta_prime_2.value / zeta2 - c.euler_gamma.value + 1) / 4
             )
         )
-        return _approx(value, bits)
+        return approx(value, bits)
 
 
 def pole_order(
@@ -512,8 +466,7 @@ def pole_order(
         raise DomainError("pole probing needs a positive integer k")
     if len(probe_radii) < 2:
         raise DomainError("need at least two probe radii")
-    bits = _resolve_bits(precision_bits)
-    with mp.workprec(bits + _GUARD_BITS):
+    with working_precision(precision_bits) as bits:
         c = constants(bits)
         lam0 = mp.mpf("0.5") - k
         xs = []
@@ -559,8 +512,7 @@ def log_moment_asymptotic(sym: SymmetryClass, k: int, precision_bits=None) -> Re
     """
     if k < 2:
         raise DomainError("the expansion needs k >= 2")
-    bits = _resolve_bits(precision_bits)
-    with mp.workprec(bits + _GUARD_BITS):
+    with working_precision(precision_bits) as bits:
         c = constants(bits)
         ln2 = c.log_2.value
         zp0 = c.zeta_prime_0.value
@@ -600,7 +552,7 @@ def log_moment_asymptotic(sym: SymmetryClass, k: int, precision_bits=None) -> Re
                 - zp0
                 + zpm1 / 2
             )
-        return _approx(value, bits, err=mp.mpf(1) / k)
+        return approx(value, bits, err=mp.mpf(1) / k)
 
 
 SUM_KINDS = ("log_j", "log_odd", "j_log_j", "j_log_odd")
@@ -618,8 +570,7 @@ def log_sum_asymptotics(kind: str, n: int, precision_bits=None):
         raise DomainError(f"unknown sum kind {kind!r}; expected one of {SUM_KINDS}")
     if n < 1:
         raise DomainError("n must be a positive integer")
-    bits = _resolve_bits(precision_bits)
-    with mp.workprec(bits + _GUARD_BITS):
+    with working_precision(precision_bits) as bits:
         c = constants(bits)
         zp0 = c.zeta_prime_0.value
         zpm1 = c.zeta_prime_minus1.value
@@ -660,6 +611,6 @@ def log_sum_asymptotics(kind: str, n: int, precision_bits=None):
             )
             err = mp.mpf(1) / nn
         return (
-            _approx(exact, bits),
-            _approx(asym, bits, err=err),
+            approx(exact, bits),
+            approx(asym, bits, err=err),
         )

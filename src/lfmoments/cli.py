@@ -26,7 +26,7 @@ from .errors import DomainError, LfmomentsError
 from .exact_moments import SymmetryClass, log_power, moment_constant, moment_factored
 from .numeric_core import decimal_string, is_prime
 from .padic_valuation import valuation, zero_valuation_window
-from .precision import RealApprox
+from .precision import RealApprox, working_precision
 
 _DISPLAY_DIGITS = 25
 
@@ -253,9 +253,7 @@ def _cmd_mollify(args) -> dict:
     }
     if args.theta is not None:
         record["inputs"]["theta"] = _serialize(args.theta)
-        record["value_at_theta"] = _serialize(
-            mollifier.evaluate_at_theta(poly, args.theta)
-        )
+        record["value_at_theta"] = _serialize(poly.evaluate(args.theta))
     return record
 
 
@@ -270,7 +268,7 @@ def _cmd_asym(args) -> dict:
         primes_by_exponent = {}
         for p, e in moment_factored(args.sym, args.k).exponents.items():
             primes_by_exponent.setdefault(e, []).append(p)
-        with mp.workprec(approx.precision_bits + 16):
+        with working_precision(approx.precision_bits):
             # log g_k = sum e_p log p, with one logarithm per distinct exponent
             exact = mp.fsum(
                 e * mp.log(mp.fprod(ps)) for e, ps in primes_by_exponent.items()

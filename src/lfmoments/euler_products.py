@@ -21,7 +21,7 @@ import mpmath as mp
 from .errors import DivergentInner, DomainError
 from .exact_moments import SymmetryClass, log_power, moment_constant
 from .numeric_core import factorial, primes_up_to
-from .precision import RealApprox, default_precision
+from .precision import RealApprox, approx, to_mpf, working_precision
 
 __all__ = [
     "divisor_coefficient",
@@ -34,12 +34,7 @@ __all__ = [
     "assemble_mean_value",
 ]
 
-_GUARD_BITS = 48
 _INNER_BUDGET = 100_000
-
-
-def _resolve_bits(precision_bits) -> int:
-    return default_precision() if precision_bits is None else int(precision_bits)
 
 
 def divisor_coefficient(k, j: int):
@@ -66,8 +61,12 @@ def divisor_coefficient(k, j: int):
     return value
 
 
-def _zeta_local_value(k_mp: mp.mpf, p: int, inner_eps: mp.mpf) -> mp.mpf:
-    """(1 - 1/p)^{k^2} * sum_j d_k(p^j)^2 / p^j at working precision."""
+def _zeta_local_value(k_mp: mp.mpf, p: int, bits: int) -> mp.mpf:
+    """(1 - 1/p)^{k^2} * sum_j d_k(p^j)^2 / p^j at working precision.
+
+    The inner sum stops once a term drops below 2^-(bits + 16).
+    """
+    eps = mp.ldexp(1, -(bits + 16))
     x = 1 / mp.mpf(p)
     d = mp.mpf(1)
     xp = mp.mpf(1)
@@ -77,27 +76,23 @@ def _zeta_local_value(k_mp: mp.mpf, p: int, inner_eps: mp.mpf) -> mp.mpf:
         xp *= x
         term = d * d * xp
         total += term
-        if abs(term) < inner_eps:
+        if abs(term) < eps:
             return mp.power(1 - x, k_mp * k_mp) * total
     raise DivergentInner(
-        f"local sum at p={p} did not fall below {mp.nstr(inner_eps, 3)} "
+        f"local sum at p={p} did not fall below {mp.nstr(eps, 3)} "
         f"within {_INNER_BUDGET} terms"
     )
 
 
-def zeta_local_factor(k, p: int, inner_eps=None, precision_bits=None) -> RealApprox:
+def zeta_local_factor(k, p: int, precision_bits=None) -> RealApprox:
     """A single local factor of the zeta-family arithmetic constant."""
-    bits = _resolve_bits(precision_bits)
     if p < 2:
         raise DomainError("p must be a prime (>= 2)")
-    with mp.workprec(bits + _GUARD_BITS):
+    with working_precision(precision_bits) as bits:
         k_mp = mp.mpf(k)
         if k_mp <= mp.mpf("-0.5"):
             raise DomainError("the product is defined only for k > -1/2")
-        eps = mp.mpf(2) ** (-(bits + 16)) if inner_eps is None else mp.mpf(inner_eps)
-        value = _zeta_local_value(k_mp, p, eps)
-        err = abs(value) * mp.mpf(2) ** (8 - bits)
-        return RealApprox(value=+value, precision_bits=bits, err_estimate=float(err))
+        return approx(_zeta_local_value(k_mp, p, bits), bits)
 
 
 def _tail_coefficient(k_mp: mp.mpf) -> mp.mpf:
@@ -106,40 +101,41 @@ def _tail_coefficient(k_mp: mp.mpf) -> mp.mpf:
 
 
 def zeta_arithmetic_factor(
-    k, prime_cutoff: int = 100_000, inner_eps=None, precision_bits=None
+    k, prime_cutoff: int = 100_000, precision_bits=None
 ) -> RealApprox:
     """Arithmetic constant of the zeta family, truncated over p <= cutoff.
 
-    The local factor at p is (1 - 1/p)^{k^2} sum_j d_k(p^j)^2 p^{-j}; the
-    inner sum stops once a term drops below ``inner_eps``.  The reported
-    err_estimate is the sum of the truncated-tail bound (the local-factor
+    The local factor at p is (1 - 1/p)^{k^2} sum_j d_k(p^j)^2 p^{-j}.  The
+    reported err_estimate is the truncated-tail bound (the local-factor
     logs decay like k^2(k-1)^2/(4p^2), summed with the exact prime zeta
-    tail) and the working-precision floor.
+    tail), never less than the working-precision floor.
     """
-    bits = _resolve_bits(precision_bits)
     if prime_cutoff < 100:
         raise DomainError("prime_cutoff must be at least 100")
-    with mp.workprec(bits + _GUARD_BITS):
+    with working_precision(precision_bits) as bits:
         k_mp = mp.mpf(k)
         if k_mp <= mp.mpf("-0.5"):
             raise DomainError("the product is defined only for k > -1/2")
-        eps = mp.mpf(2) ** (-(bits + 16)) if inner_eps is None else mp.mpf(inner_eps)
         product = mp.mpf(1)
         inv_square_sum = mp.mpf(0)
         for p in primes_up_to(prime_cutoff):
-            product *= _zeta_local_value(k_mp, p, eps)
+            product *= _zeta_local_value(k_mp, p, bits)
             inv_square_sum += 1 / mp.mpf(p * p)
         tail = mp.primezeta(2) - inv_square_sum
-        err = abs(product) * (
-            _tail_coefficient(k_mp) * tail + mp.mpf(2) ** (8 - bits)
-        )
-        return RealApprox(value=+product, precision_bits=bits, err_estimate=float(err))
+        return approx(product, bits, err=abs(product) * _tail_coefficient(k_mp) * tail)
 
 
-def _sp_even_part_poly(k: int):
-    """Coefficients (in y = 1/p) of the even part of (1-x)^-k averaged with
-    (1+x)^-k, times (1-y)^k: the polynomial sum_m C(k, 2m) y^m."""
-    return [math.comb(k, 2 * m) for m in range(k // 2 + 1)]
+def _sp_local(k: int, y):
+    """The Sp local factor at y = 1/p in rational form,
+    (1-y)^{B-k} (sum_m C(k, 2m) y^m + y (1-y)^k) / (1+y) with B = k(k+1)/2.
+
+    The sum is the even part of (1 -+ p^{-1/2})^{-k}, times (1-y)^k.  Exact
+    for a Fraction y, at working precision for an mpf y.
+    """
+    even = 0
+    for m in range(k // 2, -1, -1):
+        even = even * y + math.comb(k, 2 * m)
+    return (1 - y) ** (k * (k - 1) // 2) * (even + y * (1 - y) ** k) / (1 + y)
 
 
 def sp_local_factor(k: int, p: int) -> Fraction:
@@ -153,11 +149,7 @@ def sp_local_factor(k: int, p: int) -> Fraction:
         raise DomainError("exact local factors need a positive integer k")
     if p < 2:
         raise DomainError("p must be a prime (>= 2)")
-    y = Fraction(1, p)
-    even_avg = sum(c * y**m for m, c in enumerate(_sp_even_part_poly(k)))
-    avg = even_avg / (1 - y) ** k
-    b_exp = k * (k + 1) // 2
-    return (1 - y) ** b_exp * (avg + y) / (1 + y)
+    return _sp_local(k, Fraction(1, p))
 
 
 def sp_quadratic_arithmetic_factor(
@@ -167,32 +159,25 @@ def sp_quadratic_arithmetic_factor(
 
     Product over p <= cutoff of
     (1-1/p)^{k(k+1)/2} * (((1+p^{-1/2})^{-k} + (1-p^{-1/2})^{-k})/2 + 1/p)
-    / (1 + 1/p).  The err_estimate compares against the half-cutoff
-    partial product, the same scale a cutoff-doubling test would see.
+    / (1 + 1/p), each factor evaluated in rational form (see sp_local_factor).
+    The err_estimate compares against the half-cutoff partial product, the
+    same scale a cutoff-doubling test would see.
     """
-    bits = _resolve_bits(precision_bits)
     if not isinstance(k, int) or k < 1:
         raise DomainError("k must be a positive integer")
     if prime_cutoff < 100:
         raise DomainError("prime_cutoff must be at least 100")
-    with mp.workprec(bits + _GUARD_BITS):
-        b_exp = k * (k + 1) // 2
+    with working_precision(precision_bits) as bits:
         product = mp.mpf(1)
         half_checkpoint = None
         half_bound = prime_cutoff // 2
-        previous = 2
         for p in primes_up_to(prime_cutoff):
             if half_checkpoint is None and p > half_bound:
                 half_checkpoint = product
-            x = 1 / mp.mpf(p)
-            root = mp.sqrt(x)
-            avg = (mp.power(1 + root, -k) + mp.power(1 - root, -k)) / 2
-            product *= mp.power(1 - x, b_exp) * (avg + x) / (1 + x)
-            previous = p
+            product *= _sp_local(k, 1 / mp.mpf(p))
         if half_checkpoint is None:
             half_checkpoint = product
-        err = abs(product - half_checkpoint) + abs(product) * mp.mpf(2) ** (8 - bits)
-        return RealApprox(value=+product, precision_bits=bits, err_estimate=float(err))
+        return approx(product, bits, err=abs(product - half_checkpoint))
 
 
 @dataclass(frozen=True)
@@ -237,23 +222,12 @@ def assemble_mean_value(family: FamilyDescriptor, k: int, ak) -> MeanValueShape:
         raise DomainError("k must be a positive integer")
     g = moment_constant(family.sym, k)
     b_exp = log_power(family.sym, k)
-    bits = ak.precision_bits if isinstance(ak, RealApprox) else default_precision()
-    with mp.workprec(bits + _GUARD_BITS):
-        if isinstance(ak, RealApprox):
-            ak_value = ak.value
-            ak_err = mp.mpf(ak.err_estimate)
-        else:
-            if isinstance(ak, Fraction):
-                ak_value = mp.mpf(ak.numerator) / mp.mpf(ak.denominator)
-            else:
-                ak_value = mp.mpf(ak)
-            ak_err = abs(ak_value) * mp.mpf(2) ** (8 - bits)
+    given_bits = ak.precision_bits if isinstance(ak, RealApprox) else None
+    with working_precision(given_bits) as bits:
+        if not isinstance(ak, RealApprox):
+            ak = approx(to_mpf(ak), bits)
         scale = mp.mpf(g) / mp.mpf(factorial(b_exp))
-        coeff = RealApprox(
-            value=scale * ak_value,
-            precision_bits=bits,
-            err_estimate=float(scale * ak_err),
-        )
+        coeff = approx(scale * ak.value, bits, err=scale * mp.mpf(ak.err_estimate))
     return MeanValueShape(
         coefficient=coeff,
         log_power=b_exp,

@@ -31,7 +31,6 @@ __all__ = [
     "m_orthogonal",
     "m_symplectic",
     "mean_square",
-    "evaluate_at_theta",
     "parse_theta_poly",
     "THETA_VALIDITY",
 ]
@@ -336,8 +335,3 @@ _DISPATCH = {
 def mean_square(sym: SymmetryClass, p, q) -> LaurentPolynomial:
     """Class-dispatching entry point used by the command line."""
     return _DISPATCH[sym](p, q)
-
-
-def evaluate_at_theta(m: LaurentPolynomial, theta) -> Fraction:
-    """Exact substitution of a positive rational theta."""
-    return m.evaluate(theta)

@@ -1,18 +1,27 @@
-"""Precision plumbing: explicit-precision real values.
+"""Precision policy: explicit-precision real values.
 
 All approximate results carry the precision they were computed at and a
-heuristic error estimate.  Nothing in the package mutates mpmath's global
-precision; every computation runs inside a local ``workprec`` block.
+heuristic error estimate.  Every approximate routine resolves its
+precision, checks the 64-bit floor and adds the guard bits through
+``working_precision``, and wraps its result with ``approx``, so nothing in
+the package mutates mpmath's global precision.
 """
 
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
+from fractions import Fraction
 
 import mpmath
 
+from .errors import DomainError
+
 DEFAULT_PRECISION_BITS = 256
+MIN_PRECISION_BITS = 64
+# extra working bits on top of the requested precision
+GUARD_BITS = 48
 
 # Optional override, a decimal bit count, e.g. LFMOMENTS_PRECISION=384.
 _ENV_VAR = "LFMOMENTS_PRECISION"
@@ -26,7 +35,7 @@ def default_precision() -> int:
         bits = int(raw)
     except ValueError:
         return DEFAULT_PRECISION_BITS
-    return bits if bits >= 8 else DEFAULT_PRECISION_BITS
+    return bits if bits >= MIN_PRECISION_BITS else DEFAULT_PRECISION_BITS
 
 
 @dataclass(frozen=True)
@@ -47,3 +56,48 @@ class RealApprox:
     def digits(self, n: int = 15) -> str:
         with mpmath.workprec(max(self.precision_bits, 53)):
             return mpmath.nstr(self.value, n)
+
+
+@contextmanager
+def working_precision(precision_bits=None):
+    """Run the block at the requested precision plus GUARD_BITS; yields the
+    requested bit count (``None`` means ``default_precision()``)."""
+    bits = default_precision() if precision_bits is None else int(precision_bits)
+    if bits < MIN_PRECISION_BITS:
+        raise DomainError(
+            f"need at least {MIN_PRECISION_BITS} bits of precision, got {bits}"
+        )
+    with mpmath.workprec(bits + GUARD_BITS):
+        yield bits
+
+
+def to_mpf(x) -> mpmath.mpf:
+    """A real input as an mpf at the working precision."""
+    # Fractions convert exactly; everything else goes through mpmathify.
+    if isinstance(x, Fraction):
+        return mpmath.mpf(x.numerator) / mpmath.mpf(x.denominator)
+    if isinstance(x, RealApprox):
+        return x.value
+    value = mpmath.mpmathify(x)
+    if isinstance(value, mpmath.mpc):
+        raise DomainError("complex degree parameters are not supported here")
+    return value
+
+
+def approx(value: mpmath.mpf, bits: int, err=None) -> RealApprox:
+    """Wrap a result computed inside ``working_precision(bits)``.
+
+    The error estimate is ``err`` (the method's own error: a truncated
+    tail, an extrapolation gap, a remainder) but never less than the
+    working-precision floor ``|value| * 2^(8 - bits)``.
+    """
+    floor = abs(value) * mpmath.mpf(2) ** (8 - bits)
+    if err is None or err < floor:
+        err = floor
+    try:
+        err_f = float(err)
+    except OverflowError:
+        err_f = float("inf")
+    # no unary plus here: it would re-round value at the ambient global
+    # precision, which is 53 bits whenever the caller sits outside workprec
+    return RealApprox(value=value, precision_bits=bits, err_estimate=err_f)

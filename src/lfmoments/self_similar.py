@@ -63,17 +63,21 @@ def _nearest_int_distance(y: Fraction) -> Fraction:
     return min(f, 1 - f)
 
 
-def _multiplicative_order(p: int, b: int) -> int:
-    if b == 1:
-        return 1
-    r = 1
-    t = p % b
-    while t != 1:
-        t = (t * p) % b
-        r += 1
-        if r > b:  # unreachable when gcd(p, b) = 1
-            raise PreconditionError(f"{p} is not invertible modulo {b}")
-    return r
+def _orbit_residues(p: int, a: int, b: int):
+    """Absolute least residues of a, ap, ap^2, ... mod b, one period.
+
+    With gcd(a, b) = gcd(p, b) = 1 the orbit returns to a mod b after
+    exactly the multiplicative order of p mod b.  A composite p may share
+    a factor with b; the orbit would then never return.
+    """
+    if math.gcd(p, b) != 1:
+        raise PreconditionError(f"{p} is not invertible modulo {b}")
+    start = t = a % b
+    while True:
+        yield abs_least_residue(t, b)
+        t = t * p % b
+        if t == start:
+            return
 
 
 def density_exact(p: int, x) -> Fraction:
@@ -102,16 +106,13 @@ def density_exact(p: int, x) -> Fraction:
     total += fx * fx * Fraction(p, (p - 1) * p**m)
 
     # ell >= 0: ||p^ell x|| = |[[a p^ell mod b]]| / b, purely periodic with
-    # period the multiplicative order of p mod b.
-    r = _multiplicative_order(p, b)
-    bb = b * b
-    per = Fraction(0)
-    t = a % b
-    for i in range(r):
-        res = abs_least_residue(t, b)
-        per += Fraction(res * res, bb * p**i)
-        t = (t * p) % b
-    total += per * Fraction(p**r, p**r - 1)
+    # period r, the multiplicative order of p mod b.  The period sums
+    # res_i^2 / (b^2 p^i) for i < r; with num = sum_i res_i^2 p^(r-1-i) and
+    # the factor p^r / (p^r - 1) for all periods, that is num p / (b^2 (p^r - 1)).
+    num = 0
+    for r, res in enumerate(_orbit_residues(p, a, b), 1):
+        num = num * p + res * res
+    total += Fraction(num * p, b * b * (p**r - 1))
 
     return total / fx
 
@@ -169,16 +170,10 @@ def classify_point(p: int, a: int, b: int) -> PointClass:
         raise PreconditionError(
             f"denominator of {fx} shares a factor with p = {p}; rescale by p first"
         )
-    a, b = fx.numerator, fx.denominator
-    r = _multiplicative_order(p, b)
-    s = 0
-    t = a % b
-    for _ in range(r):
-        s += abs_least_residue(t, b)
-        t = (t * p) % b
-    if s == 0:
-        return SelfSimilar(period=r)
-    if b == 2:
+    residues = list(_orbit_residues(p, fx.numerator, fx.denominator))
+    if sum(residues) == 0:
+        return SelfSimilar(period=len(residues))
+    if fx.denominator == 2:
         return Cusp()
     return VerticalTangent()
 

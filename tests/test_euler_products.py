@@ -1,5 +1,6 @@
 """Arithmetic factors: local factors, truncated products, mean-value shapes."""
 
+import math
 from fractions import Fraction
 
 import mpmath as mp
@@ -12,6 +13,7 @@ from lfmoments import (
     SymmetryClass,
     assemble_mean_value,
     divisor_coefficient,
+    primes_up_to,
     sp_local_factor,
     sp_quadratic_arithmetic_factor,
     zeta_arithmetic_factor,
@@ -154,6 +156,16 @@ def test_sp_local_factor_matches_surd_expression():
                 exact = sp_local_factor(k, p)
                 got = mp.mpf(exact.numerator) / exact.denominator
                 assert abs(got - direct) < 1e-70, (k, p)
+
+
+def test_sp_ak_matches_exact_local_factors():
+    # the working-precision product against the exact rational factors
+    for k in (1, 2, 3):
+        got = sp_quadratic_arithmetic_factor(k, prime_cutoff=200, precision_bits=128)
+        want = math.prod(sp_local_factor(k, p) for p in primes_up_to(200))
+        with mp.workprec(300):
+            gap = abs(got.value - mp.mpf(want.numerator) / want.denominator)
+            assert gap < mp.mpf(2) ** -110, k
 
 
 def test_sp_ak_value_and_stability():

@@ -13,7 +13,6 @@ from lfmoments import (
     RationalPolynomial,
     SymmetryClass,
     THETA_VALIDITY,
-    evaluate_at_theta,
     m_orthogonal,
     m_symplectic,
     m_unitary,
@@ -123,16 +122,16 @@ def test_theta_validity_advisory():
 
 
 def test_evaluate_examples():
-    assert evaluate_at_theta(lp({0: 1, -1: 1}), Fraction(1, 2)) == 3
-    assert evaluate_at_theta(lp({-2: 1}), Fraction(4, 7)) == Fraction(49, 16)
-    assert evaluate_at_theta(LaurentPolynomial({}), Fraction(3, 4)) == 0
+    assert lp({0: 1, -1: 1}).evaluate(Fraction(1, 2)) == 3
+    assert lp({-2: 1}).evaluate(Fraction(4, 7)) == Fraction(49, 16)
+    assert LaurentPolynomial({}).evaluate(Fraction(3, 4)) == 0
 
 
 def test_evaluate_rejects_nonpositive_theta():
     with pytest.raises(DomainError):
-        evaluate_at_theta(lp({-1: 1}), 0)
+        lp({-1: 1}).evaluate(0)
     with pytest.raises(DomainError):
-        evaluate_at_theta(lp({-1: 1}), Fraction(-1, 2))
+        lp({-1: 1}).evaluate(Fraction(-1, 2))
 
 
 # ---------------------------------------------------------- property checks
@@ -186,7 +185,7 @@ def test_scaling_is_quadratic(p, c):
 @settings(max_examples=80)
 def test_unitary_values_are_nonnegative(p, theta):
     # square plus integrals of squares
-    assert evaluate_at_theta(m_unitary(p, ONE), theta) >= 0
+    assert m_unitary(p, ONE).evaluate(theta) >= 0
 
 
 @given(p=weight_poly(), q=odd_poly())

@@ -1,9 +1,77 @@
-"""Precision plumbing: defaults, env override, RealApprox accessors."""
+"""Precision policy: defaults, env override, the 64-bit floor, RealApprox."""
+
+from fractions import Fraction
 
 import mpmath as mp
+import pytest
 
-from lfmoments import RealApprox, default_precision, half_moment_unitary
-from lfmoments.precision import DEFAULT_PRECISION_BITS
+from lfmoments import (
+    DomainError,
+    FamilyDescriptor,
+    RealApprox,
+    SymmetryClass,
+    assemble_mean_value,
+    barnes_g,
+    constants,
+    default_precision,
+    double_gamma,
+    half_moment_unitary,
+    log_moment_asymptotic,
+    log_sum_asymptotics,
+    moment_by_limit,
+    moment_closed_form,
+    moment_ratio_closed_form,
+    pole_order,
+    sp_quadratic_arithmetic_factor,
+    zeta_arithmetic_factor,
+    zeta_local_factor,
+)
+from lfmoments.precision import (
+    DEFAULT_PRECISION_BITS,
+    GUARD_BITS,
+    MIN_PRECISION_BITS,
+    approx,
+    to_mpf,
+    working_precision,
+)
+
+U, SP = SymmetryClass.U, SymmetryClass.Sp
+HALF = Fraction(1, 2)
+
+
+def _assemble(bits):
+    # assemble_mean_value runs at the precision of the RealApprox it is given
+    with mp.workprec(bits):
+        ak = RealApprox(value=mp.mpf(1) / 3, precision_bits=bits, err_estimate=1e-15)
+    fam = FamilyDescriptor(sym=U, conductor_exponent=1, label="zeta")
+    return assemble_mean_value(fam, 2, ak).coefficient
+
+
+# every public approximate entry point, as a function of precision_bits
+ENTRY_POINTS = {
+    "assemble_mean_value": _assemble,
+    "barnes_g": lambda b: barnes_g(HALF, precision_bits=b),
+    "double_gamma": lambda b: double_gamma(HALF, precision_bits=b),
+    "constants": lambda b: constants(precision_bits=b),
+    "moment_closed_form": lambda b: moment_closed_form(U, HALF, precision_bits=b),
+    "moment_ratio_closed_form": lambda b: moment_ratio_closed_form(
+        U, HALF, precision_bits=b
+    ),
+    "moment_by_limit": lambda b: moment_by_limit(
+        U, HALF, target_digits=6, precision_bits=b
+    ),
+    "half_moment_unitary": lambda b: half_moment_unitary(precision_bits=b),
+    "pole_order": lambda b: pole_order(SP, 1, precision_bits=b),
+    "log_moment_asymptotic": lambda b: log_moment_asymptotic(U, 10, precision_bits=b),
+    "log_sum_asymptotics": lambda b: log_sum_asymptotics("log_j", 10, precision_bits=b),
+    "zeta_local_factor": lambda b: zeta_local_factor(2, 3, precision_bits=b),
+    "zeta_arithmetic_factor": lambda b: zeta_arithmetic_factor(
+        2, prime_cutoff=100, precision_bits=b
+    ),
+    "sp_quadratic_arithmetic_factor": lambda b: sp_quadratic_arithmetic_factor(
+        1, prime_cutoff=100, precision_bits=b
+    ),
+}
 
 
 def test_default_precision_without_env(monkeypatch):
@@ -14,12 +82,16 @@ def test_default_precision_without_env(monkeypatch):
 def test_env_override(monkeypatch):
     monkeypatch.setenv("LFMOMENTS_PRECISION", "384")
     assert default_precision() == 384
+    monkeypatch.setenv("LFMOMENTS_PRECISION", "64")
+    assert default_precision() == MIN_PRECISION_BITS
 
 
 def test_env_garbage_and_tiny_values_fall_back(monkeypatch):
     monkeypatch.setenv("LFMOMENTS_PRECISION", "lots")
     assert default_precision() == DEFAULT_PRECISION_BITS
     monkeypatch.setenv("LFMOMENTS_PRECISION", "4")
+    assert default_precision() == DEFAULT_PRECISION_BITS
+    monkeypatch.setenv("LFMOMENTS_PRECISION", "63")
     assert default_precision() == DEFAULT_PRECISION_BITS
 
 
@@ -37,7 +109,44 @@ def test_digits_renders_at_full_precision():
     assert len(got.digits(40)) > len(got.digits())
 
 
+@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+def test_every_approximate_routine_enforces_the_floor(name):
+    call = ENTRY_POINTS[name]
+    with pytest.raises(DomainError):
+        call(MIN_PRECISION_BITS - 1)
+    got = call(MIN_PRECISION_BITS)
+    if hasattr(got, "precision_bits"):
+        assert got.precision_bits == MIN_PRECISION_BITS
+
+
 def test_results_do_not_leak_global_precision():
+    # one test over every entry point, on the answering and the error path
     before = mp.mp.prec
-    half_moment_unitary(precision_bits=512)
+    for name, call in sorted(ENTRY_POINTS.items()):
+        call(512)
+        assert mp.mp.prec == before, name
+        with pytest.raises(DomainError):
+            call(MIN_PRECISION_BITS - 1)
+        assert mp.mp.prec == before, name
+
+
+def test_working_precision_adds_the_guard_and_yields_the_request(monkeypatch):
+    monkeypatch.delenv("LFMOMENTS_PRECISION", raising=False)
+    before = mp.mp.prec
+    with working_precision(None) as bits:
+        assert bits == DEFAULT_PRECISION_BITS
+        assert mp.mp.prec == bits + GUARD_BITS
+    with working_precision(100) as bits:
+        assert bits == 100
+        assert mp.mp.prec == bits + GUARD_BITS
     assert mp.mp.prec == before
+
+
+def test_approx_never_reports_less_than_the_floor():
+    with working_precision(128) as bits:
+        third = to_mpf(Fraction(1, 3))
+        floor = approx(third, bits).err_estimate
+        assert floor == pytest.approx(float(third) * 2.0 ** (8 - 128))
+        assert approx(third, bits, err=0).err_estimate == floor
+        assert approx(third, bits, err=mp.mpf("1e-5")).err_estimate == 1e-5
+        assert third == mp.mpf(1) / 3

@@ -76,6 +76,15 @@ def test_classification_vertical_tangent():
     assert classify_point(3, 3, 11) == VerticalTangent()
 
 
+def test_orbit_needs_p_invertible_mod_b():
+    # a composite p sharing a factor with b has no purely periodic orbit;
+    # both walks refuse it instead of looping
+    with pytest.raises(PreconditionError):
+        classify_point(4, 1, 6)
+    with pytest.raises(PreconditionError):
+        density_exact(4, Fraction(1, 6))
+
+
 def test_classification_requires_reduced_denominator():
     with pytest.raises(PreconditionError):
         classify_point(5, 3, 10)
