@@ -45,15 +45,12 @@ from .euler_products import (
     zeta_local_factor,
 )
 from .exact_moments import (
-    MomentConstant,
     SymmetryClass,
     log_power,
     moment_constant,
     moment_constant_factorial_form,
     moment_factored,
-    moment_record,
 )
-from .exact_moments import two_adic_valuation
 from .mollifier import (
     THETA_VALIDITY,
     LaurentPolynomial,
@@ -73,7 +70,6 @@ from .numeric_core import (
     half_floor_bracket,
     is_prime,
     odd_double_factorial,
-    prime_stream,
     primes_up_to,
 )
 from .padic_valuation import valuation, valuation_term, zero_valuation_window
@@ -99,20 +95,16 @@ __all__ = [
     "half_floor_bracket",
     "abs_least_residue",
     "primes_up_to",
-    "prime_stream",
     "is_prime",
     "FactoredInteger",
     "factor_integer",
     "decimal_string",
     # symmetry classes and exact moments
     "SymmetryClass",
-    "MomentConstant",
     "log_power",
     "moment_constant",
     "moment_constant_factorial_form",
     "moment_factored",
-    "moment_record",
-    "two_adic_valuation",
     # valuations
     "valuation",
     "valuation_term",

@@ -57,6 +57,8 @@ __all__ = [
 ]
 
 _POLE_RADIUS = mp.mpf("1e-8")
+# distances from a pole at which pole_order samples the ratio
+_PROBE_RADII = (1e-2, 1e-3, 1e-4)
 _LADDER_START = 32
 _LADDER_MAX_N = 1 << 20
 
@@ -194,24 +196,12 @@ def double_gamma(z, precision_bits=None) -> RealApprox:
 # closed forms
 
 
-def _pole_ks(sym: SymmetryClass):
-    """Half-integer pole locations are 1/2 - k for these k."""
-    return 2 if sym is SymmetryClass.Sp else 1
-
-
-def _near_pole(sym: SymmetryClass, lam: mp.mpf) -> mp.mpf | None:
-    k = int(mp.nint(mp.mpf("0.5") - lam))
-    if k < _pole_ks(sym):
-        return None
-    location = mp.mpf("0.5") - k
-    if abs(lam - location) < _POLE_RADIUS:
-        return location
-    return None
-
-
 def _check_pole(sym: SymmetryClass, lam: mp.mpf) -> None:
-    location = _near_pole(sym, lam)
-    if location is not None:
+    """Reject lam within 1e-8 of a pole 1/2 - k (k >= 1; k >= 2 for Sp)."""
+    k = int(mp.nint(mp.mpf("0.5") - lam))
+    location = mp.mpf("0.5") - k
+    first = 2 if sym is SymmetryClass.Sp else 1
+    if k >= first and abs(lam - location) < _POLE_RADIUS:
         raise PoleError(
             f"{sym.value} moment has a pole at degree {mp.nstr(location, 8)}; "
             "requested point is within 1e-8 of it"
@@ -450,12 +440,7 @@ def half_moment_unitary(precision_bits=None) -> RealApprox:
         return approx(value, bits)
 
 
-def pole_order(
-    sym: SymmetryClass,
-    k: int,
-    probe_radii=(1e-2, 1e-3, 1e-4),
-    precision_bits=None,
-) -> int:
+def pole_order(sym: SymmetryClass, k: int, precision_bits=None) -> int:
     """Numeric order of the pole of the moment ratio at degree 1/2 - k.
 
     Fits log|ratio| against log(radius) by least squares over the probe
@@ -464,17 +449,13 @@ def pole_order(
     """
     if k < 1:
         raise DomainError("pole probing needs a positive integer k")
-    if len(probe_radii) < 2:
-        raise DomainError("need at least two probe radii")
     with working_precision(precision_bits) as bits:
         c = constants(bits)
         lam0 = mp.mpf("0.5") - k
         xs = []
         ys = []
-        for radius in probe_radii:
+        for radius in _PROBE_RADII:
             eps = mp.mpf(radius)
-            if eps <= 0:
-                raise DomainError("probe radii must be positive")
             value = _ratio_closed_raw(sym, lam0 + eps, c)
             xs.append(mp.log(eps))
             ys.append(mp.log(abs(value)))

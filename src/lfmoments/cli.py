@@ -60,20 +60,6 @@ def _coeff_list(text: str):
     return [_fraction(piece) for piece in text.split(",") if piece.strip() != ""]
 
 
-def _serialize(value, digits: int = _DISPLAY_DIGITS):
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return decimal_string(value)
-    if isinstance(value, RealApprox):
-        return value.digits(digits)
-    if isinstance(value, mp.mpf):
-        return mp.nstr(value, digits)
-    if isinstance(value, float):
-        return repr(value)
-    return value
-
-
 def _approx_record(record: dict, result: RealApprox, digits: int = _DISPLAY_DIGITS):
     record["result"] = result.digits(digits)
     record["err_estimate"] = f"{result.err_estimate:.3e}"
@@ -90,8 +76,8 @@ def _cmd_gk(args) -> dict:
         record["result"] = "1"
         record["note"] = "k = 0 is the empty product; every class gives 1"
         return record
-    record["result"] = _serialize(moment_constant(args.sym, args.k))
-    record["log_power"] = _serialize(log_power(args.sym, args.k))
+    record["result"] = decimal_string(moment_constant(args.sym, args.k))
+    record["log_power"] = decimal_string(log_power(args.sym, args.k))
     if args.factor:
         factored = moment_factored(args.sym, args.k)
         record["factorization"] = {
@@ -103,18 +89,18 @@ def _cmd_gk(args) -> dict:
 def _cmd_vp(args) -> dict:
     return {
         "inputs": {"sym": args.sym.value, "p": args.p, "k": args.k},
-        "result": _serialize(valuation(args.sym, args.p, args.k)),
+        "result": decimal_string(valuation(args.sym, args.p, args.k)),
     }
 
 
 def _cmd_cp(args) -> dict:
-    record = {"inputs": {"p": args.p, "x": _serialize(args.x)}}
+    record = {"inputs": {"p": args.p, "x": decimal_string(args.x)}}
     if args.eps is not None:
         approx = self_similar.density_numeric(args.p, args.x, eps=args.eps)
         _approx_record(record, approx)
         record["inputs"]["eps"] = repr(args.eps)
     else:
-        record["result"] = _serialize(self_similar.density_exact(args.p, args.x))
+        record["result"] = decimal_string(self_similar.density_exact(args.p, args.x))
     return record
 
 
@@ -138,8 +124,8 @@ def _cmd_cp_plot(args) -> dict:
     return {
         "inputs": {
             "p": args.p,
-            "x_min": _serialize(args.x_min),
-            "x_max": _serialize(args.x_max),
+            "x_min": decimal_string(args.x_min),
+            "x_max": decimal_string(args.x_max),
             "n": args.n,
         },
         "result": written,
@@ -164,7 +150,7 @@ def _cmd_glambda(args) -> dict:
     record = {
         "inputs": {
             "sym": args.sym.value,
-            "lambda": _serialize(args.lam),
+            "lambda": decimal_string(args.lam),
             "route": "limit" if args.limit else "closed",
         }
     }
@@ -187,14 +173,12 @@ def _cmd_ak(args) -> dict:
     record = {
         "inputs": {
             "family": args.family,
-            "k": _serialize(args.k),
+            "k": decimal_string(args.k),
             "cutoff": args.cutoff,
         }
     }
     if args.family == "zeta":
-        approx = euler_products.zeta_arithmetic_factor(
-            float(args.k), prime_cutoff=args.cutoff
-        )
+        approx = euler_products.zeta_arithmetic_factor(args.k, prime_cutoff=args.cutoff)
     else:
         if args.k.denominator != 1:
             raise LfmomentsError("the quadratic-family product needs integer k")
@@ -211,13 +195,13 @@ def _cmd_assemble(args) -> dict:
     record = {
         "inputs": {
             "sym": args.sym.value,
-            "A": _serialize(args.conductor_exponent),
+            "A": decimal_string(args.conductor_exponent),
             "k": args.k,
         }
     }
     if args.ak is not None:
         ak = args.ak
-        record["inputs"]["ak"] = _serialize(args.ak)
+        record["inputs"]["ak"] = decimal_string(args.ak)
     elif args.sym is SymmetryClass.U:
         ak = euler_products.zeta_arithmetic_factor(args.k, prime_cutoff=args.cutoff)
         record["ak_source"] = f"zeta-family product, cutoff {args.cutoff}"
@@ -236,7 +220,7 @@ def _cmd_assemble(args) -> dict:
     record["result"] = shape.coefficient.digits(_DISPLAY_DIGITS)
     record["err_estimate"] = f"{shape.coefficient.err_estimate:.3e}"
     record["log_power"] = str(shape.log_power)
-    record["log_argument_exponent"] = _serialize(shape.log_argument_exponent)
+    record["log_argument_exponent"] = decimal_string(shape.log_argument_exponent)
     return record
 
 
@@ -245,15 +229,15 @@ def _cmd_mollify(args) -> dict:
     record = {
         "inputs": {
             "sym": args.sym.value,
-            "P": [_serialize(c) for c in args.p_coeffs],
-            "Q": [_serialize(c) for c in args.q_coeffs],
+            "P": [decimal_string(c) for c in args.p_coeffs],
+            "Q": [decimal_string(c) for c in args.q_coeffs],
         },
         "result": poly.format(),
-        "theta_validity": _serialize(mollifier.THETA_VALIDITY[args.sym]),
+        "theta_validity": decimal_string(mollifier.THETA_VALIDITY[args.sym]),
     }
     if args.theta is not None:
-        record["inputs"]["theta"] = _serialize(args.theta)
-        record["value_at_theta"] = _serialize(poly.evaluate(args.theta))
+        record["inputs"]["theta"] = decimal_string(args.theta)
+        record["value_at_theta"] = decimal_string(poly.evaluate(args.theta))
     return record
 
 
@@ -281,7 +265,11 @@ def _cmd_asym(args) -> dict:
 def _cmd_poles(args) -> dict:
     order = analytic_moments.pole_order(args.sym, args.k)
     return {
-        "inputs": {"sym": args.sym.value, "k": args.k, "at": _serialize(Fraction(1, 2) - args.k)},
+        "inputs": {
+            "sym": args.sym.value,
+            "k": args.k,
+            "at": decimal_string(Fraction(1, 2) - args.k),
+        },
         "result": str(order),
     }
 
@@ -431,7 +419,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("glambda", parents=[common],
                        help="moment constant at real degree")
     p.add_argument("sym", type=_sym)
-    p.add_argument("lam", type=_fraction, metavar="lambda")
+    p.add_argument("lam", type=_fraction, metavar="lambda",
+                   help="real degree, e.g. 1/2 or -3.5; put -- before a "
+                   "negative fraction: glambda U -- -7/3")
     route = p.add_mutually_exclusive_group()
     route.add_argument("--closed", action="store_true", default=True,
                        help="closed form (default)")

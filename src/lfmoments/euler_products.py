@@ -89,7 +89,7 @@ def zeta_local_factor(k, p: int, precision_bits=None) -> RealApprox:
     if p < 2:
         raise DomainError("p must be a prime (>= 2)")
     with working_precision(precision_bits) as bits:
-        k_mp = mp.mpf(k)
+        k_mp = to_mpf(k)
         if k_mp <= mp.mpf("-0.5"):
             raise DomainError("the product is defined only for k > -1/2")
         return approx(_zeta_local_value(k_mp, p, bits), bits)
@@ -113,7 +113,7 @@ def zeta_arithmetic_factor(
     if prime_cutoff < 100:
         raise DomainError("prime_cutoff must be at least 100")
     with working_precision(precision_bits) as bits:
-        k_mp = mp.mpf(k)
+        k_mp = to_mpf(k)
         if k_mp <= mp.mpf("-0.5"):
             raise DomainError("the product is defined only for k > -1/2")
         product = mp.mpf(1)

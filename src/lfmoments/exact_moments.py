@@ -22,7 +22,6 @@ by exact division, is the independent test oracle.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from math import prod
 
 from .errors import DomainError, IntegralityViolation
@@ -54,17 +53,10 @@ def log_power(sym: SymmetryClass, k):
     Exact for int and Fraction inputs, generic arithmetic otherwise
     (floats, mpf).
     """
-    if isinstance(k, int):
-        if sym is SymmetryClass.U:
-            return k * k
-        if sym is SymmetryClass.O:
-            return k * (k - 1) // 2
-        return k * (k + 1) // 2
     if sym is SymmetryClass.U:
         return k * k
-    if sym is SymmetryClass.O:
-        return k * (k - 1) / 2
-    return k * (k + 1) / 2
+    twice = k * (k - 1) if sym is SymmetryClass.O else k * (k + 1)
+    return twice // 2 if isinstance(k, int) else twice / 2
 
 
 def _check_k(k: int) -> None:
@@ -103,13 +95,6 @@ def moment_constant_factorial_form(sym: SymmetryClass, k: int) -> int:
             f"factorial-form moment constant for {sym.value}, k={k} is not integral"
         )
     return g
-
-
-def two_adic_valuation(n: int) -> int:
-    """Exponent of 2 in n (n >= 1)."""
-    if n < 1:
-        raise DomainError("two_adic_valuation needs a positive integer")
-    return (n & -n).bit_length() - 1
 
 
 def _floor_sum(m: int, q: int) -> int:
@@ -163,25 +148,4 @@ def moment_factored(sym: SymmetryClass, k: int) -> FactoredInteger:
     _check_k(k)
     return FactoredInteger(
         _legendre_exponents(sym, k, primes_up_to(max(2, log_power(sym, k))))
-    )
-
-
-@dataclass
-class MomentConstant:
-    """Bundled record: class, order, value, factorization and log-power."""
-
-    sym: SymmetryClass
-    k: int
-    value: int
-    factored: FactoredInteger
-    log_power: int
-
-
-def moment_record(sym: SymmetryClass, k: int) -> MomentConstant:
-    return MomentConstant(
-        sym=sym,
-        k=k,
-        value=moment_constant(sym, k),
-        factored=moment_factored(sym, k),
-        log_power=log_power(sym, k),
     )

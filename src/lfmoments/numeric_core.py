@@ -8,8 +8,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import count
-from typing import Dict, Iterator, List, Union
+from itertools import chain, count
+from typing import Dict, List, Union
 
 from .errors import DomainError
 
@@ -97,31 +97,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def prime_stream() -> Iterator[int]:
-    """Unbounded ascending primes (postponed incremental sieve)."""
-    yield 2
-    yield 3
-    composites: Dict[int, int] = {}
-    base = prime_stream()
-    next(base)
-    p = next(base)  # 3
-    psq = p * p
-    for c in count(5, 2):
-        if c in composites:
-            step = composites.pop(c)
-        elif c < psq:
-            yield c
-            continue
-        else:  # c == psq
-            step = 2 * p
-            p = next(base)
-            psq = p * p
-        d = c + step
-        while d in composites:
-            d += step
-        composites[d] = step
-
-
 @dataclass
 class FactoredInteger:
     """A positive integer held as {prime: exponent}; exponents >= 1."""
@@ -142,14 +117,11 @@ class FactoredInteger:
     def __getitem__(self, p: int) -> int:
         return self.exponents.get(p, 0)
 
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, FactoredInteger):
-            return self.exponents == other.exponents
-        return NotImplemented
-
 
 def factor_integer(n: int) -> FactoredInteger:
-    """Full factorization by trial division over an unbounded prime stream.
+    """Full factorization by trial division by 2 and the odd numbers.
+
+    An odd composite never divides: its prime factors are gone by then.
 
     Intended for smooth integers (everything factored in this package has
     only small prime factors); it is not a general-purpose factoring engine.
@@ -158,7 +130,7 @@ def factor_integer(n: int) -> FactoredInteger:
         raise DomainError(f"can only factor positive integers, got {n}")
     exps: Dict[int, int] = {}
     remaining = n
-    for p in prime_stream():
+    for p in chain([2], count(3, 2)):
         if p * p > remaining:
             break
         if remaining % p == 0:
@@ -167,9 +139,9 @@ def factor_integer(n: int) -> FactoredInteger:
                 remaining //= p
                 e += 1
             exps[p] = e
-    if remaining > 1:
-        exps[remaining] = exps.get(remaining, 0) + 1
-    return FactoredInteger(dict(sorted(exps.items())))
+    if remaining > 1:  # a prime above every divisor tried
+        exps[remaining] = 1
+    return FactoredInteger(exps)
 
 
 _DECIMAL_LEAF_BITS = 4096

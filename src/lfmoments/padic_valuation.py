@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from .errors import DomainError, IntegralityViolation, OutOfRegime, UnsupportedClass
 from .exact_moments import SymmetryClass, _legendre_exponents, log_power
+from .numeric_core import half_floor_bracket
 
 
 def _check_odd_prime(p: int, what: str) -> None:
@@ -48,7 +49,7 @@ def valuation_term(sym: SymmetryClass, p: int, ell: int, k: int) -> int:
             + q * b * b
         )
     else:
-        m = (((2 * k - 3) // q) + 1) // 2  # half-floor bracket of (2k-3)/q
+        m = half_floor_bracket((2 * k - 3) // q)
         doubled = 2 * (k * (k - 1) // 2 // q) - (2 * k - 1) * m + q * m * m
     if doubled % 2:
         raise IntegralityViolation(

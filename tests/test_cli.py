@@ -15,6 +15,7 @@ from lfmoments import (
     parse_theta_poly,
     sample_density,
     SymmetryClass,
+    zeta_arithmetic_factor,
 )
 from lfmoments.cli import main
 
@@ -186,6 +187,19 @@ def test_ak_zeta_record(capsys):
     code, rec = run_json(capsys, "ak", "zeta", "1", "--cutoff", "500")
     assert code == 0
     assert float(rec["result"]) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_ak_zeta_fractional_order_matches_library(capsys):
+    code, rec = run_json(capsys, "ak", "zeta", "1/3", "--cutoff", "1000")
+    assert code == 0
+    want = zeta_arithmetic_factor(Fraction(1, 3), prime_cutoff=1000)
+    assert rec["result"] == want.digits(25)
+
+
+def test_ak_zeta_huge_order_is_an_error_record(capsys):
+    code, rec = run_json(capsys, "ak", "zeta", "1e400", "--cutoff", "100")
+    assert code == 1
+    assert rec["error"]["type"] == "DivergentInner"
 
 
 def test_assemble_orthogonal_notes_missing_factor(capsys):

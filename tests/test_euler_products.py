@@ -129,6 +129,16 @@ def test_ak_zeta_order_symmetry():
     assert abs(float(lo.value - hi.value)) < 1e-30
 
 
+def test_ak_zeta_reads_a_fractional_order_exactly():
+    # Fraction(1, 3) is 1/3 at working precision, not the nearest double
+    with mp.workprec(400):
+        third = mp.mpf(1) / 3
+    for factor, args in ((zeta_local_factor, (3,)), (zeta_arithmetic_factor, (500,))):
+        got = factor(Fraction(1, 3), *args).value
+        assert abs(got - factor(third, *args).value) < 1e-70
+        assert abs(got - factor(1 / 3, *args).value) > 1e-25
+
+
 def test_ak_zeta_rejects_small_cutoff():
     with pytest.raises(DomainError):
         zeta_arithmetic_factor(2, prime_cutoff=50)

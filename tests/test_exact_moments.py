@@ -10,9 +10,7 @@ from lfmoments import (
     moment_constant,
     moment_constant_factorial_form,
     moment_factored,
-    moment_record,
     primes_up_to,
-    two_adic_valuation,
 )
 
 U, O, SP = SymmetryClass.U, SymmetryClass.O, SymmetryClass.Sp
@@ -79,14 +77,6 @@ def test_positivity_and_unit_start(sym):
         assert moment_constant(sym, k) >= 1
 
 
-def test_two_adic_valuation():
-    assert two_adic_valuation(1) == 0
-    assert two_adic_valuation(24024) == 3
-    assert two_adic_valuation(768) == 8
-    with pytest.raises(DomainError):
-        two_adic_valuation(0)
-
-
 def test_factored_examples():
     assert moment_factored(U, 3).exponents == {2: 1, 3: 1, 7: 1}
     assert moment_factored(O, 1).exponents == {}
@@ -121,13 +111,3 @@ def test_primes_beyond_log_power_never_divide(sym):
                 continue
             assert p <= B, (sym, k, p)
     assert moment_constant(O, 2) == 2 and log_power(O, 2) == 1
-
-
-@pytest.mark.parametrize("sym", list(SymmetryClass))
-def test_moment_record_consistency(sym):
-    rec = moment_record(sym, 6)
-    assert rec.sym is sym
-    assert rec.k == 6
-    assert rec.value == moment_constant(sym, 6)
-    assert rec.factored.value() == rec.value
-    assert rec.log_power == log_power(sym, 6)

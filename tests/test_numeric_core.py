@@ -18,7 +18,6 @@ from lfmoments import (
     is_prime,
     moment_constant,
     odd_double_factorial,
-    prime_stream,
     primes_up_to,
     SymmetryClass,
 )
@@ -92,12 +91,6 @@ def test_primes_up_to():
     assert primes_up_to(1) == []
     assert primes_up_to(2) == [2]
     assert primes_up_to(20) == [2, 3, 5, 7, 11, 13, 17, 19]
-
-
-def test_prime_stream_matches_sieve():
-    stream = prime_stream()
-    got = [next(stream) for _ in range(len(primes_up_to(1000)))]
-    assert got == primes_up_to(1000)
 
 
 def test_is_prime_agrees_with_sieve():
