@@ -61,38 +61,64 @@ def divisor_coefficient(k, j: int):
     return value
 
 
-def _zeta_local_value(k_mp: mp.mpf, p: int, bits: int) -> mp.mpf:
-    """(1 - 1/p)^{k^2} * sum_j d_k(p^j)^2 / p^j at working precision.
-
-    The inner sum stops once a term drops below 2^-(bits + 16).
-    """
-    eps = mp.ldexp(1, -(bits + 16))
-    x = 1 / mp.mpf(p)
-    d = mp.mpf(1)
-    xp = mp.mpf(1)
-    total = mp.mpf(1)
-    for j in range(1, _INNER_BUDGET + 1):
-        d = d * (k_mp + j - 1) / j
-        xp *= x
-        term = d * d * xp
-        total += term
-        if abs(term) < eps:
-            return mp.power(1 - x, k_mp * k_mp) * total
-    raise DivergentInner(
+def _divergent(p: int, eps: mp.mpf) -> DivergentInner:
+    return DivergentInner(
         f"local sum at p={p} did not fall below {mp.nstr(eps, 3)} "
         f"within {_INNER_BUDGET} terms"
     )
 
 
+def _zeta_product(k_mp: mp.mpf, primes, bits: int) -> mp.mpf:
+    """prod over primes of (1 - 1/p)^{k^2} 2F1(k, k; 1; 1/p) at working precision.
+
+    Euler's transformation (1-x)^{k^2} 2F1(k,k;1;x) = (1-x)^{(k-1)^2}
+    2F1(1-k,1-k;1;x) makes each factor symmetric under k -> 1-k; it is
+    summed at a = min(k, 1-k) <= 1/2, whose coefficients ((a)_j / j!)^2 do
+    not depend on p and vanish from j = k on for integer k >= 1.  The power
+    is taken once, as (prod (1 - 1/p))^{a^2}.  A series stops at its first
+    term below 2^-(bits + 16), past the peak since the terms are unimodal.
+    """
+    eps = mp.ldexp(1, -(bits + 16))
+    a = min(k_mp, 1 - k_mp)
+    s = 1 / mp.sqrt(primes[0])
+    # the terms at the smallest prime rise while j < (-a s - 1) / (1 + s)
+    if -a * s - 1 > _INNER_BUDGET * (1 + s):
+        raise _divergent(primes[0], eps)
+    coeffs = [mp.mpf(1)]
+    root = mp.mpf(1)
+    series = mp.mpf(1)
+    base = mp.mpf(1)
+    for p in primes:
+        x = 1 / mp.mpf(p)
+        total = xp = mp.mpf(1)
+        for j in range(1, _INNER_BUDGET + 1):
+            if j == len(coeffs):
+                root = root * (a + j - 1) / j
+                coeffs.append(root * root)
+            xp *= x
+            term = coeffs[j] * xp
+            total += term
+            if term < eps:
+                break
+        else:
+            raise _divergent(p, eps)
+        series *= total
+        base *= 1 - x
+    return mp.power(base, a * a) * series
+
+
 def zeta_local_factor(k, p: int, precision_bits=None) -> RealApprox:
-    """A single local factor of the zeta-family arithmetic constant."""
+    """A single local factor (1 - 1/p)^{k^2} 2F1(k, k; 1; 1/p) of the
+    zeta-family constant, summed as in zeta_arithmetic_factor: by Euler's
+    transformation, (1 - 1/p)^{a^2} 2F1(a, a; 1; 1/p) with a = min(k, 1-k).
+    """
     if p < 2:
         raise DomainError("p must be a prime (>= 2)")
     with working_precision(precision_bits) as bits:
         k_mp = to_mpf(k)
         if k_mp <= mp.mpf("-0.5"):
             raise DomainError("the product is defined only for k > -1/2")
-        return approx(_zeta_local_value(k_mp, p, bits), bits)
+        return approx(_zeta_product(k_mp, [p], bits), bits)
 
 
 def _tail_coefficient(k_mp: mp.mpf) -> mp.mpf:
@@ -105,10 +131,14 @@ def zeta_arithmetic_factor(
 ) -> RealApprox:
     """Arithmetic constant of the zeta family, truncated over p <= cutoff.
 
-    The local factor at p is (1 - 1/p)^{k^2} sum_j d_k(p^j)^2 p^{-j}.  The
-    reported err_estimate is the truncated-tail bound (the local-factor
-    logs decay like k^2(k-1)^2/(4p^2), summed with the exact prime zeta
-    tail), never less than the working-precision floor.
+    The local factor at p is (1 - 1/p)^{k^2} sum_j d_k(p^j)^2 p^{-j}
+    = (1 - 1/p)^{k^2} 2F1(k, k; 1; 1/p).  By Euler's transformation it
+    equals (1 - 1/p)^{a^2} 2F1(a, a; 1; 1/p) with a = min(k, 1-k); the
+    coefficients ((a)_j / j!)^2 are computed once for all primes, and the
+    power once, as (prod_{p <= cutoff} (1 - 1/p))^{a^2}.  The reported
+    err_estimate is the truncated-tail bound (the local-factor logs decay
+    like k^2(k-1)^2/(4p^2), summed with the exact prime zeta tail), never
+    less than the working-precision floor.
     """
     if prime_cutoff < 100:
         raise DomainError("prime_cutoff must be at least 100")
@@ -116,11 +146,11 @@ def zeta_arithmetic_factor(
         k_mp = to_mpf(k)
         if k_mp <= mp.mpf("-0.5"):
             raise DomainError("the product is defined only for k > -1/2")
-        product = mp.mpf(1)
-        inv_square_sum = mp.mpf(0)
-        for p in primes_up_to(prime_cutoff):
-            product *= _zeta_local_value(k_mp, p, bits)
-            inv_square_sum += 1 / mp.mpf(p * p)
+        primes = primes_up_to(prime_cutoff)
+        product = _zeta_product(k_mp, primes, bits)
+        # sum of p^-2 in fixed point, each term rounded down by < 2^-(bits + 64)
+        scale = bits + 64
+        inv_square_sum = mp.ldexp(sum((1 << scale) // (p * p) for p in primes), -scale)
         tail = mp.primezeta(2) - inv_square_sum
         return approx(product, bits, err=abs(product) * _tail_coefficient(k_mp) * tail)
 

@@ -7,6 +7,7 @@ import mpmath as mp
 import pytest
 
 from lfmoments import (
+    DivergentInner,
     DomainError,
     FamilyDescriptor,
     RealApprox,
@@ -94,6 +95,38 @@ def test_local_factor_k_two_closed_form(p):
         assert abs(got.value - want) < 1e-60
 
 
+def _term_by_term_local_factor(k, p: int) -> mp.mpf:
+    # (1 - 1/p)^{k^2} sum_j d_k(p^j)^2 p^{-j}, the defining series summed term
+    # by term at order k itself, without Euler's transformation, until a
+    # term past the peak drops below the working precision
+    eps = mp.ldexp(1, -mp.mp.prec - 8)
+    x = 1 / mp.mpf(p)
+    d = total = xp = term = mp.mpf(1)
+    j = 0
+    while term >= eps or j <= abs(k):
+        j += 1
+        d = d * (k + j - 1) / j
+        xp *= x
+        term = d * d * xp
+        total += term
+    return mp.power(1 - x, k * k) * total
+
+
+@pytest.mark.parametrize("bits", [128, 256, 1024])
+@pytest.mark.parametrize(
+    "k",
+    [0, Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), 1, 2, Fraction(5, 2), 3, 7],
+)
+def test_zeta_local_factor_matches_hypergeometric_series(k, bits):
+    for p in (2, 3, 5, 97, 10007):
+        got = zeta_local_factor(k, p, precision_bits=bits)
+        with mp.workprec(2 * bits):
+            k_mp = mp.mpf(Fraction(k).numerator) / Fraction(k).denominator
+            x = 1 / mp.mpf(p)
+            want = (1 - x) ** (k_mp * k_mp) * mp.hyp2f1(k_mp, k_mp, 1, x)
+            assert abs(got.value - want) <= got.err_estimate, (k, p, bits)
+
+
 def test_local_factor_rejects_low_k():
     with pytest.raises(DomainError):
         zeta_local_factor(-0.5, 3)
@@ -137,6 +170,42 @@ def test_ak_zeta_reads_a_fractional_order_exactly():
         got = factor(Fraction(1, 3), *args).value
         assert abs(got - factor(third, *args).value) < 1e-70
         assert abs(got - factor(1 / 3, *args).value) > 1e-25
+
+
+def test_zeta_ak_matches_exact_local_factors():
+    # for integer k the transformed factor is the polynomial
+    # (1 - 1/p)^{(k-1)^2} sum_j C(k-1, j)^2 p^{-j}, exact in Fractions
+    for k in (1, 2, 3, 4):
+        got = zeta_arithmetic_factor(k, prime_cutoff=200, precision_bits=128)
+        want = math.prod(
+            (1 - Fraction(1, p)) ** ((k - 1) ** 2)
+            * sum(Fraction(math.comb(k - 1, j) ** 2, p**j) for j in range(k))
+            for p in primes_up_to(200)
+        )
+        with mp.workprec(300):
+            gap = abs(got.value - mp.mpf(want.numerator) / want.denominator)
+            assert gap < mp.mpf(2) ** -110, k
+
+
+def test_zeta_ak_matches_term_by_term_product():
+    # non-integer orders: the hoisted power and the shared coefficients
+    # against the defining series, summed prime by prime at twice the bits
+    for k in (Fraction(1, 3), Fraction(1, 2), Fraction(5, 2), Fraction(-1, 4)):
+        got = zeta_arithmetic_factor(k, prime_cutoff=200, precision_bits=128)
+        with mp.workprec(256):
+            k_mp = mp.mpf(k.numerator) / k.denominator
+            want = mp.fprod(
+                _term_by_term_local_factor(k_mp, p) for p in primes_up_to(200)
+            )
+            assert abs(got.value - want) < mp.mpf(2) ** -110 * want, k
+
+
+def test_zeta_huge_order_is_divergent():
+    # the terms at p = 2 would still be rising when the term budget runs out
+    with pytest.raises(DivergentInner):
+        zeta_local_factor(Fraction(10**400), 2)
+    with pytest.raises(DivergentInner):
+        zeta_arithmetic_factor(Fraction(10**400), prime_cutoff=100)
 
 
 def test_ak_zeta_rejects_small_cutoff():
