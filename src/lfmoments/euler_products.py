@@ -20,7 +20,7 @@ import mpmath as mp
 
 from .errors import DivergentInner, DomainError
 from .exact_moments import SymmetryClass, log_power, moment_constant
-from .numeric_core import factorial, primes_up_to
+from .numeric_core import factorial, is_prime, primes_up_to
 from .precision import RealApprox, approx, to_mpf, working_precision
 
 __all__ = [
@@ -59,6 +59,11 @@ def divisor_coefficient(k, j: int):
     for i in range(j):
         value *= (kf + i) / (i + 1)
     return value
+
+
+def _check_prime(p) -> None:
+    if not isinstance(p, int) or not is_prime(p):
+        raise DomainError(f"p must be a prime >= 2, got {p!r}")
 
 
 def _divergent(p: int, eps: mp.mpf) -> DivergentInner:
@@ -112,8 +117,7 @@ def zeta_local_factor(k, p: int, precision_bits=None) -> RealApprox:
     zeta-family constant, summed as in zeta_arithmetic_factor: by Euler's
     transformation, (1 - 1/p)^{a^2} 2F1(a, a; 1; 1/p) with a = min(k, 1-k).
     """
-    if p < 2:
-        raise DomainError("p must be a prime (>= 2)")
+    _check_prime(p)
     with working_precision(precision_bits) as bits:
         k_mp = to_mpf(k)
         if k_mp <= mp.mpf("-0.5"):
@@ -177,8 +181,7 @@ def sp_local_factor(k: int, p: int) -> Fraction:
     """
     if not isinstance(k, int) or k < 1:
         raise DomainError("exact local factors need a positive integer k")
-    if p < 2:
-        raise DomainError("p must be a prime (>= 2)")
+    _check_prime(p)
     return _sp_local(k, Fraction(1, p))
 
 

@@ -72,15 +72,15 @@ def working_precision(precision_bits=None):
 
 
 def to_mpf(x) -> mpmath.mpf:
-    """A real input as an mpf at the working precision."""
+    """A finite real input as an mpf at the working precision."""
     # Fractions convert exactly; everything else goes through mpmathify.
     if isinstance(x, Fraction):
         return mpmath.mpf(x.numerator) / mpmath.mpf(x.denominator)
-    if isinstance(x, RealApprox):
-        return x.value
-    value = mpmath.mpmathify(x)
+    value = x.value if isinstance(x, RealApprox) else mpmath.mpmathify(x)
     if isinstance(value, mpmath.mpc):
         raise DomainError("complex degree parameters are not supported here")
+    if not mpmath.isfinite(value):
+        raise DomainError(f"real parameters must be finite, got {value}")
     return value
 
 

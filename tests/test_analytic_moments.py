@@ -1,6 +1,7 @@
 """Analytic continuation in the order parameter: limits, closed forms, poles."""
 
 import math
+import random
 from fractions import Fraction
 
 import mpmath as mp
@@ -26,6 +27,8 @@ from lfmoments import (
     moment_ratio_closed_form,
     pole_order,
 )
+from lfmoments import analytic_moments
+from lfmoments.precision import working_precision
 
 U, O, SP = SymmetryClass.U, SymmetryClass.O, SymmetryClass.Sp
 
@@ -45,14 +48,24 @@ def test_zeta_prime_zero_is_half_log_2pi():
 
 
 def test_glaisher_identity_ties_the_bundle_together():
-    # log A = 1/12 - zeta'(-1) must equal (gamma + log 2pi)/12 - zeta'(2)/(2 pi^2)
+    # log A = 1/12 - zeta'(-1) must equal (gamma + log 2pi)/12 - zeta'(2)/(2 pi^2);
+    # the bundle derives zeta'(2) from log A, so zeta'(2) comes from mpmath here
     c = constants()
     with mp.workprec(256):
         left = mp.mpf(1) / 12 - c.zeta_prime_minus1.value
-        right = (c.euler_gamma.value + c.log_2pi.value) / 12 - c.zeta_prime_2.value / (
-            2 * mp.pi**2
-        )
+        right = (c.euler_gamma.value + c.log_2pi.value) / 12 - mp.zeta(
+            2, derivative=1
+        ) / (2 * mp.pi**2)
         assert abs(left - right) < mp.mpf(2) ** -200
+
+
+@pytest.mark.parametrize("bits", [128, 256, 1024])
+def test_zeta_prime_2_matches_mpmath_derivative(bits):
+    got = constants(bits).zeta_prime_2
+    with mp.workprec(bits + 64):
+        want = mp.zeta(2, derivative=1)
+        assert abs(got.value - want) <= got.err_estimate
+        assert abs(got.value - want) < abs(want) * mp.mpf(2) ** -(bits + 16)
 
 
 def test_euler_gamma_against_harmonic_oracle():
@@ -103,6 +116,66 @@ def test_barnes_recursion(z):
         assert abs(lhs - rhs) <= abs(rhs) * mp.mpf(2) ** -180
 
 
+def _per_step_barnes_g(z: mp.mpf, zpm1: mp.mpf) -> mp.mpf:
+    # G(z) = G(z + n) / prod_{i<n} Gamma(z + i) with one Gamma call per step,
+    # the same shift n and asymptotic series as the library
+    threshold = max(mp.mp.prec / 8 + 17, 33)
+    n = int(mp.ceil(threshold - z))
+    large = mp.exp(analytic_moments._log_barnes_g_large(z + n, zpm1))
+    return large / mp.fprod(mp.gamma(z + i) for i in range(n))
+
+
+def _off_zeros(rng: random.Random) -> float:
+    # z in [-3.5, 8] at least 1e-2 from the zeros 0, -1, -2, -3
+    while True:
+        z = rng.uniform(-3.5, 8)
+        if z > 0.01 or abs(z - round(z)) >= 0.01:
+            return z
+
+
+@pytest.mark.parametrize("bits, cases", [(128, 20), (256, 20), (1024, 6)])
+def test_barnes_shift_matches_per_step_gamma_product(bits, cases):
+    rng = random.Random(bits)
+    zpm1 = constants(bits).zeta_prime_minus1.value
+    with working_precision(bits):
+        for _ in range(cases):
+            z = mp.mpf(_off_zeros(rng))
+            want = _per_step_barnes_g(z, zpm1)
+            got = analytic_moments._barnes_g_raw(z, zpm1)
+            assert abs(got - want) < abs(want) * mp.mpf(2) ** -(bits + 16), z
+
+
+def test_barnes_shift_matches_per_step_gamma_product_at_4096_bits():
+    # zeta'(-1) enters both routes as the same factor of G(z + n), so the
+    # 1024-bit bundle value serves (mp.glaisher at 4096 bits costs seconds);
+    # half-integer z keeps the per-step Gamma calls cheap
+    zpm1 = constants(1024).zeta_prime_minus1.value
+    with working_precision(4096):
+        for z in (mp.mpf(-5) / 2, mp.mpf(7) / 2):
+            want = _per_step_barnes_g(z, zpm1)
+            got = analytic_moments._barnes_g_raw(z, zpm1)
+            assert abs(got - want) < abs(want) * mp.mpf(2) ** -(4096 + 16), z
+
+
+def test_barnes_g_makes_one_gamma_call(monkeypatch):
+    constants(1024)
+    calls = []
+    gamma = mp.gamma
+
+    def counting_gamma(x):
+        calls.append(x)
+        return gamma(x)
+
+    monkeypatch.setattr(mp, "gamma", counting_gamma)
+    for z in (Fraction(-7, 3), Fraction(1, 3), Fraction(31, 4)):
+        calls.clear()
+        barnes_g(z, precision_bits=1024)
+        assert len(calls) == 1, z
+    calls.clear()
+    barnes_g(200, precision_bits=1024)
+    assert calls == []
+
+
 def test_barnes_pole_guard():
     for z in (0, -1, -3):
         with pytest.raises(PoleError):
@@ -144,6 +217,28 @@ def test_shift_identity_off_integers():
             left = moment_closed_form(O, lam + 1).value
             right = mp.mpf(2) ** mp.mpf(float(lam)) * moment_closed_form(SP, lam).value
             assert abs(left - right) < abs(right) * 1e-40, lam
+
+
+def _off_poles(sym, rng: random.Random) -> Fraction:
+    # lambda in [-3.5, 6] at least 1e-2 from the poles 1/2 - k
+    first = 2 if sym is SP else 1
+    while True:
+        lam = Fraction(rng.randrange(-3500, 6001), 1000)
+        k = round(Fraction(1, 2) - lam)
+        if k < first or abs(lam - (Fraction(1, 2) - k)) >= Fraction(1, 100):
+            return lam
+
+
+@pytest.mark.parametrize("bits, cases", [(128, 8), (256, 8), (1024, 1)])
+@pytest.mark.parametrize("sym", list(SymmetryClass))
+def test_closed_form_err_estimate_covers_twice_the_precision(sym, bits, cases):
+    rng = random.Random(bits)
+    for _ in range(cases):
+        lam = _off_poles(sym, rng)
+        got = moment_closed_form(sym, lam, precision_bits=bits)
+        want = moment_closed_form(sym, lam, precision_bits=2 * bits)
+        with mp.workprec(2 * bits):
+            assert abs(got.value - want.value) <= got.err_estimate, (sym, lam)
 
 
 def test_closed_form_pole_guards():

@@ -127,6 +127,12 @@ def test_zeta_local_factor_matches_hypergeometric_series(k, bits):
             assert abs(got.value - want) <= got.err_estimate, (k, p, bits)
 
 
+@pytest.mark.parametrize("p", [0, 1, 4, 9, 91, 3.0])
+def test_zeta_local_factor_rejects_non_primes(p):
+    with pytest.raises(DomainError):
+        zeta_local_factor(2, p)
+
+
 def test_local_factor_rejects_low_k():
     with pytest.raises(DomainError):
         zeta_local_factor(-0.5, 3)
@@ -219,6 +225,12 @@ def test_ak_zeta_rejects_small_cutoff():
 def test_sp_local_factor_k_one_closed_form():
     for p in (3, 5, 7):
         assert sp_local_factor(1, p) == 1 - Fraction(1, p * p + p)
+
+
+@pytest.mark.parametrize("p", [0, 1, 4, 9, 91, 3.0])
+def test_sp_local_factor_rejects_non_primes(p):
+    with pytest.raises(DomainError):
+        sp_local_factor(1, p)
 
 
 def test_sp_local_factor_matches_surd_expression():

@@ -1,5 +1,6 @@
 """Precision policy: defaults, env override, the 64-bit floor, RealApprox."""
 
+import math
 from fractions import Fraction
 
 import mpmath as mp
@@ -72,6 +73,49 @@ ENTRY_POINTS = {
         1, prime_cutoff=100, precision_bits=b
     ),
 }
+
+
+# every entry point of ENTRY_POINTS that takes a number, as a function of it
+NUMERIC_ARGUMENT = {
+    "assemble_mean_value": lambda x: assemble_mean_value(
+        FamilyDescriptor(sym=U, conductor_exponent=1, label="zeta"), 2, x
+    ),
+    "barnes_g": barnes_g,
+    "double_gamma": double_gamma,
+    "moment_closed_form": lambda x: moment_closed_form(U, x),
+    "moment_ratio_closed_form": lambda x: moment_ratio_closed_form(U, x),
+    "moment_by_limit": lambda x: moment_by_limit(U, x),
+    "pole_order": lambda x: pole_order(SP, x),
+    "log_moment_asymptotic": lambda x: log_moment_asymptotic(U, x),
+    "log_sum_asymptotics": lambda x: log_sum_asymptotics("log_j", x),
+    "zeta_local_factor": lambda x: zeta_local_factor(x, 3),
+    "zeta_arithmetic_factor": lambda x: zeta_arithmetic_factor(x, prime_cutoff=100),
+    "sp_quadratic_arithmetic_factor": lambda x: sp_quadratic_arithmetic_factor(
+        x, prime_cutoff=100
+    ),
+}
+
+
+def test_numeric_arguments_cover_the_entry_points():
+    no_argument = {"constants", "half_moment_unitary"}
+    assert set(NUMERIC_ARGUMENT) | no_argument == set(ENTRY_POINTS)
+
+
+@pytest.mark.parametrize("name", sorted(NUMERIC_ARGUMENT))
+def test_non_finite_arguments_are_domain_errors(name):
+    for x in (math.nan, math.inf, -math.inf, mp.nan, mp.inf, -mp.inf, "nan"):
+        with pytest.raises(DomainError):
+            NUMERIC_ARGUMENT[name](x)
+
+
+def test_to_mpf_rejects_non_finite_values():
+    with working_precision(128):
+        for x in (math.nan, math.inf, mp.ninf, "inf"):
+            with pytest.raises(DomainError):
+                to_mpf(x)
+        with pytest.raises(DomainError):
+            to_mpf(RealApprox(value=mp.nan, precision_bits=128, err_estimate=0.0))
+        assert to_mpf(Fraction(10**400)) == mp.mpf(10) ** 400
 
 
 def test_default_precision_without_env(monkeypatch):
