@@ -3,7 +3,10 @@
 Two products are implemented: the one attached to the zeta family (whose
 local factors are built from the generalized divisor coefficients d_k)
 and the one attached to the quadratic-character symplectic family.  Both
-are truncated at a prime cutoff with an observable error estimate.
+are truncated at a prime cutoff with an observable error estimate, and
+both take the shape (prod_p (1 - 1/p))^alpha * prod_p S(1/p) with a power
+series S whose coefficients do not depend on p; one fixed-point kernel,
+_euler_products, evaluates that shape for either family.
 
 ``assemble_mean_value`` combines an arithmetic factor with the exact
 moment constant into the leading-term shape
@@ -13,14 +16,16 @@ coefficient * (log Q^A)^{B(k)}.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache, partial
 
 import mpmath as mp
 
 from .errors import DivergentInner, DomainError
 from .exact_moments import SymmetryClass, log_power, moment_constant
-from .numeric_core import factorial, is_prime, primes_up_to
+from .numeric_core import check_prime, factorial, primes_up_to
 from .precision import RealApprox, approx, to_mpf, working_precision
 
 __all__ = [
@@ -61,55 +66,112 @@ def divisor_coefficient(k, j: int):
     return value
 
 
-def _check_prime(p) -> None:
-    if not isinstance(p, int) or not is_prime(p):
-        raise DomainError(f"p must be a prime >= 2, got {p!r}")
-
-
-def _divergent(p: int, eps: mp.mpf) -> DivergentInner:
+def _divergent(p: int, bits: int) -> DivergentInner:
+    eps = mp.ldexp(1, -(bits + 16))
     return DivergentInner(
         f"local sum at p={p} did not fall below {mp.nstr(eps, 3)} "
         f"within {_INNER_BUDGET} terms"
     )
 
 
-def _zeta_product(k_mp: mp.mpf, primes, bits: int) -> mp.mpf:
+def _euler_products(primes, alpha, make_local, ends) -> list:
+    """(prod_{p in P} (1 - 1/p))^alpha * prod_{p in P} L(p) for each prefix
+    P = primes[:end], end in the increasing list ``ends``; L(p) is S(1/p),
+    times p / (p + 1) for the Sp family.
+
+    Both running products are Python ints with W = mp.prec + 32 fraction
+    bits; ``make_local(W)`` gives the function p -> L(p) * 2^W, within a
+    few ulps.  Neither product comes near zero (the base is about
+    e^-gamma / log p_max, the series stays above 2/3), so each step, which
+    rounds down by under one ulp, costs O(log p_max) ulps relative: for n
+    primes the result is within (1 + alpha) n log(p_max) 2^-W relative,
+    below the guard bits.  Each prefix is converted to mpf once, and its
+    alpha power taken once, with mp.power at W bits.
+    """
+    width = mp.mp.prec + 32
+    local = make_local(width)
+    base = series = 1 << width
+    prefixes = []
+    start = 0
+    for end in ends:
+        for p in primes[start:end]:
+            base -= base // p
+            series = series * local(p) >> width
+        prefixes.append((base, series))
+        start = end
+    with mp.workprec(width):
+        alpha = to_mpf(alpha)
+        values = [
+            mp.power(mp.ldexp(b, -width), alpha) * mp.ldexp(s, -width)
+            for b, s in prefixes
+        ]
+    return [+value for value in values]
+
+
+def _zeta_local(a: Fraction, bits: int, width: int):
+    """p -> 2F1(a, a; 1; 1/p) * 2^width, the series sum_j ((a)_j / j!)^2 p^-j.
+
+    Each term comes from the previous one by the ratio ((a + j - 1) / j)^2,
+    held to width bits and shared by every prime, as
+    term * ratio // (p << width), so every term keeps its error relative to
+    itself and a sum of J terms is within J + J^2 ulps of total * 2^-width
+    (a fixed-width table of the coefficients would not: they span 2^193 at
+    k = 100).  The sum stops at its first term below 2^-(bits + 16), past
+    the peak since the terms are unimodal.  Only the smallest prime extends
+    the ratios: a larger p stops no later.
+    """
+    num, den = a.numerator, a.denominator
+    eps = 1 << (width - bits - 16)
+    ratios = []
+
+    def local(p: int) -> int:
+        total = term = 1 << width
+        scale = p << width
+        for ratio in ratios:
+            term = term * ratio // scale
+            total += term
+            if term < eps:
+                return total
+        for j in range(len(ratios) + 1, _INNER_BUDGET + 1):
+            ratio = ((num + (j - 1) * den) ** 2 << width) // (j * den) ** 2
+            ratios.append(ratio)
+            term = term * ratio // scale
+            total += term
+            if term < eps:
+                return total
+        raise _divergent(p, bits)
+
+    return local
+
+
+def _zeta_order(k) -> Fraction:
+    """k as an exact rational: an int or Fraction as given, any other real
+    as the binary value it takes at working precision."""
+    k_mp = to_mpf(k)
+    if k_mp <= mp.mpf("-0.5"):
+        raise DomainError("the product is defined only for k > -1/2")
+    if isinstance(k, (int, Fraction)):
+        return Fraction(k)
+    man, exp = k_mp.man_exp
+    return man * Fraction(2) ** exp
+
+
+def _zeta_product(k: Fraction, primes, bits: int) -> mp.mpf:
     """prod over primes of (1 - 1/p)^{k^2} 2F1(k, k; 1; 1/p) at working precision.
 
     Euler's transformation (1-x)^{k^2} 2F1(k,k;1;x) = (1-x)^{(k-1)^2}
     2F1(1-k,1-k;1;x) makes each factor symmetric under k -> 1-k; it is
     summed at a = min(k, 1-k) <= 1/2, whose coefficients ((a)_j / j!)^2 do
-    not depend on p and vanish from j = k on for integer k >= 1.  The power
-    is taken once, as (prod (1 - 1/p))^{a^2}.  A series stops at its first
-    term below 2^-(bits + 16), past the peak since the terms are unimodal.
+    not depend on p and vanish from j = k on for integer k >= 1.  That is
+    the kernel's shape with alpha = a^2 and S = 2F1(a, a; 1; x).
     """
-    eps = mp.ldexp(1, -(bits + 16))
-    a = min(k_mp, 1 - k_mp)
+    a = min(k, 1 - k)
     s = 1 / mp.sqrt(primes[0])
     # the terms at the smallest prime rise while j < (-a s - 1) / (1 + s)
-    if -a * s - 1 > _INNER_BUDGET * (1 + s):
-        raise _divergent(primes[0], eps)
-    coeffs = [mp.mpf(1)]
-    root = mp.mpf(1)
-    series = mp.mpf(1)
-    base = mp.mpf(1)
-    for p in primes:
-        x = 1 / mp.mpf(p)
-        total = xp = mp.mpf(1)
-        for j in range(1, _INNER_BUDGET + 1):
-            if j == len(coeffs):
-                root = root * (a + j - 1) / j
-                coeffs.append(root * root)
-            xp *= x
-            term = coeffs[j] * xp
-            total += term
-            if term < eps:
-                break
-        else:
-            raise _divergent(p, eps)
-        series *= total
-        base *= 1 - x
-    return mp.power(base, a * a) * series
+    if -to_mpf(a) * s - 1 > _INNER_BUDGET * (1 + s):
+        raise _divergent(primes[0], bits)
+    make_local = partial(_zeta_local, a, bits)
+    return _euler_products(primes, a * a, make_local, [len(primes)])[0]
 
 
 def zeta_local_factor(k, p: int, precision_bits=None) -> RealApprox:
@@ -117,12 +179,16 @@ def zeta_local_factor(k, p: int, precision_bits=None) -> RealApprox:
     zeta-family constant, summed as in zeta_arithmetic_factor: by Euler's
     transformation, (1 - 1/p)^{a^2} 2F1(a, a; 1; 1/p) with a = min(k, 1-k).
     """
-    _check_prime(p)
+    check_prime(p)
     with working_precision(precision_bits) as bits:
-        k_mp = to_mpf(k)
-        if k_mp <= mp.mpf("-0.5"):
-            raise DomainError("the product is defined only for k > -1/2")
-        return approx(_zeta_product(k_mp, [p], bits), bits)
+        return approx(_zeta_product(_zeta_order(k), [p], bits), bits)
+
+
+@lru_cache(maxsize=16)
+def _prime_zeta_2(prec: int) -> mp.mpf:
+    # sum_p p^-2 at prec bits, computed once per precision
+    with mp.workprec(prec):
+        return mp.primezeta(2)
 
 
 def _tail_coefficient(k_mp: mp.mpf) -> mp.mpf:
@@ -137,39 +203,58 @@ def zeta_arithmetic_factor(
 
     The local factor at p is (1 - 1/p)^{k^2} sum_j d_k(p^j)^2 p^{-j}
     = (1 - 1/p)^{k^2} 2F1(k, k; 1; 1/p).  By Euler's transformation it
-    equals (1 - 1/p)^{a^2} 2F1(a, a; 1; 1/p) with a = min(k, 1-k); the
-    coefficients ((a)_j / j!)^2 are computed once for all primes, and the
-    power once, as (prod_{p <= cutoff} (1 - 1/p))^{a^2}.  The reported
-    err_estimate is the truncated-tail bound (the local-factor logs decay
-    like k^2(k-1)^2/(4p^2), summed with the exact prime zeta tail), never
-    less than the working-precision floor.
+    equals (1 - 1/p)^{a^2} 2F1(a, a; 1; 1/p) with a = min(k, 1-k): the
+    common shape (prod (1 - 1/p))^alpha prod S(1/p) with alpha = a^2 and
+    S = 2F1(a, a; 1; x).  The fixed-point kernel evaluates it at W = working
+    precision + 32 bits, the series by ratios shared by every prime, the
+    power once; for n primes the rounding stays within
+    (1 + a^2) n log(cutoff) 2^-W relative, far below the working-precision
+    floor.  The reported err_estimate is the truncated-tail bound (the
+    local-factor logs decay like k^2(k-1)^2/(4p^2), summed with the exact
+    prime zeta tail), never less than the working-precision floor.
     """
     if prime_cutoff < 100:
         raise DomainError("prime_cutoff must be at least 100")
     with working_precision(precision_bits) as bits:
-        k_mp = to_mpf(k)
-        if k_mp <= mp.mpf("-0.5"):
-            raise DomainError("the product is defined only for k > -1/2")
+        k = _zeta_order(k)
         primes = primes_up_to(prime_cutoff)
-        product = _zeta_product(k_mp, primes, bits)
+        product = _zeta_product(k, primes, bits)
         # sum of p^-2 in fixed point, each term rounded down by < 2^-(bits + 64)
         scale = bits + 64
         inv_square_sum = mp.ldexp(sum((1 << scale) // (p * p) for p in primes), -scale)
-        tail = mp.primezeta(2) - inv_square_sum
-        return approx(product, bits, err=abs(product) * _tail_coefficient(k_mp) * tail)
+        tail = _prime_zeta_2(mp.mp.prec) - inv_square_sum
+        err = abs(product) * _tail_coefficient(to_mpf(k)) * tail
+        return approx(product, bits, err=err)
 
 
-def _sp_local(k: int, y):
-    """The Sp local factor at y = 1/p in rational form,
-    (1-y)^{B-k} (sum_m C(k, 2m) y^m + y (1-y)^k) / (1+y) with B = k(k+1)/2.
+def _sp_shape(k: int):
+    """alpha = k(k-1)/2 and the integer coefficients of
+    S(y) = sum_m C(k, 2m) y^m + y (1-y)^k, constant term first.
 
-    The sum is the even part of (1 -+ p^{-1/2})^{-k}, times (1-y)^k.  Exact
-    for a Fraction y, at working precision for an mpf y.
+    The Sp local factor at y = 1/p is (1-y)^alpha S(y) / (1+y): S(y) is
+    the even part of (1 -+ p^{-1/2})^{-k}, times (1-y)^k, plus y (1-y)^k.
     """
-    even = 0
-    for m in range(k // 2, -1, -1):
-        even = even * y + math.comb(k, 2 * m)
-    return (1 - y) ** (k * (k - 1) // 2) * (even + y * (1 - y) ** k) / (1 + y)
+    coeffs = [math.comb(k, 2 * m) for m in range(k // 2 + 1)]
+    coeffs += [0] * (k + 2 - len(coeffs))
+    for j in range(k + 1):
+        coeffs[j + 1] += (-1) ** j * math.comb(k, j)
+    return k * (k - 1) // 2, coeffs
+
+
+def _sp_local(coeffs, width: int):
+    """p -> S(1/p) p / (p + 1) * 2^width, by Horner with exact integer
+    coefficients and floor divisions by p: under one ulp per step, each
+    shrunk by the later divisions, so under 2 ulps in all even where the
+    signs of the coefficients cancel; one more for p / (p + 1)."""
+    shifted = [c << width for c in reversed(coeffs)]
+
+    def local(p: int) -> int:
+        value = 0
+        for c in shifted:
+            value = value // p + c
+        return value * p // (p + 1)
+
+    return local
 
 
 def sp_local_factor(k: int, p: int) -> Fraction:
@@ -181,8 +266,13 @@ def sp_local_factor(k: int, p: int) -> Fraction:
     """
     if not isinstance(k, int) or k < 1:
         raise DomainError("exact local factors need a positive integer k")
-    _check_prime(p)
-    return _sp_local(k, Fraction(1, p))
+    check_prime(p)
+    alpha, coeffs = _sp_shape(k)
+    y = Fraction(1, p)
+    series = Fraction(0)
+    for c in reversed(coeffs):
+        series = series * y + c
+    return (1 - y) ** alpha * series / (1 + y)
 
 
 def sp_quadratic_arithmetic_factor(
@@ -192,25 +282,27 @@ def sp_quadratic_arithmetic_factor(
 
     Product over p <= cutoff of
     (1-1/p)^{k(k+1)/2} * (((1+p^{-1/2})^{-k} + (1-p^{-1/2})^{-k})/2 + 1/p)
-    / (1 + 1/p), each factor evaluated in rational form (see sp_local_factor).
-    The err_estimate compares against the half-cutoff partial product, the
-    same scale a cutoff-doubling test would see.
+    / (1 + 1/p): the common shape (prod (1 - 1/p))^alpha prod S(1/p),
+    times prod p/(p+1), with alpha = k(k-1)/2 and the integer polynomial S
+    of sp_local_factor.  The fixed-point kernel evaluates it at W = working
+    precision + 32 bits, S by Horner (under 3 ulps of 2^-W per prime), the
+    power once; for n primes the rounding stays within
+    (1 + alpha) n log(cutoff) 2^-W relative.  The err_estimate is the gap
+    to the partial product over p <= cutoff/2, the same scale a
+    cutoff-doubling test would see.
     """
     if not isinstance(k, int) or k < 1:
         raise DomainError("k must be a positive integer")
     if prime_cutoff < 100:
         raise DomainError("prime_cutoff must be at least 100")
     with working_precision(precision_bits) as bits:
-        product = mp.mpf(1)
-        half_checkpoint = None
-        half_bound = prime_cutoff // 2
-        for p in primes_up_to(prime_cutoff):
-            if half_checkpoint is None and p > half_bound:
-                half_checkpoint = product
-            product *= _sp_local(k, 1 / mp.mpf(p))
-        if half_checkpoint is None:
-            half_checkpoint = product
-        return approx(product, bits, err=abs(product - half_checkpoint))
+        primes = primes_up_to(prime_cutoff)
+        alpha, coeffs = _sp_shape(k)
+        half = bisect_right(primes, prime_cutoff // 2)
+        partial_product, product = _euler_products(
+            primes, alpha, partial(_sp_local, coeffs), [half, len(primes)]
+        )
+        return approx(product, bits, err=abs(product - partial_product))
 
 
 @dataclass(frozen=True)

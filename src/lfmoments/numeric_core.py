@@ -8,7 +8,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, count
+from functools import lru_cache
+from itertools import chain, compress, count
 from typing import Dict, List, Union
 
 from .errors import DomainError
@@ -50,16 +51,21 @@ def abs_least_residue(n: int, b: int) -> int:
     return r
 
 
-def primes_up_to(limit: int) -> List[int]:
-    """All primes <= limit, by a bytearray sieve."""
-    if limit < 2:
-        return []
+def _sieve(limit: int) -> bytearray:
+    """Flags for 0..limit (limit >= 1): 1 exactly at the primes."""
     sieve = bytearray([1]) * (limit + 1)
     sieve[0] = sieve[1] = 0
     for p in range(2, math.isqrt(limit) + 1):
         if sieve[p]:
             sieve[p * p :: p] = bytearray((limit - p * p) // p + 1)
-    return [i for i, flag in enumerate(sieve) if flag]
+    return sieve
+
+
+def primes_up_to(limit: int) -> List[int]:
+    """All primes <= limit, by a bytearray sieve."""
+    if limit < 2:
+        return []
+    return list(compress(range(limit + 1), _sieve(limit)))
 
 
 # the thirteen prime bases 2..41, and the least strong pseudoprime to all of
@@ -95,6 +101,26 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+_SMALL_PRIME_LIMIT = 1 << 16
+
+
+@lru_cache(maxsize=1)
+def _small_prime_flags() -> bytes:
+    return bytes(_sieve(_SMALL_PRIME_LIMIT))
+
+
+def check_prime(p) -> None:
+    """Raise DomainError unless p is an int and a prime.
+
+    A p up to 2^16 is looked up in a sieve built once (64 KiB), so that
+    valuation sweeps stay cheap; larger p go through is_prime.
+    """
+    if not isinstance(p, int) or not (
+        _small_prime_flags()[p] if 0 <= p <= _SMALL_PRIME_LIMIT else is_prime(p)
+    ):
+        raise DomainError(f"p must be a prime >= 2, got {p!r}")
 
 
 @dataclass

@@ -12,13 +12,12 @@ from __future__ import annotations
 
 from .errors import DomainError, IntegralityViolation, OutOfRegime, UnsupportedClass
 from .exact_moments import SymmetryClass, _legendre_exponents, log_power
-from .numeric_core import half_floor_bracket
+from .numeric_core import check_prime, half_floor_bracket
 
 
 def _check_odd_prime(p: int, what: str) -> None:
-    # Primality itself is a documented precondition (checked at the CLI
-    # boundary); here we only reject what would silently corrupt results.
-    if not isinstance(p, int) or p < 3 or p % 2 == 0:
+    check_prime(p)
+    if p == 2:
         raise UnsupportedClass(f"{what} need an odd prime, got {p}")
 
 
@@ -67,8 +66,7 @@ def valuation(sym: SymmetryClass, p: int, k: int) -> int:
     """
     if k < 1:
         raise DomainError(f"order must be >= 1, got {k}")
-    if not isinstance(p, int) or p < 2:
-        raise DomainError(f"p must be a prime >= 2, got {p!r}")
+    check_prime(p)
     return _legendre_exponents(sym, k, [p]).get(p, 0)
 
 

@@ -28,7 +28,7 @@ import mpmath
 
 from .errors import DomainError, PreconditionError
 from .exact_moments import SymmetryClass
-from .numeric_core import abs_least_residue
+from .numeric_core import abs_least_residue, check_prime
 from .padic_valuation import valuation
 from .precision import RealApprox
 
@@ -66,12 +66,10 @@ def _nearest_int_distance(y: Fraction) -> Fraction:
 def _orbit_residues(p: int, a: int, b: int):
     """Absolute least residues of a, ap, ap^2, ... mod b, one period.
 
-    With gcd(a, b) = gcd(p, b) = 1 the orbit returns to a mod b after
-    exactly the multiplicative order of p mod b.  A composite p may share
-    a factor with b; the orbit would then never return.
+    With gcd(a, b) = 1 and a prime p not dividing b (both callers ensure
+    it) the orbit returns to a mod b after exactly the multiplicative order
+    of p mod b.
     """
-    if math.gcd(p, b) != 1:
-        raise PreconditionError(f"{p} is not invertible modulo {b}")
     start = t = a % b
     while True:
         yield abs_least_residue(t, b)
@@ -88,8 +86,7 @@ def density_exact(p: int, x) -> Fraction:
     large-argument side is periodic in the residues of numerator*p^ell
     and sums to a finite rational combination of geometric series.
     """
-    if p < 2:
-        raise DomainError(f"p must be a prime >= 2, got {p}")
+    check_prime(p)
     fx = _as_positive_fraction(x)
     while fx.denominator % p == 0:
         fx *= p
@@ -124,8 +121,7 @@ def density_numeric(p: int, x, eps: float = 1e-9) -> RealApprox:
     The negative side is finite-plus-exact-tail; the positive side is
     truncated once its worst-case tail (||.|| <= 1/2) drops below eps/2.
     """
-    if p < 2:
-        raise DomainError(f"p must be a prime >= 2, got {p}")
+    check_prime(p)
     if eps <= 0:
         raise DomainError(f"eps must be positive, got {eps}")
     fx = _as_positive_fraction(x)
@@ -161,8 +157,7 @@ def classify_point(p: int, a: int, b: int) -> PointClass:
     a/b is reduced first; if p still divides the denominator the caller
     must rescale by a power of p (the graph repeats under x -> px).
     """
-    if p < 2:
-        raise DomainError(f"p must be a prime >= 2, got {p}")
+    check_prime(p)
     if a < 1 or b < 1:
         raise DomainError("need a positive rational a/b")
     fx = Fraction(a, b)
@@ -184,6 +179,7 @@ def valuation_density_ratios(p: int, x, j: int) -> dict:
     Returns {"k": k, "U": v/(k c), "O": v/((k/2) c), "Sp": v/((k/2) c)}.
     The ratios tend to 1 as j grows (error O(log k)/k relative).
     """
+    check_prime(p)
     fx = _as_positive_fraction(x)
     k = math.floor(fx * p**j)
     if k < 1:

@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from functools import partial
 
 import mpmath as mp
 import pytest
@@ -20,6 +21,8 @@ from lfmoments import (
     zeta_arithmetic_factor,
     zeta_local_factor,
 )
+from lfmoments.euler_products import _euler_products, _sp_local, _sp_shape
+from lfmoments.precision import working_precision
 
 U, O, SP = SymmetryClass.U, SymmetryClass.O, SymmetryClass.Sp
 
@@ -269,6 +272,111 @@ def test_sp_ak_value_and_stability():
 def test_sp_ak_rejects_bad_k():
     with pytest.raises(DomainError):
         sp_quadratic_arithmetic_factor(0)
+
+
+# ------------------------------------------- fixed-point kernel vs mpf loops
+
+
+def _mpf_zeta_product(k: Fraction, primes, bits: int) -> mp.mpf:
+    # the zeta product with an mpf loop per prime at the ambient precision,
+    # truncated like the kernel: each series at a = min(k, 1 - k) stops at
+    # its first term below 2^-(bits + 16); the a^2 power is taken once
+    eps = mp.ldexp(1, -(bits + 16))
+    k_mp = mp.mpf(k.numerator) / k.denominator
+    a = min(k_mp, 1 - k_mp)
+    coeffs = [mp.mpf(1)]
+    root = series = base = mp.mpf(1)
+    for p in primes:
+        x = 1 / mp.mpf(p)
+        total = xp = mp.mpf(1)
+        for j in range(1, 100_000):
+            if j == len(coeffs):
+                root = root * (a + j - 1) / j
+                coeffs.append(root * root)
+            xp *= x
+            term = coeffs[j] * xp
+            total += term
+            if term < eps:
+                break
+        series *= total
+        base *= 1 - x
+    return mp.power(base, a * a) * series
+
+
+def _mpf_sp_product(k: int, primes) -> mp.mpf:
+    # the Sp product with an mpf loop per prime at the ambient precision:
+    # (1-y)^{k(k-1)/2} (sum_m C(k, 2m) y^m + y (1-y)^k) / (1+y) at y = 1/p
+    product = mp.mpf(1)
+    for p in primes:
+        y = 1 / mp.mpf(p)
+        even = 0
+        for m in range(k // 2, -1, -1):
+            even = even * y + math.comb(k, 2 * m)
+        product *= (1 - y) ** (k * (k - 1) // 2) * (even + y * (1 - y) ** k) / (1 + y)
+    return product
+
+
+# (cutoff, bits): every precision at cutoff 1e3, and 1e4 primes at 128 bits
+KERNEL_CELLS = [(1000, 128), (1000, 256), (1000, 1024), (10_000, 128)]
+
+
+@pytest.mark.parametrize("cutoff, bits", KERNEL_CELLS)
+@pytest.mark.parametrize(
+    "k",
+    [1, 2, 3, Fraction(1, 2), Fraction(1, 3), Fraction(61, 2), 30, 60, 100],
+    ids=str,
+)
+def test_zeta_kernel_matches_mpf_oracle(k, cutoff, bits):
+    # k = 100 has coefficients ((a)_j / j!)^2 up to 2^193 beside c_0 = 1
+    got = zeta_arithmetic_factor(k, prime_cutoff=cutoff, precision_bits=bits)
+    with mp.workprec(bits + 128):
+        want = _mpf_zeta_product(Fraction(k), primes_up_to(cutoff), bits)
+        assert abs(got.value - want) < mp.ldexp(want, -(bits + 16))
+
+
+@pytest.mark.parametrize(
+    "k, cutoff, bits",
+    [
+        (k, cutoff, bits)
+        for k in (1, 2, 3, 20, 200)
+        for cutoff, bits in KERNEL_CELLS
+        if k < 200 or cutoff < 10_000  # the k = 200 oracle takes ~1 s at 1e4
+    ],
+)
+def test_sp_kernel_matches_mpf_oracle(k, cutoff, bits):
+    got = sp_quadratic_arithmetic_factor(k, prime_cutoff=cutoff, precision_bits=bits)
+    with mp.workprec(bits + 128):
+        want = _mpf_sp_product(k, primes_up_to(cutoff))
+        assert abs(got.value - want) < mp.ldexp(want, -(bits + 16))
+
+
+@pytest.mark.parametrize("cutoff", [100, 1000, 10_000])
+def test_sp_err_estimate_is_the_gap_to_the_half_cutoff_product(cutoff):
+    primes = primes_up_to(cutoff)
+    half = [p for p in primes if p <= cutoff // 2]
+    for k in (1, 3, 20):
+        got = sp_quadratic_arithmetic_factor(k, prime_cutoff=cutoff)
+        bits = got.precision_bits
+        with mp.workprec(bits + 128):
+            gap = abs(_mpf_sp_product(k, primes) - _mpf_sp_product(k, half))
+            floor = abs(got.value) * mp.ldexp(1, 8 - bits)
+            # equal up to the float rounding of err_estimate and the floor
+            assert abs(got.err_estimate - gap) <= gap * 2**-52 + floor, (k, cutoff)
+
+
+def test_kernel_prefix_past_the_last_prime_is_the_full_product():
+    # a cutoff with no prime in (X/2, X] would make the half-cutoff product
+    # the full one; by Bertrand's postulate no X >= 100 is such a cutoff, so
+    # the kernel is asked directly, with both prefixes ending at the last prime
+    primes = primes_up_to(100)
+    alpha, coeffs = _sp_shape(3)
+    with working_precision(128):
+        half, full = _euler_products(
+            primes, alpha, partial(_sp_local, coeffs), [len(primes), len(primes)]
+        )
+        assert half == full
+        want = math.prod(sp_local_factor(3, p) for p in primes)
+        assert abs(full - mp.mpf(want.numerator) / want.denominator) < mp.ldexp(full, -144)
 
 
 # ------------------------------------------------------------------ assembly

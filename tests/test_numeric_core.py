@@ -21,6 +21,7 @@ from lfmoments import (
     primes_up_to,
     SymmetryClass,
 )
+from lfmoments.numeric_core import check_prime
 
 
 def test_factorial_values():
@@ -154,6 +155,20 @@ def test_is_prime_refuses_beyond_deterministic_range():
         is_prime(PSI_13)
     with pytest.raises(DomainError):
         is_prime(10**30 + 57)
+
+
+def test_check_prime_agrees_with_is_prime():
+    # the sieve below 2^16, Miller-Rabin above it
+    around_limit = range(2**16 - 100, 2**16 + 100)
+    for n in [*range(-3, 3000), *around_limit, *STRONG_PSEUDOPRIMES_BASE_2]:
+        if is_prime(n):
+            check_prime(n)
+        else:
+            with pytest.raises(DomainError):
+                check_prime(n)
+    for p in (3.0, Fraction(3), "3", None):
+        with pytest.raises(DomainError):
+            check_prime(p)
 
 
 @given(st.one_of(

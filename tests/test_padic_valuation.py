@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lfmoments import (
+    DomainError,
     OutOfRegime,
     SymmetryClass,
     UnsupportedClass,
@@ -152,6 +153,23 @@ def test_window_rejects_two():
         zero_valuation_window(O, 2, 3)
     with pytest.raises(UnsupportedClass):
         zero_valuation_window(U, 2, 2)
+
+
+@pytest.mark.parametrize("p", [0, 1, 4, 9, 91, 3.0])
+def test_valuation_rejects_non_primes(p):
+    # valuation(U, 4, 10) used to answer 4, as if 4 were prime
+    for sym in (U, O, SP):
+        with pytest.raises(DomainError):
+            valuation(sym, p, 10)
+
+
+@pytest.mark.parametrize("p", [0, 1, 4, 9, 91, 3.0])
+def test_window_rejects_non_primes(p):
+    for sym in (U, O):
+        with pytest.raises(DomainError):
+            zero_valuation_window(sym, p, 10)
+        with pytest.raises(DomainError):
+            valuation_term(sym, p, 1, 10)
 
 
 @pytest.mark.parametrize("sym", [U, O])

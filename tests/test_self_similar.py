@@ -76,13 +76,30 @@ def test_classification_vertical_tangent():
     assert classify_point(3, 3, 11) == VerticalTangent()
 
 
-def test_orbit_needs_p_invertible_mod_b():
+def test_orbit_walks_reject_composite_p():
     # a composite p sharing a factor with b has no purely periodic orbit;
-    # both walks refuse it instead of looping
-    with pytest.raises(PreconditionError):
+    # both walks refuse it before they start
+    with pytest.raises(DomainError):
         classify_point(4, 1, 6)
-    with pytest.raises(PreconditionError):
+    with pytest.raises(DomainError):
         density_exact(4, Fraction(1, 6))
+
+
+# every density-layer entry point that takes p, as a function of it
+PRIME_ARGUMENT = {
+    "density_exact": lambda p: density_exact(p, Fraction(1, 3)),
+    "density_numeric": lambda p: density_numeric(p, Fraction(1, 3)),
+    "classify_point": lambda p: classify_point(p, 1, 7),
+    "valuation_density_ratios": lambda p: valuation_density_ratios(p, 1, 3),
+}
+
+
+@pytest.mark.parametrize("p", [0, 1, 4, 9, 91, 3.0])
+@pytest.mark.parametrize("name", sorted(PRIME_ARGUMENT))
+def test_density_layer_rejects_non_primes(name, p):
+    # density_exact(4, 1/3) used to answer 5/9, as if 4 were prime
+    with pytest.raises(DomainError):
+        PRIME_ARGUMENT[name](p)
 
 
 def test_classification_requires_reduced_denominator():
