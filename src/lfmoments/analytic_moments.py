@@ -6,7 +6,9 @@ function two independent ways:
 
 * as the large-matrix limit of finite products of Gamma-function ratios,
   accelerated by Richardson extrapolation (``moment_by_limit``), and
-* in closed form through the Barnes G-function (``moment_closed_form``).
+* in closed form through the Barnes G-function (``moment_closed_form``):
+  one formula each for U and O, Sp as the shifted O value
+  g_Sp(lambda) = 2^-lambda g_O(lambda + 1), one G value per closed form.
 
 It also houses the supporting pieces those routes need: a first-party
 Barnes G implementation, the bundle of analytic constants (gamma,
@@ -196,7 +198,8 @@ def barnes_g(z, precision_bits=None) -> RealApprox:
 
 
 def double_gamma(z, precision_bits=None) -> RealApprox:
-    """Reciprocal Barnes G; the double gamma normalization used throughout."""
+    """Reciprocal Barnes G, the double gamma normalization of the module
+    docstring; the closed forms divide by G directly."""
     with working_precision(precision_bits) as bits:
         zv = to_mpf(z)
         _check_not_nonpositive_integer(zv, "double_gamma")
@@ -222,40 +225,32 @@ def _check_pole(sym: SymmetryClass, lam: mp.mpf) -> None:
 
 
 def _ratio_closed_raw(sym: SymmetryClass, lam: mp.mpf, c: FundamentalConstants) -> mp.mpf:
-    """g_lambda / Gamma(1 + B(lambda)) via Barnes G.
+    """g_lambda / Gamma(1 + B(lambda)) via one Barnes G value.
 
-    The double-gamma/Gamma combinations are folded into pure reciprocal-G
-    form using G(z+1) = Gamma(z) G(z), which removes the removable
-    singularities (notably the symplectic point at degree -1/2).
+    U and O each have one log-prefactor formula; Sp is the shifted O value
+    g_Sp(lambda) = 2^-lambda g_O(lambda + 1), whose log power B_O(lambda + 1)
+    equals B_Sp(lambda).  U needs G(lambda + 1/2) G(lambda + 3/2), and
+    G(z + 1) = Gamma(z) G(z) turns that into Gamma(lambda + 1/2) G(lambda + 1/2)^2.
     """
+    if sym is SymmetryClass.Sp:
+        return _ratio_closed_raw(SymmetryClass.O, lam + 1, c) / mp.power(2, lam)
     ln2 = c.log_2.value
     zp0 = c.zeta_prime_0.value
     zpm1 = c.zeta_prime_minus1.value
     half = mp.mpf("0.5")
+    g = _barnes_g_raw(lam + half, zpm1)
     if sym is SymmetryClass.U:
         log_pref = ln2 / 12 + 3 * zpm1 - 2 * lam * zp0 - 2 * lam * lam * ln2
-        g_a = _barnes_g_raw(lam + half, zpm1)
-        g_b = _barnes_g_raw(lam + 1 + half, zpm1)
-        return mp.exp(log_pref) / (g_a * g_b)
-    if sym is SymmetryClass.O:
-        log_pref = (
-            -mp.mpf(17) / 24 * ln2
-            + mp.mpf(3) / 2 * zpm1
-            + half * zp0
-            - lam * zp0
-            + lam * ln2
-            - lam * lam / 2 * ln2
-        )
-        return mp.exp(log_pref) / _barnes_g_raw(lam + half, zpm1)
+        return mp.exp(log_pref) / (mp.gamma(lam + half) * g * g)
     log_pref = (
-        -mp.mpf(5) / 24 * ln2
+        -mp.mpf(17) / 24 * ln2
         + mp.mpf(3) / 2 * zpm1
-        - half * zp0
+        + half * zp0
         - lam * zp0
-        - lam * ln2
+        + lam * ln2
         - lam * lam / 2 * ln2
     )
-    return mp.exp(log_pref) / _barnes_g_raw(lam + 1 + half, zpm1)
+    return mp.exp(log_pref) / g
 
 
 def moment_ratio_closed_form(sym: SymmetryClass, lam, precision_bits=None) -> RealApprox:
@@ -278,12 +273,8 @@ def moment_closed_form(sym: SymmetryClass, lam, precision_bits=None) -> RealAppr
     reproduce the exact integer constants.
     """
     with working_precision(precision_bits) as bits:
-        lam_v = to_mpf(lam)
-        _check_pole(sym, lam_v)
-        c = constants(bits)
-        value = mp.gamma(1 + log_power(sym, lam_v)) * _ratio_closed_raw(
-            sym, lam_v, c
-        )
+        ratio = moment_ratio_closed_form(sym, lam, bits).value
+        value = mp.gamma(1 + log_power(sym, to_mpf(lam))) * ratio
         return approx(value, bits)
 
 
@@ -437,18 +428,16 @@ def moment_by_limit(
 def half_moment_unitary(precision_bits=None) -> RealApprox:
     """The unitary moment constant at degree 1/2, in closed form.
 
-    Gamma(5/4) pi^{1/4} 2^{-1/6} exp((zeta'(2)/zeta(2) - gamma + 1)/4).
+    Gamma(5/4) 2^{1/12} pi^{1/2} exp(3 zeta'(-1)): the U closed form at
+    lambda = 1/2, where G(1) = G(2) = 1.
     """
     with working_precision(precision_bits) as bits:
-        c = constants(bits)
-        zeta2 = mp.pi ** 2 / 6
+        zpm1 = constants(bits).zeta_prime_minus1.value
         value = (
             mp.gamma(mp.mpf("1.25"))
-            * mp.power(mp.pi, mp.mpf("0.25"))
-            * mp.power(2, -mp.mpf(1) / 6)
-            * mp.exp(
-                (c.zeta_prime_2.value / zeta2 - c.euler_gamma.value + 1) / 4
-            )
+            * mp.power(2, mp.mpf(1) / 12)
+            * mp.sqrt(mp.pi)
+            * mp.exp(3 * zpm1)
         )
         return approx(value, bits)
 

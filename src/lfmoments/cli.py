@@ -60,11 +60,28 @@ def _coeff_list(text: str):
     return [_fraction(piece) for piece in text.split(",") if piece.strip() != ""]
 
 
+def _err_text(result: RealApprox) -> str:
+    return f"{result.err_estimate:.3e}"
+
+
 def _approx_record(record: dict, result: RealApprox, digits: int = _DISPLAY_DIGITS):
     record["result"] = result.digits(digits)
-    record["err_estimate"] = f"{result.err_estimate:.3e}"
+    record["err_estimate"] = _err_text(result)
     record["precision_bits"] = result.precision_bits
     return record
+
+
+# the built-in arithmetic factor of a class: ak family name, ak_source label
+_FAMILIES = {SymmetryClass.U: ("zeta", "zeta-family"),
+             SymmetryClass.Sp: ("spquad", "quadratic-family")}
+
+
+def _arithmetic_factor(family: str, k, cutoff: int) -> RealApprox:
+    if family == "zeta":
+        return euler_products.zeta_arithmetic_factor(k, prime_cutoff=cutoff)
+    if k.denominator != 1:
+        raise LfmomentsError("the quadratic-family product needs integer k")
+    return euler_products.sp_quadratic_arithmetic_factor(int(k), prime_cutoff=cutoff)
 
 
 # --- subcommand handlers ----------------------------------------------------
@@ -177,15 +194,7 @@ def _cmd_ak(args) -> dict:
             "cutoff": args.cutoff,
         }
     }
-    if args.family == "zeta":
-        approx = euler_products.zeta_arithmetic_factor(args.k, prime_cutoff=args.cutoff)
-    else:
-        if args.k.denominator != 1:
-            raise LfmomentsError("the quadratic-family product needs integer k")
-        approx = euler_products.sp_quadratic_arithmetic_factor(
-            int(args.k), prime_cutoff=args.cutoff
-        )
-    return _approx_record(record, approx)
+    return _approx_record(record, _arithmetic_factor(args.family, args.k, args.cutoff))
 
 
 def _cmd_assemble(args) -> dict:
@@ -202,14 +211,10 @@ def _cmd_assemble(args) -> dict:
     if args.ak is not None:
         ak = args.ak
         record["inputs"]["ak"] = decimal_string(args.ak)
-    elif args.sym is SymmetryClass.U:
-        ak = euler_products.zeta_arithmetic_factor(args.k, prime_cutoff=args.cutoff)
-        record["ak_source"] = f"zeta-family product, cutoff {args.cutoff}"
-    elif args.sym is SymmetryClass.Sp:
-        ak = euler_products.sp_quadratic_arithmetic_factor(
-            args.k, prime_cutoff=args.cutoff
-        )
-        record["ak_source"] = f"quadratic-family product, cutoff {args.cutoff}"
+    elif args.sym in _FAMILIES:
+        name, label = _FAMILIES[args.sym]
+        ak = _arithmetic_factor(name, args.k, args.cutoff)
+        record["ak_source"] = f"{label} product, cutoff {args.cutoff}"
     else:
         ak = Fraction(1)
         record["note"] = (
@@ -218,7 +223,7 @@ def _cmd_assemble(args) -> dict:
         )
     shape = euler_products.assemble_mean_value(family, args.k, ak)
     record["result"] = shape.coefficient.digits(_DISPLAY_DIGITS)
-    record["err_estimate"] = f"{shape.coefficient.err_estimate:.3e}"
+    record["err_estimate"] = _err_text(shape.coefficient)
     record["log_power"] = str(shape.log_power)
     record["log_argument_exponent"] = decimal_string(shape.log_argument_exponent)
     return record
@@ -246,7 +251,7 @@ def _cmd_asym(args) -> dict:
     record = {
         "inputs": {"sym": args.sym.value, "k": args.k},
         "result": approx.digits(_DISPLAY_DIGITS),
-        "err_estimate": f"{approx.err_estimate:.3e}",
+        "err_estimate": _err_text(approx),
     }
     if args.k <= 2000:
         primes_by_exponent = {}

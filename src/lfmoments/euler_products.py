@@ -184,10 +184,14 @@ def zeta_local_factor(k, p: int, precision_bits=None) -> RealApprox:
         return approx(_zeta_product(_zeta_order(k), [p], bits), bits)
 
 
-@lru_cache(maxsize=16)
-def _prime_zeta_2(prec: int) -> mp.mpf:
-    # sum_p p^-2 at prec bits, computed once per precision
-    with mp.workprec(prec):
+# precision of P(2) and of the partial sums of p^-2 in the tail bound
+_TAIL_BITS = 128
+
+
+@lru_cache(maxsize=None)
+def _prime_zeta_2() -> mp.mpf:
+    # sum_p p^-2 once, at _TAIL_BITS: the tail it yields is used as a float
+    with mp.workprec(_TAIL_BITS):
         return mp.primezeta(2)
 
 
@@ -219,10 +223,11 @@ def zeta_arithmetic_factor(
         k = _zeta_order(k)
         primes = primes_up_to(prime_cutoff)
         product = _zeta_product(k, primes, bits)
-        # sum of p^-2 in fixed point, each term rounded down by < 2^-(bits + 64)
-        scale = bits + 64
-        inv_square_sum = mp.ldexp(sum((1 << scale) // (p * p) for p in primes), -scale)
-        tail = _prime_zeta_2(mp.mp.prec) - inv_square_sum
+        # each p^-2 rounded down by < 2^-_TAIL_BITS; the tail P(2) - sum,
+        # about 1/(cutoff log cutoff), keeps ~100 bits for cutoffs below
+        # 10^8, far more than the float err_estimate it feeds
+        inv_square_sum = sum((1 << _TAIL_BITS) // (p * p) for p in primes)
+        tail = _prime_zeta_2() - mp.ldexp(inv_square_sum, -_TAIL_BITS)
         err = abs(product) * _tail_coefficient(to_mpf(k)) * tail
         return approx(product, bits, err=err)
 

@@ -148,26 +148,6 @@ class LaurentPolynomial:
     def __getitem__(self, power: int) -> Fraction:
         return self.coeffs.get(power, Fraction(0))
 
-    def __add__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
-        out = dict(self.coeffs)
-        for power, c in other.coeffs.items():
-            out[power] = out.get(power, Fraction(0)) + c
-        return LaurentPolynomial(out)
-
-    def __mul__(self, other):
-        if isinstance(other, LaurentPolynomial):
-            out = {}
-            for p1, c1 in self.coeffs.items():
-                for p2, c2 in other.coeffs.items():
-                    key = p1 + p2
-                    out[key] = out.get(key, Fraction(0)) + c1 * c2
-            return LaurentPolynomial(out)
-        return LaurentPolynomial(
-            {p: Fraction(other) * c for p, c in self.coeffs.items()}
-        )
-
-    __rmul__ = __mul__
-
     def evaluate(self, theta) -> Fraction:
         theta = Fraction(theta)
         if theta <= 0:

@@ -24,13 +24,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Tuple, Union
 
-import mpmath
-
 from .errors import DomainError, PreconditionError
 from .exact_moments import SymmetryClass
 from .numeric_core import abs_least_residue, check_prime
 from .padic_valuation import valuation
-from .precision import RealApprox
+from .precision import RealApprox, approx, to_mpf, working_precision
 
 
 @dataclass(frozen=True)
@@ -78,6 +76,18 @@ def _orbit_residues(p: int, a: int, b: int):
             return
 
 
+def _negative_side(p: int, fx: Fraction) -> Fraction:
+    """The ell <= -1 part of the sum, exactly: terms p^m ||x / p^m||^2 for
+    m >= 1; once x / p^m <= 1/2 the terms are x^2 / p^m, a geometric tail."""
+    total = Fraction(0)
+    m = 1
+    while fx / p**m > Fraction(1, 2):
+        d = _nearest_int_distance(fx / p**m)
+        total += p**m * d * d
+        m += 1
+    return total + fx * fx * Fraction(p, (p - 1) * p**m)
+
+
 def density_exact(p: int, x) -> Fraction:
     """c_p(x) as an exact rational, for rational x > 0.
 
@@ -92,15 +102,7 @@ def density_exact(p: int, x) -> Fraction:
         fx *= p
     a, b = fx.numerator, fx.denominator
 
-    # ell <= -1: terms p^m * ||x / p^m||^2 for m >= 1; once x/p^m <= 1/2
-    # they telescope to an exact geometric tail.
-    total = Fraction(0)
-    m = 1
-    while fx / p**m > Fraction(1, 2):
-        d = _nearest_int_distance(fx / p**m)
-        total += p**m * d * d
-        m += 1
-    total += fx * fx * Fraction(p, (p - 1) * p**m)
+    total = _negative_side(p, fx)
 
     # ell >= 0: ||p^ell x|| = |[[a p^ell mod b]]| / b, purely periodic with
     # period r, the multiplicative order of p mod b.  The period sums
@@ -115,24 +117,20 @@ def density_exact(p: int, x) -> Fraction:
 
 
 def density_numeric(p: int, x, eps: float = 1e-9) -> RealApprox:
-    """c_p(x) by truncated summation, independent of density_exact.
+    """c_p(x) by truncated summation, independent of density_exact's
+    period sum.
 
     Floating-point x is treated as the exact binary rational it stores.
-    The negative side is finite-plus-exact-tail; the positive side is
-    truncated once its worst-case tail (||.|| <= 1/2) drops below eps/2.
+    The negative side is density_exact's; the positive side is summed
+    term by term and truncated once its worst-case tail (||.|| <= 1/2)
+    drops below eps/2.
     """
     check_prime(p)
     if eps <= 0:
         raise DomainError(f"eps must be positive, got {eps}")
     fx = _as_positive_fraction(x)
 
-    total = Fraction(0)
-    m = 1
-    while fx / p**m > Fraction(1, 2):
-        d = _nearest_int_distance(fx / p**m)
-        total += p**m * d * d
-        m += 1
-    total += fx * fx * Fraction(p, (p - 1) * p**m)
+    total = _negative_side(p, fx)
 
     # positive side: stop when (1/4) * sum_{l>L} p^-l < eps/2 * x
     tail_budget = Fraction(eps) / 2 * fx
@@ -146,9 +144,8 @@ def density_numeric(p: int, x, eps: float = 1e-9) -> RealApprox:
             break
 
     value = total / fx
-    with mpmath.workprec(128):
-        approx = mpmath.mpf(value.numerator) / value.denominator
-    return RealApprox(value=approx, precision_bits=128, err_estimate=float(eps))
+    with working_precision(128) as bits:
+        return approx(to_mpf(value), bits, err=eps)
 
 
 def classify_point(p: int, a: int, b: int) -> PointClass:

@@ -199,24 +199,85 @@ def test_closed_form_reproduces_integers(sym):
         assert rel_gap(got.value, moment_constant(sym, k)) < 1e-50, (sym, k)
 
 
+# The class formulas the library no longer carries, kept as oracles with
+# mpmath's own G and zeta derivatives: U with two G values, O, and Sp with
+# its own log-prefactor over G(lam + 3/2).  The library builds Sp from O by
+# the shift and folds U's second G value with G(z + 1) = Gamma(z) G(z).
+
+
+def _oracle_ratio(sym, lam) -> mp.mpf:
+    lam = mp.mpf(lam.numerator) / lam.denominator
+    ln2 = mp.log(2)
+    zp0 = mp.zeta(0, derivative=1)
+    zpm1 = mp.zeta(-1, derivative=1)
+    half = mp.mpf(1) / 2
+    if sym is U:
+        log_pref = ln2 / 12 + 3 * zpm1 - 2 * lam * zp0 - 2 * lam**2 * ln2
+        return mp.exp(log_pref) / (mp.barnesg(lam + half) * mp.barnesg(lam + 3 * half))
+    if sym is O:
+        log_pref = (
+            -mp.mpf(17) / 24 * ln2 + mp.mpf(3) / 2 * zpm1 + half * zp0
+            - lam * zp0 + lam * ln2 - lam**2 / 2 * ln2
+        )
+        return mp.exp(log_pref) / mp.barnesg(lam + half)
+    log_pref = (
+        -mp.mpf(5) / 24 * ln2 + mp.mpf(3) / 2 * zpm1 - half * zp0
+        - lam * zp0 - lam * ln2 - lam**2 / 2 * ln2
+    )
+    return mp.exp(log_pref) / mp.barnesg(lam + 3 * half)
+
+
+@pytest.mark.parametrize("sym", list(SymmetryClass))
+def test_ratio_matches_class_formula_oracle(sym):
+    with mp.workprec(256):
+        for lam in (Fraction(-337, 100), Fraction(-7, 10), Fraction(-1, 4), Fraction(3, 10),
+                    Fraction(22, 10), Fraction(59, 10)):
+            got = moment_ratio_closed_form(sym, lam).value
+            want = _oracle_ratio(sym, lam)
+            assert abs(got - want) < abs(want) * 1e-60, (sym, lam)
+
+
 def test_cross_type_product_identity():
-    # ratio_O(lam) * ratio_Sp(lam) = 2^(lam^2 - 1) * ratio_U(lam)
+    # ratio_O(lam) * ratio_Sp(lam) = 2^(lam^2 - 1) * ratio_U(lam), the library's
+    # O and Sp against the two-G unitary oracle
     with mp.workprec(256):
         for lam in (Fraction(3, 10), Fraction(9, 10), Fraction(14, 10), Fraction(22, 10)):
             left = moment_ratio_closed_form(O, lam).value * moment_ratio_closed_form(
                 SP, lam
             ).value
             right = mp.mpf(2) ** (mp.mpf(lam.numerator) ** 2 / lam.denominator**2 - 1)
-            right *= moment_ratio_closed_form(U, lam).value
+            right *= _oracle_ratio(U, lam)
             assert abs(left - right) < abs(right) * 1e-40, lam
 
 
 def test_shift_identity_off_integers():
+    # g_O(lam + 1) = 2^lam g_Sp(lam), the library's O against the Sp oracle
     with mp.workprec(256):
         for lam in (Fraction(1, 2), Fraction(3, 2), Fraction(5, 2)):
             left = moment_closed_form(O, lam + 1).value
-            right = mp.mpf(2) ** mp.mpf(float(lam)) * moment_closed_form(SP, lam).value
+            b = lam * (lam + 1) / 2
+            sp = mp.gamma(1 + mp.mpf(b.numerator) / b.denominator) * _oracle_ratio(SP, lam)
+            right = mp.mpf(2) ** mp.mpf(float(lam)) * sp
             assert abs(left - right) < abs(right) * 1e-40, lam
+
+
+@pytest.mark.parametrize("sym", list(SymmetryClass))
+def test_closed_form_evaluates_barnes_g_once(sym, monkeypatch):
+    calls = []
+    barnes_g_raw = analytic_moments._barnes_g_raw
+
+    def counting_barnes_g_raw(z, zpm1):
+        calls.append(z)
+        return barnes_g_raw(z, zpm1)
+
+    monkeypatch.setattr(analytic_moments, "_barnes_g_raw", counting_barnes_g_raw)
+    for lam in (Fraction(-7, 3), Fraction(-1, 4), Fraction(1, 3), 2, Fraction(31, 4)):
+        calls.clear()
+        moment_closed_form(sym, lam)
+        assert len(calls) == 1, (sym, lam)
+    calls.clear()
+    pole_order(sym, 2)
+    assert len(calls) == len(analytic_moments._PROBE_RADII)
 
 
 def _off_poles(sym, rng: random.Random) -> Fraction:
@@ -269,6 +330,17 @@ def test_half_moment_digits_and_range():
     assert h.digits(25).startswith("1.0362329154")
     assert 1 <= float(h) <= 16 / 15
     assert rel_gap(h.value, moment_closed_form(U, Fraction(1, 2)).value) < 1e-40
+    # oracle: Gamma(5/4) pi^(1/4) 2^(-1/6) exp((zeta'(2)/zeta(2) - gamma + 1)/4),
+    # the same value through the Glaisher relation, zeta'(2) from mpmath
+    with mp.workprec(300):
+        want = (
+            mp.gamma(mp.mpf(5) / 4)
+            * mp.pi ** (mp.mpf(1) / 4)
+            * mp.mpf(2) ** (-mp.mpf(1) / 6)
+            * mp.exp((mp.zeta(2, derivative=1) / mp.zeta(2) - mp.euler + 1) / 4)
+        )
+        assert abs(h.value - want) <= h.err_estimate
+        assert rel_gap(h.value, want) < 1e-70
 
 
 # -------------------------------------------------------------- limit route
