@@ -59,17 +59,14 @@ from .mollifier import (
     m_symplectic,
     m_unitary,
     mean_square,
-    parse_theta_poly,
 )
 from .numeric_core import (
     FactoredInteger,
     abs_least_residue,
     decimal_string,
-    factor_integer,
     factorial,
     half_floor_bracket,
     is_prime,
-    odd_double_factorial,
     primes_up_to,
 )
 from .padic_valuation import valuation, valuation_term, zero_valuation_window
@@ -91,13 +88,11 @@ __all__ = [
     "__version__",
     # integer utilities
     "factorial",
-    "odd_double_factorial",
     "half_floor_bracket",
     "abs_least_residue",
     "primes_up_to",
     "is_prime",
     "FactoredInteger",
-    "factor_integer",
     "decimal_string",
     # symmetry classes and exact moments
     "SymmetryClass",
@@ -147,7 +142,6 @@ __all__ = [
     "m_orthogonal",
     "m_symplectic",
     "mean_square",
-    "parse_theta_poly",
     "THETA_VALIDITY",
     # precision plumbing
     "RealApprox",

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from itertools import count
 
 import mpmath as mp
 
@@ -121,7 +122,9 @@ def _log_barnes_g_large(z: mp.mpf, zpm1: mp.mpf) -> mp.mpf:
 
     Written in terms of y = z - 1:
     log G(y+1) = zeta'(-1) + (y/2) log 2pi + (y^2/2 - 1/12) log y
-                 - (3/4) y^2 + sum_{k>=1} B_{2k+2} / (4k(k+1) y^{2k}).
+                 - (3/4) y^2 + sum_{k>=1} B_{2k+2} / (4k(k+1) y^{2k}),
+    summed until a term falls below 2^-(prec + 8) of the total or the
+    terms start to grow.
     """
     y = z - 1
     log_y = mp.log(y)
@@ -136,7 +139,7 @@ def _log_barnes_g_large(z: mp.mpf, zpm1: mp.mpf) -> mp.mpf:
     tol = mp.mpf(2) ** (-(mp.mp.prec + 8))
     scale = max(abs(total), mp.mpf(1))
     prev_size = mp.inf
-    for k in range(1, 400):
+    for k in count(1):
         term = mp.bernoulli(2 * k + 2) / (4 * k * (k + 1) * power)
         size = abs(term)
         if size > prev_size:
@@ -175,11 +178,6 @@ def _barnes_g_raw(z: mp.mpf, zpm1: mp.mpf) -> mp.mpf:
     return large / (mp.gamma(z) ** n * rising_product)
 
 
-def _check_not_nonpositive_integer(z: mp.mpf, what: str) -> None:
-    if z <= 0 and mp.isint(z):
-        raise PoleError(f"{what} is not defined at the nonpositive integer {z}")
-
-
 def barnes_g(z, precision_bits=None) -> RealApprox:
     """Barnes G-function, normalized by G(1) = G(2) = 1, G(z+1) = Gamma(z) G(z).
 
@@ -191,21 +189,17 @@ def barnes_g(z, precision_bits=None) -> RealApprox:
     """
     with working_precision(precision_bits) as bits:
         zv = to_mpf(z)
-        _check_not_nonpositive_integer(zv, "barnes_g")
+        if zv <= 0 and mp.isint(zv):
+            raise PoleError(f"1/G has a pole at the nonpositive integer {zv}")
         zpm1 = constants(bits).zeta_prime_minus1.value
-        value = _barnes_g_raw(zv, zpm1)
-        return approx(value, bits)
+        return approx(_barnes_g_raw(zv, zpm1), bits)
 
 
 def double_gamma(z, precision_bits=None) -> RealApprox:
     """Reciprocal Barnes G, the double gamma normalization of the module
     docstring; the closed forms divide by G directly."""
     with working_precision(precision_bits) as bits:
-        zv = to_mpf(z)
-        _check_not_nonpositive_integer(zv, "double_gamma")
-        zpm1 = constants(bits).zeta_prime_minus1.value
-        value = 1 / _barnes_g_raw(zv, zpm1)
-        return approx(value, bits)
+        return approx(1 / barnes_g(z, bits).value, bits)
 
 
 # ---------------------------------------------------------------------------
@@ -306,8 +300,13 @@ class _RunningProduct:
 
 
 def _limit_state(sym: SymmetryClass, lam: mp.mpf):
-    """Build an f(N) evaluator for the finite-N product of the given class."""
-    half = mp.mpf("0.5")
+    """Build an f(N) evaluator for the finite-N product of the given class.
+
+    O and Sp share one product.  With the half-shift h = -1/2 (O) or +1/2
+    (Sp) and Q(M) = prod_{m<=M} Gamma(m)/Gamma(m+lam),
+    f(N) = c N^-B 4^(N lam) Q(2N + 2h)/Q(N + 2h) prod_{j<=N} Gamma(j+h+lam)/Gamma(j+h),
+    where c = 1/2 for O and 1 for Sp.
+    """
     b_exp = log_power(sym, lam)
     if sym is SymmetryClass.U:
         prod = _RunningProduct(
@@ -319,40 +318,26 @@ def _limit_state(sym: SymmetryClass, lam: mp.mpf):
             return mp.power(n, -b_exp) * prod.advance(n)
 
         return f
-    # Shared inner product Q(M) = prod_{m<=M} Gamma(m)/Gamma(m+lam).
+    orthogonal = sym is SymmetryClass.O
+    h = mp.mpf("-0.5") if orthogonal else mp.mpf("0.5")
+    shift = -1 if orthogonal else 1  # 2h
     q = _RunningProduct(1 / mp.gamma(1 + lam), lambda m: m / (m + lam))
-    if sym is SymmetryClass.O:
-        r = _RunningProduct(
-            mp.gamma(lam + half) / mp.gamma(half),
-            lambda j: (j - half + lam) / (j - half),
-        )
-
-        def f(n: int) -> mp.mpf:
-            q_low = q.advance(n - 1)
-            q_high = q.advance(2 * n - 1)
-            return (
-                half
-                * mp.power(n, -b_exp)
-                * mp.power(2, 2 * n * lam)
-                * (q_high / q_low)
-                * r.advance(n)
-            )
-
-        return f
-    s = _RunningProduct(
-        mp.gamma(1 + half + lam) / mp.gamma(1 + half),
-        lambda j: (j + half + lam) / (j + half),
+    r = _RunningProduct(
+        mp.gamma(1 + h + lam) / mp.gamma(1 + h),
+        lambda j: (j + h + lam) / (j + h),
     )
 
     def f(n: int) -> mp.mpf:
-        q_low = q.advance(n + 1)
-        q_high = q.advance(2 * n + 1)
-        return (
+        q_low = q.advance(n + shift)
+        q_high = q.advance(2 * n + shift)
+        value = (
             mp.power(n, -b_exp)
             * mp.power(2, 2 * n * lam)
             * (q_high / q_low)
-            * s.advance(n)
+            * r.advance(n)
         )
+        # halving is exact, so this equals the product with 1/2 taken first
+        return value / 2 if orthogonal else value
 
     return f
 
@@ -489,6 +474,9 @@ def pole_order(sym: SymmetryClass, k: int, precision_bits=None) -> int:
 def log_moment_asymptotic(sym: SymmetryClass, k: int, precision_bits=None) -> RealApprox:
     """Expanded large-k approximation of log g_k.
 
+    O and Sp share one expression with s = +1 (O) or -1 (Sp):
+    k^2 log k / 2 + (1/4 - log 2) k^2 - s k log k / 2 + s (3/2 log 2 - 1/2) k
+    + 23/24 log k - (23 + 6s)/24 log 2 + 1/4 - zeta'(0) + zeta'(-1)/2.
     The remainder log g_k - value is 73/(960 k^2) + O(1/k^4) for U,
     -7/(16k) + O(1/k^2) for O and +7/(16k) + O(1/k^2) for Sp;
     err_estimate is 1/k for every class.
@@ -511,26 +499,15 @@ def log_moment_asymptotic(sym: SymmetryClass, k: int, precision_bits=None) -> Re
                 - zp0
                 + zpm1
             )
-        elif sym is SymmetryClass.O:
-            value = (
-                kk * kk * log_k / 2
-                + (mp.mpf("0.25") - ln2) * kk * kk
-                - kk * log_k / 2
-                + (mp.mpf(3) / 2 * ln2 - mp.mpf("0.5")) * kk
-                + mp.mpf(23) / 24 * log_k
-                - mp.mpf(29) / 24 * ln2
-                + mp.mpf("0.25")
-                - zp0
-                + zpm1 / 2
-            )
         else:
+            s = 1 if sym is SymmetryClass.O else -1
             value = (
                 kk * kk * log_k / 2
                 + (mp.mpf("0.25") - ln2) * kk * kk
-                + kk * log_k / 2
-                + (mp.mpf("0.5") - mp.mpf(3) / 2 * ln2) * kk
+                - s * kk * log_k / 2
+                + s * (mp.mpf(3) / 2 * ln2 - mp.mpf("0.5")) * kk
                 + mp.mpf(23) / 24 * log_k
-                - mp.mpf(17) / 24 * ln2
+                - mp.mpf(23 + 6 * s) / 24 * ln2
                 + mp.mpf("0.25")
                 - zp0
                 + zpm1 / 2

@@ -23,7 +23,7 @@ import mpmath as mp
 
 from . import analytic_moments, euler_products, mollifier, self_similar
 from .errors import DomainError, LfmomentsError
-from .exact_moments import SymmetryClass, log_power, moment_constant, moment_factored
+from .exact_moments import SymmetryClass, log_power, moment_factored
 from .numeric_core import decimal_string, is_prime
 from .padic_valuation import valuation, zero_valuation_window
 from .precision import RealApprox, working_precision
@@ -93,10 +93,10 @@ def _cmd_gk(args) -> dict:
         record["result"] = "1"
         record["note"] = "k = 0 is the empty product; every class gives 1"
         return record
-    record["result"] = decimal_string(moment_constant(args.sym, args.k))
+    factored = moment_factored(args.sym, args.k)
+    record["result"] = decimal_string(factored.value())
     record["log_power"] = decimal_string(log_power(args.sym, args.k))
     if args.factor:
-        factored = moment_factored(args.sym, args.k)
         record["factorization"] = {
             str(p): e for p, e in sorted(factored.exponents.items())
         }

@@ -17,7 +17,6 @@ decomposed.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 
 from .errors import ConstraintError, DomainError
@@ -31,7 +30,6 @@ __all__ = [
     "m_orthogonal",
     "m_symplectic",
     "mean_square",
-    "parse_theta_poly",
     "THETA_VALIDITY",
 ]
 
@@ -183,43 +181,6 @@ class LaurentPolynomial:
 
     def __repr__(self) -> str:
         return f"LaurentPolynomial({self.format()!r})"
-
-
-_TERM_RE = re.compile(
-    r"^(?P<coeff>-?\d+(?:/\d+)?)?"
-    r"(?P<star>\*)?"
-    r"(?P<theta>theta(?:\^(?P<power>-?\d+))?)?$"
-)
-
-
-def parse_theta_poly(text: str) -> LaurentPolynomial:
-    """Inverse of LaurentPolynomial.format (used for round-trip checks)."""
-    cleaned = text.strip()
-    if cleaned == "0":
-        return LaurentPolynomial()
-    cleaned = cleaned.replace(" - ", " + -").replace(" + ", "\x00")
-    out = {}
-    for raw in cleaned.split("\x00"):
-        term = raw.strip().replace(" ", "")
-        negative = term.startswith("-")
-        if negative:
-            term = term[1:]
-        match = _TERM_RE.match(term)
-        if not match or (match.group("star") and not match.group("theta")):
-            raise DomainError(f"cannot parse Laurent term {raw!r}")
-        coeff_text = match.group("coeff")
-        coeff = Fraction(coeff_text) if coeff_text else Fraction(1)
-        if match.group("theta"):
-            power_text = match.group("power")
-            power = int(power_text) if power_text is not None else 1
-        else:
-            if coeff_text is None:
-                raise DomainError(f"cannot parse Laurent term {raw!r}")
-            power = 0
-        if negative:
-            coeff = -coeff
-        out[power] = out.get(power, Fraction(0)) + coeff
-    return LaurentPolynomial(out)
 
 
 def _as_poly(p) -> RationalPolynomial:

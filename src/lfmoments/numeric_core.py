@@ -9,7 +9,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, compress, count
+from itertools import compress
 from typing import Dict, List, Union
 
 from .errors import DomainError
@@ -21,13 +21,6 @@ def factorial(n: int) -> int:
     if n < 0:
         raise DomainError(f"factorial of negative integer {n}")
     return math.factorial(n)
-
-
-def odd_double_factorial(j: int) -> int:
-    """Product of the odd integers 1*3*...*(2j-1); empty product for j=0."""
-    if j < 0:
-        raise DomainError(f"odd_double_factorial needs j >= 0, got {j}")
-    return math.prod(range(1, 2 * j, 2))
 
 
 def half_floor_bracket(x: Rational) -> int:
@@ -142,32 +135,6 @@ class FactoredInteger:
 
     def __getitem__(self, p: int) -> int:
         return self.exponents.get(p, 0)
-
-
-def factor_integer(n: int) -> FactoredInteger:
-    """Full factorization by trial division by 2 and the odd numbers.
-
-    An odd composite never divides: its prime factors are gone by then.
-
-    Intended for smooth integers (everything factored in this package has
-    only small prime factors); it is not a general-purpose factoring engine.
-    """
-    if n < 1:
-        raise DomainError(f"can only factor positive integers, got {n}")
-    exps: Dict[int, int] = {}
-    remaining = n
-    for p in chain([2], count(3, 2)):
-        if p * p > remaining:
-            break
-        if remaining % p == 0:
-            e = 0
-            while remaining % p == 0:
-                remaining //= p
-                e += 1
-            exps[p] = e
-    if remaining > 1:  # a prime above every divisor tried
-        exps[remaining] = 1
-    return FactoredInteger(exps)
 
 
 _DECIMAL_LEAF_BITS = 4096

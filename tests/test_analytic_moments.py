@@ -157,6 +157,15 @@ def test_barnes_shift_matches_per_step_gamma_product_at_4096_bits():
             assert abs(got - want) < abs(want) * mp.mpf(2) ** -(4096 + 16), z
 
 
+def test_barnes_g_reaches_the_floor_above_2300_bits():
+    # G(5) = 1! 2! 3! = 12.  At 2304 bits the shifted argument needs ~420
+    # terms of the log-G series; the per-step oracle above sums the same
+    # series, so only an exact value can see it cut short
+    g = barnes_g(5, precision_bits=2304)
+    with mp.workprec(2400):
+        assert abs(g.value - 12) < 12 * mp.mpf(2) ** (8 - 2304)
+
+
 def test_barnes_g_makes_one_gamma_call(monkeypatch):
     constants(1024)
     calls = []

@@ -12,11 +12,11 @@ from lfmoments import (
     mean_square,
     moment_closed_form,
     moment_constant,
-    parse_theta_poly,
     sample_density,
     SymmetryClass,
     zeta_arithmetic_factor,
 )
+from lfmoments import exact_moments
 from lfmoments.cli import main
 
 
@@ -144,6 +144,21 @@ def test_gk_zero_gets_a_note(capsys):
     assert "empty product" in rec["note"]
 
 
+def test_gk_factor_runs_the_engine_once(capsys, monkeypatch):
+    calls = []
+    engine = exact_moments._legendre_exponents
+
+    def counting_engine(sym, k, primes):
+        calls.append(k)
+        return engine(sym, k, primes)
+
+    monkeypatch.setattr(exact_moments, "_legendre_exponents", counting_engine)
+    code, rec = run_json(capsys, "gk", "U", "30", "--factor")
+    assert code == 0
+    assert calls == [30]
+    assert int(rec["result"]) == moment_constant(SymmetryClass.U, 30)
+
+
 def test_vp_record(capsys):
     code, rec = run_json(capsys, "vp", "U", "3", "100")
     assert code == 0
@@ -154,6 +169,26 @@ def test_cp_value_round_trip(capsys):
     code, rec = run_json(capsys, "cp", "3", "7/5", "--exact")
     assert code == 0
     assert Fraction(rec["result"]) == density_exact(3, Fraction(7, 5))
+
+
+@pytest.mark.parametrize("eps", ["nan", "inf", "-inf"])
+def test_cp_non_finite_eps_is_an_error_record(capsys, tmp_path, eps):
+    code, rec = run_json(capsys, "cp", "3", "1/3", f"--eps={eps}")
+    assert code == 1
+    assert rec["error"]["type"] == "DomainError"
+    code, rec = run_json(capsys, "cp-plot", "3", "0.2", "8", "5", f"--eps={eps}",
+                         "--csv", str(tmp_path / "points.csv"))
+    assert code == 1
+    assert rec["error"]["type"] == "DomainError"
+
+
+def test_cp_orbit_beyond_the_cost_budget_is_an_error_record(capsys):
+    # the order of 3 mod 131129 is 131128, just past the budget; the walk
+    # stops there, where cp 3 1/1000000007 (order 500000003) used to hang
+    for argv in (("cp", "3", "1/131129"), ("classify", "3", "1", "131129")):
+        code, rec = run_json(capsys, *argv)
+        assert code == 1
+        assert rec["error"]["type"] == "DomainError"
 
 
 def test_classify_record(capsys):
@@ -244,7 +279,7 @@ def test_mollify_with_long_coefficients(capsys, int_str_limit):
     assert code == 0
     sys.set_int_max_str_digits(0)
     want = mean_square(SymmetryClass.U, [Fraction(0), Fraction(big)], [Fraction(1)])
-    assert parse_theta_poly(rec["result"]) == want
+    assert rec["result"] == want.format()
 
 
 # ------------------------------------------------------------ output formats

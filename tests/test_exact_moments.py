@@ -1,11 +1,13 @@
 """Exact integer moment constants and their factored forms."""
 
+from math import prod
+
 import pytest
 
 from lfmoments import (
     DomainError,
     SymmetryClass,
-    factor_integer,
+    is_prime,
     log_power,
     moment_constant,
     moment_constant_factorial_form,
@@ -93,10 +95,13 @@ def test_factored_u100_display():
 
 @pytest.mark.parametrize("sym", list(SymmetryClass))
 def test_factored_matches_direct_factorization(sym):
+    # a product of primes equal to the integer is its factorization
     for k in (1, 2, 3, 5, 8, 12, 17):
-        assert moment_factored(sym, k) == factor_integer(
+        exponents = moment_factored(sym, k).exponents
+        assert prod(p**e for p, e in exponents.items()) == (
             moment_constant_factorial_form(sym, k)
         )
+        assert all(is_prime(p) for p in exponents)
 
 
 @pytest.mark.parametrize("sym", list(SymmetryClass))
@@ -104,10 +109,11 @@ def test_primes_beyond_log_power_never_divide(sym):
     # lone exception: the orthogonal k=2 constant is 2 while B(2)=1,
     # so the "no prime above B(k)" rule skips that one point
     for k in range(1, 41):
-        g = moment_constant(sym, k)
-        B = log_power(sym, k)
-        for p in factor_integer(g).exponents:
-            if sym is O and k == 2:
-                continue
-            assert p <= B, (sym, k, p)
+        if sym is O and k == 2:
+            continue
+        rest = moment_constant_factorial_form(sym, k)
+        for p in primes_up_to(log_power(sym, k)):
+            while rest % p == 0:
+                rest //= p
+        assert rest == 1, (sym, k, rest)
     assert moment_constant(O, 2) == 2 and log_power(O, 2) == 1

@@ -17,7 +17,6 @@ from lfmoments import (
     m_symplectic,
     m_unitary,
     mean_square,
-    parse_theta_poly,
 )
 
 X = RationalPolynomial((0, 1))  # P(x) = x
@@ -194,7 +193,7 @@ def test_odd_q_kills_symplectic(p, q):
     assert m_symplectic(p, q).is_zero()
 
 
-# --------------------------------------------------------- format and parse
+# ------------------------------------------------------------------- format
 
 
 def test_format_examples():
@@ -202,21 +201,3 @@ def test_format_examples():
     assert lp({1: 1, 0: -2}).format() == "theta - 2"
     assert LaurentPolynomial({}).format() == "0"
 
-
-def test_parse_round_trip():
-    text = "4/3*theta - 2 - 7/5*theta^-3"
-    assert parse_theta_poly(text).format() == text
-    assert parse_theta_poly("theta^2 - theta") == lp({2: 1, 1: -1})
-
-
-@given(
-    powers=st.dictionaries(
-        st.integers(min_value=-4, max_value=4),
-        st.fractions(max_denominator=12),
-        max_size=5,
-    )
-)
-@settings(max_examples=120)
-def test_parse_inverts_format(powers):
-    poly = LaurentPolynomial(powers)
-    assert parse_theta_poly(poly.format()) == poly

@@ -1,5 +1,6 @@
-"""Integer helpers: factorials, brackets, residues, primes, factoring."""
+"""Integer helpers: factorials, brackets, residues, primes, factored integers."""
 
+import math
 import sys
 from fractions import Fraction
 
@@ -12,12 +13,11 @@ from lfmoments import (
     FactoredInteger,
     abs_least_residue,
     decimal_string,
-    factor_integer,
     factorial,
     half_floor_bracket,
     is_prime,
-    moment_constant,
-    odd_double_factorial,
+    moment_constant_factorial_form,
+    moment_factored,
     primes_up_to,
     SymmetryClass,
 )
@@ -35,21 +35,10 @@ def test_factorial_rejects_negative():
         factorial(-1)
 
 
-def test_odd_double_factorial_values():
-    assert odd_double_factorial(1) == 1
-    assert odd_double_factorial(3) == 15
-    assert odd_double_factorial(4) == 105
-
-
-def test_odd_double_factorial_rejects_negative():
-    with pytest.raises(DomainError):
-        odd_double_factorial(-2)
-
-
 @pytest.mark.parametrize("j", range(1, 201))
 def test_double_factorial_splits_factorial(j):
     # (2j-1)!! * 2^j * j! = (2j)!
-    assert odd_double_factorial(j) * 2**j * factorial(j) == factorial(2 * j)
+    assert math.prod(range(1, 2 * j, 2)) * 2**j * factorial(j) == factorial(2 * j)
 
 
 def test_half_floor_bracket_values():
@@ -195,19 +184,8 @@ def test_decimal_string_ignores_int_str_limit():
     assert int(text[-12:]) == g % 10**12
 
 
-def test_factor_integer_values():
-    assert factor_integer(1).exponents == {}
-    assert factor_integer(42).exponents == {2: 1, 3: 1, 7: 1}
-    assert factor_integer(24024).exponents == {2: 3, 3: 1, 7: 1, 11: 1, 13: 1}
-
-
-def test_factor_integer_rejects_nonpositive():
-    with pytest.raises(DomainError):
-        factor_integer(0)
-
-
 def test_factored_integer_accessors():
-    f = factor_integer(24024)
+    f = moment_factored(SymmetryClass.U, 4)
     assert f.value() == 24024
     assert f.largest_prime() == 13
     assert f[7] == 1
@@ -215,14 +193,19 @@ def test_factored_integer_accessors():
     assert f == FactoredInteger({13: 1, 11: 1, 7: 1, 3: 1, 2: 3})
 
 
-@given(st.integers(min_value=1, max_value=100_000))
+@given(st.dictionaries(st.sampled_from(primes_up_to(100)),
+                       st.integers(min_value=1, max_value=40), max_size=12))
 @settings(max_examples=300)
-def test_factor_roundtrip(n):
-    assert factor_integer(n).value() == n
+def test_factor_roundtrip(exponents):
+    # the balanced product tree of value() against a plain running product
+    f = FactoredInteger(exponents)
+    assert f.value() == math.prod(p**e for p, e in exponents.items())
+    assert f.largest_prime() == max(exponents, default=1)
 
 
 @pytest.mark.parametrize("sym", list(SymmetryClass))
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7, 8])
 def test_factor_roundtrip_on_moment_constants(sym, k):
-    g = moment_constant(sym, k)
-    assert factor_integer(g).value() == g
+    f = moment_factored(sym, k)
+    assert f.value() == moment_constant_factorial_form(sym, k)
+    assert all(is_prime(p) for p in f.exponents)

@@ -19,6 +19,7 @@ from lfmoments import (
     sample_density,
     valuation_density_ratios,
 )
+from lfmoments import self_similar
 
 
 def test_exact_examples():
@@ -83,6 +84,44 @@ def test_orbit_walks_reject_composite_p():
         classify_point(4, 1, 6)
     with pytest.raises(DomainError):
         density_exact(4, Fraction(1, 6))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_eps_and_x_are_domain_errors(bad):
+    # NaN slipped past the eps <= 0 check, and Fraction(nan) or
+    # Fraction(inf) raised ValueError or OverflowError
+    with pytest.raises(DomainError):
+        density_numeric(3, Fraction(1, 3), eps=bad)
+    with pytest.raises(DomainError):
+        sample_density(3, Fraction(1, 5), 8, 10, eps=bad)
+    with pytest.raises(DomainError):
+        density_numeric(3, bad)
+    with pytest.raises(DomainError):
+        density_exact(3, bad)
+    with pytest.raises(DomainError):
+        valuation_density_ratios(3, bad, 2)
+
+
+def test_orbit_beyond_the_cost_budget_is_an_error():
+    # 3 has order 131128 mod the prime 131129, just past 2^18 / 2 steps;
+    # density_exact used to build the ~260k-bit period sum (over a second)
+    # and grows quadratically from there: 1/1000000007 never finished
+    with pytest.raises(DomainError):
+        density_exact(3, Fraction(1, 131129))
+    with pytest.raises(DomainError):
+        classify_point(3, 1, 131129)
+
+
+def test_orbit_budget_boundary(monkeypatch):
+    # budget 12 bits admits orbits of up to 6 steps for p = 3 (2 bits):
+    # the order of 3 is 6 mod 7 and 16 mod 17
+    monkeypatch.setattr(self_similar, "_ORBIT_BIT_BUDGET", 12)
+    assert classify_point(3, 1, 7) == SelfSimilar(period=6)
+    assert density_exact(3, Fraction(1, 7)) > 0
+    with pytest.raises(DomainError):
+        classify_point(3, 1, 17)
+    with pytest.raises(DomainError):
+        density_exact(3, Fraction(1, 17))
 
 
 # every density-layer entry point that takes p, as a function of it
