@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import count
 
 import mpmath as mp
@@ -64,6 +65,9 @@ _POLE_RADIUS = mp.mpf("1e-8")
 _PROBE_RADII = (1e-2, 1e-3, 1e-4)
 _LADDER_START = 32
 _LADDER_MAX_N = 1 << 20
+# bits of _RunningProduct above the working precision: m ladder steps
+# cost m(m + 3) of its ulps, and m <= 2 _LADDER_MAX_N + 1
+_KERNEL_GUARD = 64
 
 
 # ---------------------------------------------------------------------------
@@ -277,54 +281,65 @@ def moment_closed_form(sym: SymmetryClass, lam, precision_bits=None) -> RealAppr
 
 
 class _RunningProduct:
-    """prod_{i=1..m} term_i, advanced monotonically.
+    """prod_{i=1..m} term_i, advanced monotonically, in integers.
 
-    ``ratio(m)`` maps term_m to term_{m+1}; advancement is incremental so
-    a doubling ladder costs O(final index) arithmetic in total.
+    term_{j+1} = term_j * num / den with ``ratio(j) = (num, den)``, positive
+    ints.  Term and product are integer mantissas of W = mp.prec +
+    _KERNEL_GUARD bits (mp.prec at construction) with binary exponents.  A
+    step shifts the term to W bits, multiplies it into the product and
+    shifts that to W bits, then multiplies the term by num and floor-divides
+    it by den, each rounding down by about 2 ulps: after m steps the term is
+    within about 2m ulps and the product within m(m + 3).
     """
 
     def __init__(self, first_term: mp.mpf, ratio):
         self._ratio = ratio
-        self._m = 0
-        self._next_term = first_term
-        self._value = mp.mpf(1)
+        self._width = mp.mp.prec + _KERNEL_GUARD
+        # step count, term mantissa and exponent, product mantissa and exponent
+        self._state = (0, *first_term.man_exp, 1, 0)
 
     def advance(self, m_target: int) -> mp.mpf:
-        while self._m < m_target:
-            self._value *= self._next_term
-            self._m += 1
-            self._next_term = self._next_term * self._ratio(self._m)
-        if self._m != m_target:
-            raise RuntimeError("running product advanced out of order")
-        return self._value
+        width, ratio = self._width, self._ratio
+        m, t, t_exp, v, v_exp = self._state
+        while m < m_target:
+            shift = t.bit_length() - width
+            t = t >> shift if shift > 0 else t << -shift
+            t_exp += shift
+            v *= t
+            shift = v.bit_length() - width
+            v >>= shift
+            v_exp += t_exp + shift
+            m += 1
+            num, den = ratio(m)
+            t = t * num // den
+        self._state = m, t, t_exp, v, v_exp
+        return mp.mpf((v, v_exp))
 
 
-def _limit_state(sym: SymmetryClass, lam: mp.mpf):
+def _limit_state(sym: SymmetryClass, lam: mp.mpf, exact: Fraction):
     """Build an f(N) evaluator for the finite-N product of the given class.
 
     O and Sp share one product.  With the half-shift h = -1/2 (O) or +1/2
     (Sp) and Q(M) = prod_{m<=M} Gamma(m)/Gamma(m+lam),
     f(N) = c N^-B 4^(N lam) Q(2N + 2h)/Q(N + 2h) prod_{j<=N} Gamma(j+h+lam)/Gamma(j+h),
-    where c = 1/2 for O and 1 for Sp.
+    where c = 1/2 for O and 1 for Sp.  With lam = a/b exact, every ladder
+    ratio is a ratio of integers, so the products run in _RunningProduct.
     """
+    a, b = exact.numerator, exact.denominator
     b_exp = log_power(sym, lam)
     if sym is SymmetryClass.U:
         prod = _RunningProduct(
             mp.gamma(1 + 2 * lam) / mp.gamma(1 + lam) ** 2,
-            lambda j: j * (j + 2 * lam) / (j + lam) ** 2,
+            lambda j: (j * (j * b + 2 * a) * b, (j * b + a) ** 2),
         )
-
-        def f(n: int) -> mp.mpf:
-            return mp.power(n, -b_exp) * prod.advance(n)
-
-        return f
+        return lambda n: mp.power(n, -b_exp) * prod.advance(n)
     orthogonal = sym is SymmetryClass.O
     h = mp.mpf("-0.5") if orthogonal else mp.mpf("0.5")
     shift = -1 if orthogonal else 1  # 2h
-    q = _RunningProduct(1 / mp.gamma(1 + lam), lambda m: m / (m + lam))
+    q = _RunningProduct(1 / mp.gamma(1 + lam), lambda m: (m * b, m * b + a))
     r = _RunningProduct(
         mp.gamma(1 + h + lam) / mp.gamma(1 + h),
-        lambda j: (j + h + lam) / (j + h),
+        lambda j: ((2 * j + shift) * b + 2 * a, (2 * j + shift) * b),
     )
 
     def f(n: int) -> mp.mpf:
@@ -362,10 +377,11 @@ def moment_by_limit(
 ) -> RealApprox:
     """Moment constant from its defining large-N limit.
 
-    Evaluates the finite-N Gamma-ratio product on the doubling ladder
-    N = 32, 64, ... and Richardson-extrapolates (leading error c/N, with
-    higher powers cancelled level by level) until two successive
-    extrapolants agree to ``target_digits`` significant digits.
+    Evaluates the finite-N Gamma-ratio product, in integers on the exact
+    rational lam, on the doubling ladder N = 32, 64, ... and
+    Richardson-extrapolates (leading error c/N, with higher powers
+    cancelled level by level) until two successive extrapolants agree to
+    ``target_digits`` significant digits.
     """
     if target_digits < 1:
         raise DomainError("target_digits must be at least 1")
@@ -378,7 +394,12 @@ def moment_by_limit(
                 "use moment_closed_form below that"
             )
         gamma_factor = mp.gamma(1 + log_power(sym, lam_v))
-        f = _limit_state(sym, lam_v)
+        # lam exactly: a Fraction or int as given, else the mpf's binary value
+        man, exp = lam_v.man_exp
+        exact = (
+            Fraction(lam) if isinstance(lam, (int, Fraction)) else man * Fraction(2) ** exp
+        )
+        f = _limit_state(sym, lam_v, exact)
         tol = mp.mpf(10) ** (-target_digits)
         values = []
         best_prev = None
@@ -394,10 +415,7 @@ def moment_by_limit(
                     # here would declare convergence far too early
                     scale = abs(best) if best != 0 else mp.mpf(1)
                     if err <= tol * scale:
-                        value = gamma_factor * best
-                        return approx(
-                            value, bits, err=abs(gamma_factor) * err
-                        )
+                        return approx(gamma_factor * best, bits, err=abs(gamma_factor) * err)
                 best_prev = best
             n *= 2
         raise NoConvergence(

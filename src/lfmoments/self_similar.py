@@ -163,7 +163,11 @@ def density_numeric(p: int, x, eps: float = 1e-9) -> RealApprox:
             break
 
     value = total / fx
-    with working_precision(128) as bits:
+    # bits enough that the rounding floor |value| 2^(8 - bits) of approx
+    # stays below eps; 2^magnitude > |value|
+    magnitude = value.numerator.bit_length() - value.denominator.bit_length() + 1
+    bits = max(128, math.ceil(-math.log2(eps)) + max(magnitude, 0) + 9)
+    with working_precision(bits):
         return approx(to_mpf(value), bits, err=eps)
 
 

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from lfmoments import (
     SUM_KINDS,
     DomainError,
+    LfmomentsError,
+    NoConvergence,
     PoleError,
     SymmetryClass,
     barnes_g,
@@ -377,19 +379,143 @@ def test_limit_domain_and_pole_guards():
         moment_by_limit(U, Fraction(-1, 2))
 
 
+# ------------------------------------------- limit ladder: the mpf oracle
+
+
+class _MpfRunningProduct:
+    """prod_{i=1..m} term_i in mpf arithmetic, one rounded step at a time:
+    the reference for the integer kernel analytic_moments._RunningProduct."""
+
+    def __init__(self, first_term, ratio):
+        self._ratio = ratio
+        self._m = 0
+        self._next_term = first_term
+        self._value = mp.mpf(1)
+
+    def advance(self, m_target):
+        while self._m < m_target:
+            self._value *= self._next_term
+            self._m += 1
+            self._next_term = self._next_term * self._ratio(self._m)
+        assert self._m == m_target
+        return self._value
+
+
+def _mpf_limit_state(sym, lam, exact):
+    """f(N) of analytic_moments._limit_state with mpf ratios in the rounded
+    lam; ``exact`` is ignored."""
+    b_exp = log_power(sym, lam)
+    if sym is U:
+        prod = _MpfRunningProduct(
+            mp.gamma(1 + 2 * lam) / mp.gamma(1 + lam) ** 2,
+            lambda j: j * (j + 2 * lam) / (j + lam) ** 2,
+        )
+        return lambda n: mp.power(n, -b_exp) * prod.advance(n)
+    h = mp.mpf(-0.5) if sym is O else mp.mpf(0.5)
+    shift = -1 if sym is O else 1
+    q = _MpfRunningProduct(1 / mp.gamma(1 + lam), lambda m: m / (m + lam))
+    r = _MpfRunningProduct(
+        mp.gamma(1 + h + lam) / mp.gamma(1 + h), lambda j: (j + h + lam) / (j + h)
+    )
+
+    def f(n):
+        q_low = q.advance(n + shift)
+        value = (
+            mp.power(n, -b_exp)
+            * mp.power(2, 2 * n * lam)
+            * (q.advance(2 * n + shift) / q_low)
+            * r.advance(n)
+        )
+        return value / 2 if sym is O else value
+
+    return f
+
+
+def _limit_or_error(sym, lam, digits, bits):
+    try:
+        return moment_by_limit(sym, lam, digits, bits)
+    except LfmomentsError as exc:
+        return type(exc)
+
+
+def _with_1024_bits(x):
+    with mp.workprec(1024):
+        return mp.mpf(x.numerator) / x.denominator
+
+
+# lam near -1/2, at -1/2 (a pole for U and O), moderate and large, a float,
+# an mpf of 1024 bits; (digits, bits) pairs of the benchmark's range
+LADDER_GRID = [
+    (Fraction(-4999, 10000), 8, 128),
+    (Fraction(-1, 2), 8, 128),
+    (Fraction(1, 3), 13, 256),
+    (Fraction(7, 4), 16, 1024),
+    (6, 8, 128),
+    (0.3, 12, 256),
+    (_with_1024_bits(Fraction(7, 3)), 8, 256),
+]
+
+
+@pytest.mark.parametrize("sym", list(SymmetryClass))
+def test_integer_ladder_matches_mpf_oracle(sym, monkeypatch):
+    got = [_limit_or_error(sym, *case) for case in LADDER_GRID]
+    monkeypatch.setattr(analytic_moments, "_limit_state", _mpf_limit_state)
+    want = [_limit_or_error(sym, *case) for case in LADDER_GRID]
+    for case, g, w in zip(LADDER_GRID, got, want):
+        if isinstance(w, type):
+            assert g is w, case
+            continue
+        # same ladder length and the same last Richardson gap; the values
+        # agree to the requested precision, far inside err_estimate
+        assert g.err_estimate == w.err_estimate, case
+        assert abs(g.value - w.value) <= abs(w.value) * mp.mpf(2) ** -case[2], case
+        assert abs(g.value - w.value) <= 1e-20 * g.err_estimate, case
+
+
+@pytest.mark.parametrize("sym", list(SymmetryClass))
+def test_integer_ladder_fails_like_the_oracle_at_a_low_cap(sym, monkeypatch):
+    monkeypatch.setattr(analytic_moments, "_LADDER_MAX_N", 1 << 9)
+    cases = [(6, 8, 128), (Fraction(1, 3), 16, 128), (Fraction(-3, 5), 8, 128)]
+    got = [_limit_or_error(sym, *case) for case in cases]
+    monkeypatch.setattr(analytic_moments, "_limit_state", _mpf_limit_state)
+    want = [_limit_or_error(sym, *case) for case in cases]
+    assert got == want
+    assert got[0] is NoConvergence and got[2] is DomainError
+
+
+def test_running_product_stays_within_its_rounding_bound():
+    # term_1 = 3/8 and term_{j+1} = term_j (3j + 1)/(5j + 2) are rational,
+    # so the exact product is num/den; after m steps the W-bit kernel is
+    # within m(m + 3) ulps of it
+    width = 100
+    with mp.workprec(width - analytic_moments._KERNEL_GUARD):
+        kernel = analytic_moments._RunningProduct(
+            mp.mpf(0.375), lambda j: (3 * j + 1, 5 * j + 2)
+        )
+    num, den, term_num, term_den = 1, 1, 3, 8
+    m = 0
+    for target in (1, 7, 100, 300):
+        while m < target:
+            num, den = num * term_num, den * term_den
+            m += 1
+            term_num, term_den = term_num * (3 * m + 1), term_den * (5 * m + 2)
+        with mp.workprec(width):
+            man, exp = kernel.advance(target).man_exp
+        # |man 2^exp - num/den| <= m(m + 3) 2^-width num/den, times den 2^-exp
+        gap = abs(man * den - (num << -exp))
+        assert gap << width <= m * (m + 3) * num << -exp, m
+
+
 # -------------------------------------------------------------- pole orders
 
 
 def test_pole_orders():
-    assert pole_order(U, 1) == 1
-    assert pole_order(U, 2) == 3
-    assert pole_order(U, 3) == 5
-    assert pole_order(O, 1) == 1
-    assert pole_order(O, 2) == 2
-    assert pole_order(O, 3) == 3
-    assert pole_order(SP, 1) == 0
-    assert pole_order(SP, 2) == 1
-    assert pole_order(SP, 3) == 2
+    # the pole of the ratio at degree 1/2 - k has order 2k - 1 (U), k (O)
+    # and k - 1 (Sp)
+    for k in range(1, 6):
+        assert pole_order(U, k) == 2 * k - 1, k
+        assert pole_order(O, k) == k, k
+        assert pole_order(SP, k) == k - 1, k
 
 
 # -------------------------------------------------------------- asymptotics

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -44,6 +45,23 @@ def test_numeric_matches_exact():
         approx = density_numeric(p, x, eps=eps)
         exact = density_exact(p, Fraction(x))
         assert abs(float(approx) - float(exact)) <= eps
+
+
+@pytest.mark.parametrize("eps", [1e-100, 1e-300])
+def test_numeric_meets_eps_far_below_the_128_bit_floor(eps):
+    # the conversion is sized from eps; at a fixed 128 bits err_estimate
+    # stayed near 4e-37
+    for p, x in ((3, Fraction(1, 3)), (2, Fraction(1, 1000)), (5, Fraction(3, 13)), (7, 0.375)):
+        got = density_numeric(p, x, eps=eps)
+        exact = density_exact(p, Fraction(x))
+        assert got.err_estimate == eps
+        with mp.workprec(4000):
+            gap = abs(got.value - mp.mpf(exact.numerator) / exact.denominator)
+        assert gap <= eps
+
+
+def test_numeric_keeps_128_bits_for_moderate_eps():
+    assert density_numeric(3, Fraction(1, 3), eps=1e-9).precision_bits == 128
 
 
 rational = st.fractions(
