@@ -11,10 +11,12 @@ function two independent ways:
   g_Sp(lambda) = 2^-lambda g_O(lambda + 1), one G value per closed form.
 
 It also houses the supporting pieces those routes need: a first-party
-Barnes G implementation, the bundle of analytic constants (gamma,
-zeta'(0), zeta'(-1), zeta'(2)), the half-integer unitary constant, a
-numeric pole-order probe, and the large-degree asymptotic expansions of
-``log g_k`` together with the partial-sum expansions they rest on.
+Barnes G (a fixed-point log-G series on one exact Bernoulli table, shifted
+through the integer product kernel of the limit ladder), the bundle of
+analytic constants (gamma, zeta'(0), zeta'(-1) from the superfactorial,
+zeta'(2)), the half-integer unitary constant, a numeric pole-order probe,
+and the large-degree asymptotic expansions of ``log g_k`` together with the
+partial-sum expansions they rest on.
 
 Conventions fixed here (and validated by the integer cross-checks in the
 test suite):
@@ -35,6 +37,8 @@ normalization, so the two routes agree everywhere, not just at integers.
 from __future__ import annotations
 
 import functools
+import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
@@ -43,7 +47,7 @@ import mpmath as mp
 
 from .errors import DomainError, NoConvergence, PoleError
 from .exact_moments import SymmetryClass, log_power
-from .precision import RealApprox, approx, to_mpf, working_precision
+from .precision import RealApprox, approx, to_fraction, to_mpf, working_precision
 
 __all__ = [
     "FundamentalConstants",
@@ -93,10 +97,15 @@ def _constants_cached(bits: int) -> FundamentalConstants:
         log_2 = mp.log(2)
         log_2pi = mp.log(2 * mp.pi)
         zp0 = -log_2pi / 2
-        # Glaisher-Kinkelin relations: zeta'(-1) = 1/12 - log A and
+        # zeta'(-1) = log G(n + 1) minus the log-G series at z = n + 1 (past
+        # the series threshold) without its zeta'(-1) term; the superfactorial
+        # G(n + 1) = 1! 2! ... (n-1)! runs in the kernel, term i! with ratio i + 1
+        n = math.ceil(_series_threshold()) - 1
+        superfactorial = _RunningProduct(mp.mpf(1), lambda i: (i + 1, 1)).advance(n - 1)
+        zpm1 = mp.log(superfactorial) - _log_barnes_g_large(mp.mpf(n + 1), 0)
+        # Glaisher-Kinkelin relations: log A = 1/12 - zeta'(-1) and
         # zeta'(2) = zeta(2) (gamma + log 2pi - 12 log A).
-        log_a = mp.log(mp.glaisher)
-        zpm1 = mp.mpf(1) / 12 - log_a
+        log_a = mp.mpf(1) / 12 - zpm1
         gamma = +mp.euler
         zp2 = mp.pi**2 / 6 * (gamma + log_2pi - 12 * log_a)
         wrap = lambda v: approx(v, bits)
@@ -120,15 +129,64 @@ def constants(precision_bits=None) -> FundamentalConstants:
 # ---------------------------------------------------------------------------
 # Barnes G
 
+# B_2, B_4, ... as Fractions, shared by every precision, and the last column
+# of the tangent-number triangle that extends it
+_BERNOULLI: list = [Fraction(1, 6)]
+_TANGENT_COLUMN: list = [1]
+# fixed-point width -> floor(2^width B_{2k+2} / (4k(k+1))) for k = 1, 2, ...
+_LOG_G_COEFFS: dict = {}
+# the tables above grow only under this lock
+_TABLE_LOCK = threading.Lock()
+
+
+def _bernoulli_table(count: int) -> list:
+    """[B_2, B_4, ...] with at least ``count`` entries.
+
+    B_2n = (-1)^(n-1) 2n T_n / (4^n (4^n - 1)), with the tangent numbers
+    T_n from Brent and Harvey's integer recurrence taken column by column:
+    column n holds T_n after each pass, and column n + 1 needs only column
+    n, so the table grows one entry at a time without a rebuild.
+    """
+    while len(_BERNOULLI) < count:
+        n = len(_BERNOULLI) + 1
+        prev = _TANGENT_COLUMN
+        column = [(n - 1) * prev[0]]
+        for k in range(2, n):
+            column.append((n - k) * prev[k - 1] + (n - k + 2) * column[-1])
+        column.append(2 * column[-1])
+        _TANGENT_COLUMN[:] = column
+        _BERNOULLI.append(
+            Fraction((-1) ** (n - 1) * 2 * n * column[-1], 4**n * (4**n - 1))
+        )
+    return _BERNOULLI
+
+
+def _log_g_coefficients(width: int, count: int) -> list:
+    """The first ``count`` (or more) fixed-point log-G series coefficients."""
+    with _TABLE_LOCK:
+        coeffs = _LOG_G_COEFFS.setdefault(width, [])
+        bernoulli = _bernoulli_table(count + 1)
+        for k in range(len(coeffs) + 1, count + 1):
+            b = bernoulli[k]  # B_{2k+2}
+            coeffs.append((b.numerator << width) // (b.denominator * 4 * k * (k + 1)))
+    return coeffs
+
+
+def _series_threshold() -> float:
+    """Smallest z at which the log-G series reaches the working precision."""
+    return max(mp.mp.prec / 8 + 17, 33)
+
 
 def _log_barnes_g_large(z: mp.mpf, zpm1: mp.mpf) -> mp.mpf:
     """log G(z) for large positive z via the asymptotic series.
 
     Written in terms of y = z - 1:
     log G(y+1) = zeta'(-1) + (y/2) log 2pi + (y^2/2 - 1/12) log y
-                 - (3/4) y^2 + sum_{k>=1} B_{2k+2} / (4k(k+1) y^{2k}),
-    summed until a term falls below 2^-(prec + 8) of the total or the
-    terms start to grow.
+                 - (3/4) y^2 + sum_{k>=1} c_k / y^{2k},  c_k = B_{2k+2} / (4k(k+1)).
+    K terms, K the first k whose term falls below 2^-(prec + 8) of the
+    total (or the last before the terms grow), judged from the bit lengths
+    of the fixed-point c_k; the sum runs in W = prec + 32 bit fixed point
+    by Horner from K down on u = floor(2^W / y^2), within K + 1 ulps.
     """
     y = z - 1
     log_y = mp.log(y)
@@ -138,47 +196,47 @@ def _log_barnes_g_large(z: mp.mpf, zpm1: mp.mpf) -> mp.mpf:
         + (y * y / 2 - mp.mpf(1) / 12) * log_y
         - 3 * y * y / 4
     )
-    y2 = y * y
-    power = y2
-    tol = mp.mpf(2) ** (-(mp.mp.prec + 8))
-    scale = max(abs(total), mp.mpf(1))
-    prev_size = mp.inf
+    width = mp.mp.prec + 32
+    _, man, exp, _ = y._mpf_
+    log2_y = math.log2(man) + exp
+    # term k is under 2^-(prec + 8) max(|total|, 1) once size < cutoff
+    cutoff = width - mp.mp.prec - 8 + max(mp.mag(total) - 1, 0)
+    coeffs = _LOG_G_COEFFS.get(width, [])
+    prev_size = math.inf
     for k in count(1):
-        term = mp.bernoulli(2 * k + 2) / (4 * k * (k + 1) * power)
-        size = abs(term)
+        if k > len(coeffs):
+            coeffs = _log_g_coefficients(width, k)
+        size = coeffs[k - 1].bit_length() - 2 * k * log2_y
         if size > prev_size:
             # asymptotic series started diverging; stop at the floor
+            k -= 1
             break
-        total += term
-        if size < tol * scale:
+        if size < cutoff:
             break
         prev_size = size
-        power *= y2
-    return total
+    shift = width - 2 * exp
+    u = (1 << shift) // (man * man) if shift >= 0 else 0
+    acc = 0
+    for c in reversed(coeffs[:k]):
+        acc = c + (acc * u >> width)
+    return total + mp.mpf((acc * u >> width, -width))
 
 
 def _barnes_g_raw(z: mp.mpf, zpm1: mp.mpf) -> mp.mpf:
     """Barnes G at working precision; caller guards nonpositive integers.
 
-    Below the asymptotic threshold, z is shifted up by n steps with one
+    Below the series threshold, z is shifted up by n steps with one
     Gamma call: G(z) = G(z + n) / prod_{i<n} Gamma(z + i), and
-    prod_{i<n} Gamma(z + i) = Gamma(z)^n prod_{i=1}^{n-1} (z)_i.
+    prod_{i<n} Gamma(z + i) = Gamma(z)^n prod_{i=1}^{n-1} (z)_i, whose
+    rising factorials run in _RunningProduct on z = a/b exactly.
     """
-    threshold = mp.mp.prec / 8 + 17
-    if threshold < 33:
-        threshold = 33
+    threshold = _series_threshold()
     if z >= threshold:
         return mp.exp(_log_barnes_g_large(z, zpm1))
     n = int(mp.ceil(threshold - z))
     large = mp.exp(_log_barnes_g_large(z + n, zpm1))
-    # (z)_i carries at most 2i roundings, so the product of the rising
-    # factorials is off by under n^2 ulps: 2^15 at 1024 bits, 2^19 at 4096,
-    # far inside GUARD_BITS
-    rising = mp.mpf(1)
-    rising_product = mp.mpf(1)
-    for i in range(1, n):
-        rising *= z + (i - 1)
-        rising_product *= rising
+    a, b = to_fraction(z).as_integer_ratio()
+    rising_product = _RunningProduct(z, lambda i: (a + i * b, b)).advance(n - 1)
     return large / (mp.gamma(z) ** n * rising_product)
 
 
@@ -283,20 +341,22 @@ def moment_closed_form(sym: SymmetryClass, lam, precision_bits=None) -> RealAppr
 class _RunningProduct:
     """prod_{i=1..m} term_i, advanced monotonically, in integers.
 
-    term_{j+1} = term_j * num / den with ``ratio(j) = (num, den)``, positive
-    ints.  Term and product are integer mantissas of W = mp.prec +
-    _KERNEL_GUARD bits (mp.prec at construction) with binary exponents.  A
-    step shifts the term to W bits, multiplies it into the product and
-    shifts that to W bits, then multiplies the term by num and floor-divides
-    it by den, each rounding down by about 2 ulps: after m steps the term is
-    within about 2m ulps and the product within m(m + 3).
+    term_{j+1} = term_j * num / den with ``ratio(j) = (num, den)``, ints
+    with den > 0, so terms may change sign.  Term and product are integer
+    mantissas of W = mp.prec + _KERNEL_GUARD bits (mp.prec at construction)
+    with binary exponents.  A step shifts the term to W bits, multiplies it
+    into the product and shifts that to W bits, then multiplies the term by
+    num and floor-divides it by den, each step rounding toward minus
+    infinity by about 2 ulps: after m steps the term is within about 2m ulps
+    and the product within m(m + 3).
     """
 
     def __init__(self, first_term: mp.mpf, ratio):
         self._ratio = ratio
         self._width = mp.mp.prec + _KERNEL_GUARD
+        sign, man, exp, _ = first_term._mpf_
         # step count, term mantissa and exponent, product mantissa and exponent
-        self._state = (0, *first_term.man_exp, 1, 0)
+        self._state = (0, -man if sign else man, exp, 1, 0)
 
     def advance(self, m_target: int) -> mp.mpf:
         width, ratio = self._width, self._ratio
@@ -394,12 +454,7 @@ def moment_by_limit(
                 "use moment_closed_form below that"
             )
         gamma_factor = mp.gamma(1 + log_power(sym, lam_v))
-        # lam exactly: a Fraction or int as given, else the mpf's binary value
-        man, exp = lam_v.man_exp
-        exact = (
-            Fraction(lam) if isinstance(lam, (int, Fraction)) else man * Fraction(2) ** exp
-        )
-        f = _limit_state(sym, lam_v, exact)
+        f = _limit_state(sym, lam_v, to_fraction(lam))
         tol = mp.mpf(10) ** (-target_digits)
         values = []
         best_prev = None

@@ -26,7 +26,7 @@ import mpmath as mp
 from .errors import DivergentInner, DomainError
 from .exact_moments import SymmetryClass, log_power, moment_constant
 from .numeric_core import check_prime, factorial, primes_up_to
-from .precision import RealApprox, approx, to_mpf, working_precision
+from .precision import RealApprox, approx, to_fraction, to_mpf, working_precision
 
 __all__ = [
     "divisor_coefficient",
@@ -145,15 +145,10 @@ def _zeta_local(a: Fraction, bits: int, width: int):
 
 
 def _zeta_order(k) -> Fraction:
-    """k as an exact rational: an int or Fraction as given, any other real
-    as the binary value it takes at working precision."""
-    k_mp = to_mpf(k)
-    if k_mp <= mp.mpf("-0.5"):
+    """k as an exact rational (``to_fraction``), checked to lie above -1/2."""
+    if to_mpf(k) <= mp.mpf("-0.5"):
         raise DomainError("the product is defined only for k > -1/2")
-    if isinstance(k, (int, Fraction)):
-        return Fraction(k)
-    man, exp = k_mp.man_exp
-    return man * Fraction(2) ** exp
+    return to_fraction(k)
 
 
 def _zeta_product(k: Fraction, primes, bits: int) -> mp.mpf:

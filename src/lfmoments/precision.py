@@ -84,6 +84,15 @@ def to_mpf(x) -> mpmath.mpf:
     return value
 
 
+def to_fraction(x) -> Fraction:
+    """A finite real input exactly: an int or Fraction as given, anything
+    else as the binary value of its mpf at the working precision."""
+    if isinstance(x, (int, Fraction)):
+        return Fraction(x)
+    sign, man, exp, _ = to_mpf(x)._mpf_
+    return Fraction(-man if sign else man) * Fraction(2) ** exp
+
+
 def approx(value: mpmath.mpf, bits: int, err=None) -> RealApprox:
     """Wrap a result computed inside ``working_precision(bits)``.
 

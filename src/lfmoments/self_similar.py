@@ -65,9 +65,9 @@ def _nearest_int_distance(y: Fraction) -> Fraction:
 
 
 # cap on r * p.bit_length() for an orbit of length r: the period sum in
-# density_exact is an integer of about that many bits, built in time
-# quadratic in r (1.4 s at the cap, p = 3 and r = 131070, on a 2-vCPU
-# x86-64 VM)
+# density_exact is an integer of about that many bits (at the cap, p = 3
+# and r = 131070, _period_sum takes 0.06 s and density_exact 0.23 s on a
+# 2-vCPU x86-64 VM)
 _ORBIT_BIT_BUDGET = 1 << 18
 
 
@@ -92,6 +92,20 @@ def _orbit_residues(p: int, a: int, b: int) -> List[int]:
                 f"the orbit of {p} mod {b} is longer than {max_len} steps "
                 f"(r * p.bit_length() is capped at {_ORBIT_BIT_BUDGET})"
             )
+
+
+def _period_sum(p: int, squares: List[int]) -> Tuple[int, int]:
+    """(sum_i squares[i] p^(r-1-i), p^r) for r = len(squares), split at the
+    midpoint, num(L) p^len(R) + num(R), down to Horner on short runs."""
+    if len(squares) <= 64:
+        num = 0
+        for sq in squares:
+            num = num * p + sq
+        return num, p ** len(squares)
+    mid = len(squares) // 2
+    left, p_left = _period_sum(p, squares[:mid])
+    right, p_right = _period_sum(p, squares[mid:])
+    return left * p_right + right, p_left * p_right
 
 
 def _negative_side(p: int, fx: Fraction) -> Fraction:
@@ -126,11 +140,8 @@ def density_exact(p: int, x) -> Fraction:
     # period r, the multiplicative order of p mod b.  The period sums
     # res_i^2 / (b^2 p^i) for i < r; with num = sum_i res_i^2 p^(r-1-i) and
     # the factor p^r / (p^r - 1) for all periods, that is num p / (b^2 (p^r - 1)).
-    residues = _orbit_residues(p, a, b)
-    num = 0
-    for res in residues:
-        num = num * p + res * res
-    total += Fraction(num * p, b * b * (p ** len(residues) - 1))
+    num, p_r = _period_sum(p, [res * res for res in _orbit_residues(p, a, b)])
+    total += Fraction(num * p, b * b * (p_r - 1))
 
     return total / fx
 

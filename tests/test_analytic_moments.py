@@ -1,7 +1,11 @@
 """Analytic continuation in the order parameter: limits, closed forms, poles."""
 
+import functools
+import itertools
 import math
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import mpmath as mp
@@ -30,7 +34,7 @@ from lfmoments import (
     pole_order,
 )
 from lfmoments import analytic_moments
-from lfmoments.precision import working_precision
+from lfmoments.precision import to_fraction, working_precision
 
 U, O, SP = SymmetryClass.U, SymmetryClass.O, SymmetryClass.Sp
 
@@ -59,6 +63,17 @@ def test_glaisher_identity_ties_the_bundle_together():
             2, derivative=1
         ) / (2 * mp.pi**2)
         assert abs(left - right) < mp.mpf(2) ** -200
+
+
+@pytest.mark.parametrize("bits", [128, 256, 1024])
+def test_zeta_prime_minus1_matches_glaisher(bits):
+    # the bundle takes zeta'(-1) from the superfactorial G(n + 1) and the
+    # log-G series; mpmath's Glaisher constant gives 1/12 - log A
+    got = constants(bits).zeta_prime_minus1
+    with mp.workprec(bits + 64):
+        want = mp.mpf(1) / 12 - mp.log(mp.glaisher)
+        assert abs(got.value - want) <= got.err_estimate
+        assert abs(got.value - want) < abs(want) * mp.mpf(2) ** -(bits + 16)
 
 
 @pytest.mark.parametrize("bits", [128, 256, 1024])
@@ -118,12 +133,42 @@ def test_barnes_recursion(z):
         assert abs(lhs - rhs) <= abs(rhs) * mp.mpf(2) ** -180
 
 
+def _mpf_log_barnes_g_large(z: mp.mpf, zpm1: mp.mpf) -> mp.mpf:
+    """log G(z) by the asymptotic series in mpf arithmetic, one mpmath
+    Bernoulli number and one division per term: the reference for the
+    fixed-point series analytic_moments._log_barnes_g_large."""
+    y = z - 1
+    log_y = mp.log(y)
+    total = (
+        zpm1
+        + y / 2 * mp.log(2 * mp.pi)
+        + (y * y / 2 - mp.mpf(1) / 12) * log_y
+        - 3 * y * y / 4
+    )
+    y2 = y * y
+    power = y2
+    tol = mp.mpf(2) ** (-(mp.mp.prec + 8))
+    scale = max(abs(total), mp.mpf(1))
+    prev_size = mp.inf
+    for k in itertools.count(1):
+        term = mp.bernoulli(2 * k + 2) / (4 * k * (k + 1) * power)
+        size = abs(term)
+        if size > prev_size:
+            break
+        total += term
+        if size < tol * scale:
+            break
+        prev_size = size
+        power *= y2
+    return total
+
+
 def _per_step_barnes_g(z: mp.mpf, zpm1: mp.mpf) -> mp.mpf:
-    # G(z) = G(z + n) / prod_{i<n} Gamma(z + i) with one Gamma call per step,
-    # the same shift n and asymptotic series as the library
+    # G(z) = G(z + n) / prod_{i<n} Gamma(z + i) with one Gamma call per step
+    # and the mpf series, at the library's shift n
     threshold = max(mp.mp.prec / 8 + 17, 33)
     n = int(mp.ceil(threshold - z))
-    large = mp.exp(analytic_moments._log_barnes_g_large(z + n, zpm1))
+    large = mp.exp(_mpf_log_barnes_g_large(z + n, zpm1))
     return large / mp.fprod(mp.gamma(z + i) for i in range(n))
 
 
@@ -149,8 +194,9 @@ def test_barnes_shift_matches_per_step_gamma_product(bits, cases):
 
 def test_barnes_shift_matches_per_step_gamma_product_at_4096_bits():
     # zeta'(-1) enters both routes as the same factor of G(z + n), so the
-    # 1024-bit bundle value serves (mp.glaisher at 4096 bits costs seconds);
-    # half-integer z keeps the per-step Gamma calls cheap
+    # 1024-bit bundle value serves (a cold 4096-bit bundle extends the
+    # Bernoulli table to ~860 entries, about 0.8 s); half-integer z keeps
+    # the per-step Gamma calls cheap
     zpm1 = constants(1024).zeta_prime_minus1.value
     with working_precision(4096):
         for z in (mp.mpf(-5) / 2, mp.mpf(7) / 2):
@@ -161,11 +207,129 @@ def test_barnes_shift_matches_per_step_gamma_product_at_4096_bits():
 
 def test_barnes_g_reaches_the_floor_above_2300_bits():
     # G(5) = 1! 2! 3! = 12.  At 2304 bits the shifted argument needs ~420
-    # terms of the log-G series; the per-step oracle above sums the same
-    # series, so only an exact value can see it cut short
+    # terms of the log-G series
     g = barnes_g(5, precision_bits=2304)
     with mp.workprec(2400):
         assert abs(g.value - 12) < 12 * mp.mpf(2) ** (8 - 2304)
+
+
+def _superfactorial(n: int) -> int:
+    # G(n + 1) = 0! 1! ... (n - 1)!
+    return math.prod(math.factorial(j) for j in range(n))
+
+
+@pytest.mark.parametrize("bits", [128, 256, 1024])
+def test_barnes_g_is_the_superfactorial_at_integers(bits):
+    with working_precision(bits):
+        threshold = int(analytic_moments._series_threshold())
+    # the shifted route below the series threshold, the direct one above
+    for n in (1, 4, 11, threshold - 3, threshold - 1, threshold + 1, threshold + 40):
+        g = barnes_g(n + 1, precision_bits=bits)
+        want = _superfactorial(n)
+        with mp.workprec(bits + 64):
+            assert abs(g.value - want) <= want * mp.mpf(2) ** -(bits + 8), n
+            assert abs(g.value - want) <= g.err_estimate, n
+
+
+def test_barnes_g_matches_mpmath_at_1024_bits():
+    bits = 1024
+    for z in ("-3.37", "-0.5", "0.25", "2.37", "7.75", "150.5"):
+        g = barnes_g(Fraction(z), precision_bits=bits)
+        with mp.workprec(bits + 64):
+            want = mp.barnesg(mp.mpf(Fraction(z).numerator) / Fraction(z).denominator)
+            assert abs(g.value - want) <= abs(want) * mp.mpf(2) ** (8 - bits), z
+
+
+def test_bernoulli_table_matches_mpmath_up_to_b400():
+    table = analytic_moments._bernoulli_table(200)
+    assert table[:200] == [Fraction(*mp.bernfrac(2 * m)) for m in range(1, 201)]
+    # the fixed-point series coefficients are floor(2^W B_{2k+2} / (4k(k+1)))
+    width = 300
+    coeffs = analytic_moments._log_g_coefficients(width, 50)
+    for k in range(1, 51):
+        exact = table[k] / (4 * k * (k + 1)) * 2**width
+        assert coeffs[k - 1] == math.floor(exact), k
+
+
+def test_log_g_tables_grow_safely_from_threads(monkeypatch):
+    # six threads extend cold tables to different lengths at once; a lost
+    # or doubled append would misplace every later coefficient
+    monkeypatch.setattr(analytic_moments, "_BERNOULLI", [Fraction(1, 6)])
+    monkeypatch.setattr(analytic_moments, "_TANGENT_COLUMN", [1])
+    monkeypatch.setattr(analytic_moments, "_LOG_G_COEFFS", {})
+    width, counts = 200, [20 + 15 * i for i in range(6)]
+    threads = [
+        threading.Thread(target=analytic_moments._log_g_coefficients, args=(width, c))
+        for c in counts
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    table = analytic_moments._BERNOULLI
+    assert table == [Fraction(*mp.bernfrac(2 * m)) for m in range(1, len(table) + 1)]
+    coeffs = analytic_moments._LOG_G_COEFFS[width]
+    assert len(coeffs) == max(counts)
+    for k, c in enumerate(coeffs, start=1):
+        assert c == math.floor(table[k] / (4 * k * (k + 1)) * 2**width), k
+
+
+@pytest.mark.parametrize("bits", [128, 256, 1024, 2304])
+def test_fixed_point_log_g_series_matches_the_mpf_series(bits):
+    # at and above the series threshold both stop within 2^-(prec + 8) of
+    # the sum, prec = bits + 48, and round the total at prec bits; 2^700
+    # leaves no term above 2^-W
+    with working_precision(bits):
+        threshold = mp.mpf(analytic_moments._series_threshold())
+        for z in (threshold, threshold + mp.mpf(7) / 3, 1e6, mp.mpf(2) ** 700):
+            got = analytic_moments._log_barnes_g_large(mp.mpf(z), 0)
+            want = _mpf_log_barnes_g_large(mp.mpf(z), 0)
+            assert abs(got - want) <= abs(want) * mp.mpf(2) ** -(bits + 44), z
+
+
+def test_barnes_g_and_constants_skip_mpmath_bernoulli_and_glaisher(monkeypatch):
+    calls = []
+    bernoulli, glaisher_value = mp.bernoulli, mp.glaisher
+
+    def counting_bernoulli(n):
+        calls.append("bernoulli")
+        return bernoulli(n)
+
+    class CountingGlaisher:
+        # mpmath reads a constant through its _mpf_ attribute
+        def __getattr__(self, name):
+            calls.append("glaisher")
+            return getattr(glaisher_value, name)
+
+    glaisher = CountingGlaisher()
+    monkeypatch.setattr(mp, "bernoulli", counting_bernoulli)
+    monkeypatch.setattr(mp, "glaisher", glaisher)
+    # a cold bundle and a cold Bernoulli table
+    monkeypatch.setattr(analytic_moments, "_BERNOULLI", [Fraction(1, 6)])
+    monkeypatch.setattr(analytic_moments, "_TANGENT_COLUMN", [1])
+    monkeypatch.setattr(analytic_moments, "_LOG_G_COEFFS", {})
+    monkeypatch.setattr(
+        analytic_moments,
+        "_constants_cached",
+        functools.lru_cache(maxsize=None)(analytic_moments._constants_cached.__wrapped__),
+    )
+    for bits in (128, 1024):
+        constants(bits)
+        for z in (Fraction(-7, 3), Fraction(1, 3), 5, 200):
+            barnes_g(z, precision_bits=bits)
+    assert calls == []
+    assert len(analytic_moments._BERNOULLI) > 100
+    # the counters do see a use
+    mp.bernoulli(4)
+    with mp.workprec(64):
+        mp.log(glaisher)
+    assert calls[0] == "bernoulli" and "glaisher" in calls
 
 
 def test_barnes_g_makes_one_gamma_call(monkeypatch):
@@ -372,6 +536,15 @@ def test_limit_err_estimate_covers_gap():
     assert gap <= max(got.err_estimate * 10, 1e-9)
 
 
+@pytest.mark.parametrize("sym", list(SymmetryClass))
+def test_limit_reads_a_negative_float_degree_with_its_sign(sym):
+    # -0.25 used to run the ladder on +1/4 while the rest used -1/4, so the
+    # extrapolants never settled; the float is the exact binary -1/4
+    got = moment_by_limit(sym, -0.25, 10, 128)
+    assert got.value == moment_by_limit(sym, Fraction(-1, 4), 10, 128).value
+    assert abs(got.value - moment_closed_form(sym, Fraction(-1, 4), 128).value) <= got.err_estimate
+
+
 def test_limit_domain_and_pole_guards():
     with pytest.raises(DomainError):
         moment_by_limit(U, -0.6)
@@ -481,6 +654,32 @@ def test_integer_ladder_fails_like_the_oracle_at_a_low_cap(sym, monkeypatch):
     want = [_limit_or_error(sym, *case) for case in cases]
     assert got == want
     assert got[0] is NoConvergence and got[2] is DomainError
+
+
+def test_running_product_keeps_the_sign_of_its_terms():
+    # the rising factorials (z)_i of z = -3.37 change sign up to i = 4, and
+    # the shift of Barnes G multiplies 36 of them: the kernel against the
+    # mpf oracle and the sign of the exact rational product
+    z_exact = Fraction(-337, 100)
+    bits = 128
+    with working_precision(bits):
+        z = mp.mpf(z_exact.numerator) / z_exact.denominator
+        exact = to_fraction(z)
+        a, b = exact.numerator, exact.denominator
+        kernel = analytic_moments._RunningProduct(z, lambda i: (a + i * b, b))
+        oracle = _MpfRunningProduct(z, lambda i: z + i)
+        rising = product = Fraction(1)
+        for m in range(1, 37):
+            rising *= exact + (m - 1)
+            product *= rising
+            got, want = kernel.advance(m), oracle.advance(m)
+            assert (got < 0) == (want < 0) == (product < 0), m
+            assert abs(got - want) <= abs(want) * mp.mpf(2) ** -(bits + 16), m
+    with mp.workprec(64):
+        assert analytic_moments._RunningProduct(mp.mpf(-3.5), None).advance(0) == 1
+        negative = analytic_moments._RunningProduct(mp.mpf(-3.5), lambda i: (-2, 1))
+        assert negative.advance(1) == mp.mpf(-3.5)
+        assert negative.advance(2) == mp.mpf(-3.5) * 7
 
 
 def test_running_product_stays_within_its_rounding_bound():

@@ -181,6 +181,13 @@ def test_ak_zeta_reads_a_fractional_order_exactly():
         assert abs(got - factor(1 / 3, *args).value) > 1e-25
 
 
+def test_ak_zeta_reads_a_negative_float_order_with_its_sign():
+    # -0.25 used to be read as +0.25: the mpf mantissa is unsigned
+    got = zeta_arithmetic_factor(-0.25, prime_cutoff=500)
+    want = zeta_arithmetic_factor(Fraction(-1, 4), prime_cutoff=500)
+    assert got.value == want.value
+
+
 def test_zeta_ak_matches_exact_local_factors():
     # for integer k the transformed factor is the polynomial
     # (1 - 1/p)^{(k-1)^2} sum_j C(k-1, j)^2 p^{-j}, exact in Fractions

@@ -32,6 +32,7 @@ from lfmoments.precision import (
     GUARD_BITS,
     MIN_PRECISION_BITS,
     approx,
+    to_fraction,
     to_mpf,
     working_precision,
 )
@@ -116,6 +117,19 @@ def test_to_mpf_rejects_non_finite_values():
         with pytest.raises(DomainError):
             to_mpf(RealApprox(value=mp.nan, precision_bits=128, err_estimate=0.0))
         assert to_mpf(Fraction(10**400)) == mp.mpf(10) ** 400
+
+
+def test_to_fraction_keeps_the_sign_and_every_bit():
+    # an mpf stores an unsigned mantissa; the sign sits in _mpf_ alone
+    with working_precision(128):
+        assert to_fraction(-3.5) == Fraction(-7, 2)
+        assert to_fraction(mp.mpf("-0.1")) == to_fraction(mp.mpf("0.1")) * -1
+        assert to_fraction(0.0) == 0
+        assert to_fraction(2.0**70) == 2**70
+        assert to_fraction(Fraction(-1, 3)) == Fraction(-1, 3)
+        third = to_fraction(mp.mpf(1) / 3)
+        assert third.denominator == 2 ** (128 + GUARD_BITS + 1)
+        assert abs(third - Fraction(1, 3)) < Fraction(1, 2 ** (128 + GUARD_BITS))
 
 
 def test_default_precision_without_env(monkeypatch):

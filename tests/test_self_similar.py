@@ -1,6 +1,7 @@
 """Valuation density c_p: exact rational values, classification, limits."""
 
 import math
+import random
 from fractions import Fraction
 
 import mpmath as mp
@@ -140,6 +141,44 @@ def test_orbit_budget_boundary(monkeypatch):
         classify_point(3, 1, 17)
     with pytest.raises(DomainError):
         density_exact(3, Fraction(1, 17))
+
+
+def _horner_period_sum(p, squares):
+    # the period sum by Horner on one growing integer, quadratic in r
+    num = 0
+    for sq in squares:
+        num = num * p + sq
+    return num
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_period_sum_split_matches_horner(p):
+    rng = random.Random(p)
+    lengths = [*range(1, 200), *rng.sample(range(200, 5000), 25), 5000]
+    for r in lengths:
+        half_b = rng.randrange(1, 10**6)
+        squares = [rng.randrange(half_b + 1) ** 2 for _ in range(r)]
+        assert self_similar._period_sum(p, squares) == (
+            _horner_period_sum(p, squares),
+            p**r,
+        ), r
+
+
+def test_density_exact_matches_the_horner_period_sum(monkeypatch):
+    # density_exact with the split against density_exact with Horner
+    # (orbit lengths 1, 4, 252, 1366 and 6006)
+    cases = [
+        (3, Fraction(1, 2)),
+        (5, Fraction(3, 13)),
+        (7, Fraction(2, 1009)),
+        (3, Fraction(1, 4099)),
+        (5, Fraction(7, 6007)),
+    ]
+    got = [density_exact(p, x) for p, x in cases]
+    monkeypatch.setattr(
+        self_similar, "_period_sum", lambda p, sq: (_horner_period_sum(p, sq), p ** len(sq))
+    )
+    assert got == [density_exact(p, x) for p, x in cases]
 
 
 # every density-layer entry point that takes p, as a function of it
