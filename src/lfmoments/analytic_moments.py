@@ -14,7 +14,7 @@ It also houses the supporting pieces those routes need: a first-party
 Barnes G (a fixed-point log-G series on one exact Bernoulli table, shifted
 through the integer product kernel of the limit ladder), the bundle of
 analytic constants (gamma, zeta'(0), zeta'(-1) from the superfactorial,
-zeta'(2)), the half-integer unitary constant, a numeric pole-order probe,
+zeta'(2)), the unitary constant at degree 1/2, a numeric pole-order probe,
 and the large-degree asymptotic expansions of ``log g_k`` together with the
 partial-sum expansions they rest on.
 
@@ -65,8 +65,10 @@ __all__ = [
 ]
 
 _POLE_RADIUS = mp.mpf("1e-8")
-# distances from a pole at which pole_order samples the ratio
-_PROBE_RADII = (1e-2, 1e-3, 1e-4)
+# distances from a pole at which pole_order samples the ratio, close enough
+# that the next Laurent term does not bend the log-log fit (at 1e-2 it does
+# from k = 10 on)
+_PROBE_RADII = (1e-4, 1e-5, 1e-6)
 _LADDER_START = 32
 _LADDER_MAX_N = 1 << 20
 # bits of _RunningProduct above the working precision: m ladder steps
@@ -484,20 +486,8 @@ def moment_by_limit(
 
 
 def half_moment_unitary(precision_bits=None) -> RealApprox:
-    """The unitary moment constant at degree 1/2, in closed form.
-
-    Gamma(5/4) 2^{1/12} pi^{1/2} exp(3 zeta'(-1)): the U closed form at
-    lambda = 1/2, where G(1) = G(2) = 1.
-    """
-    with working_precision(precision_bits) as bits:
-        zpm1 = constants(bits).zeta_prime_minus1.value
-        value = (
-            mp.gamma(mp.mpf("1.25"))
-            * mp.power(2, mp.mpf(1) / 12)
-            * mp.sqrt(mp.pi)
-            * mp.exp(3 * zpm1)
-        )
-        return approx(value, bits)
+    """The unitary moment constant at degree 1/2: the U closed form there."""
+    return moment_closed_form(SymmetryClass.U, Fraction(1, 2), precision_bits)
 
 
 def pole_order(sym: SymmetryClass, k: int, precision_bits=None) -> int:

@@ -248,23 +248,15 @@ def _cmd_mollify(args) -> dict:
 
 def _cmd_asym(args) -> dict:
     approx = analytic_moments.log_moment_asymptotic(args.sym, args.k)
-    record = {
-        "inputs": {"sym": args.sym.value, "k": args.k},
-        "result": approx.digits(_DISPLAY_DIGITS),
-        "err_estimate": _err_text(approx),
-    }
-    if args.k <= 2000:
-        primes_by_exponent = {}
-        for p, e in moment_factored(args.sym, args.k).exponents.items():
-            primes_by_exponent.setdefault(e, []).append(p)
-        with working_precision(approx.precision_bits):
-            # log g_k = sum e_p log p, with one logarithm per distinct exponent
-            exact = mp.fsum(
-                e * mp.log(mp.fprod(ps)) for e, ps in primes_by_exponent.items()
-            )
-            record["log_gk_exact"] = mp.nstr(exact, _DISPLAY_DIGITS)
-            record["abs_error"] = mp.nstr(abs(exact - approx.value), 3)
-    return record
+    with working_precision(approx.precision_bits) as bits:
+        exact = mp.log(analytic_moments.moment_closed_form(args.sym, args.k, bits).value)
+        return {
+            "inputs": {"sym": args.sym.value, "k": args.k},
+            "result": approx.digits(_DISPLAY_DIGITS),
+            "err_estimate": _err_text(approx),
+            "log_gk_exact": mp.nstr(exact, _DISPLAY_DIGITS),
+            "abs_error": mp.nstr(abs(exact - approx.value), 3),
+        }
 
 
 def _cmd_poles(args) -> dict:

@@ -11,7 +11,7 @@ divisions.  The zero-window criterion covers U and O at odd primes.
 from __future__ import annotations
 
 from .errors import DomainError, IntegralityViolation, OutOfRegime, UnsupportedClass
-from .exact_moments import SymmetryClass, _legendre_exponents, log_power
+from .exact_moments import SymmetryClass, _check_k, _legendre_exponents, log_power
 from .numeric_core import check_prime, half_floor_bracket
 
 
@@ -34,8 +34,7 @@ def valuation_term(sym: SymmetryClass, p: int, ell: int, k: int) -> int:
     _check_odd_prime(p, "closed valuation terms")
     if ell < 1:
         raise DomainError(f"level must be >= 1, got {ell}")
-    if k < 1:
-        raise DomainError(f"order must be >= 1, got {k}")
+    _check_k(k)
     q = p**ell
     if sym is SymmetryClass.U:
         a = (k - 1) // q
@@ -64,8 +63,7 @@ def valuation(sym: SymmetryClass, p: int, k: int) -> int:
     never built.  For U and O at odd p the level-ell summand is
     valuation_term(sym, p, ell, k).
     """
-    if k < 1:
-        raise DomainError(f"order must be >= 1, got {k}")
+    _check_k(k)
     check_prime(p)
     return _legendre_exponents(sym, k, [p]).get(p, 0)
 
@@ -86,8 +84,7 @@ def zero_valuation_window(sym: SymmetryClass, p: int, k: int) -> bool:
     if sym not in (SymmetryClass.U, SymmetryClass.O):
         raise UnsupportedClass(f"no window criterion for {sym!r}")
     _check_odd_prime(p, "the window criteria")
-    if k < 1:
-        raise DomainError(f"order must be >= 1, got {k}")
+    _check_k(k)
     b = log_power(sym, k)
     if p >= b:
         raise OutOfRegime(f"p={p} >= B(k)={b}: valuation is trivially zero there")

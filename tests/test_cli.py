@@ -5,10 +5,12 @@ import re
 import sys
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 
 from lfmoments import (
     density_exact,
+    log_moment_asymptotic,
     mean_square,
     moment_closed_form,
     moment_constant,
@@ -18,6 +20,7 @@ from lfmoments import (
 )
 from lfmoments import exact_moments
 from lfmoments.cli import main
+from lfmoments.precision import working_precision
 
 
 @pytest.fixture(autouse=True)
@@ -261,6 +264,42 @@ def test_asym_record(capsys):
     code, rec = run_json(capsys, "asym", "U", "50")
     assert code == 0
     assert float(rec["abs_error"]) < 1e-3
+
+
+def _log_gk_legendre(sym, k):
+    """log g_k = sum e_p log p over the Legendre exponents of g_k, with one
+    logarithm per distinct exponent; the oracle for asym's log_gk_exact."""
+    primes_by_exponent = {}
+    for p, e in exact_moments.moment_factored(sym, k).exponents.items():
+        primes_by_exponent.setdefault(e, []).append(p)
+    return mp.fsum(e * mp.log(mp.fprod(ps)) for e, ps in primes_by_exponent.items())
+
+
+@pytest.mark.parametrize("sym", ["U", "O", "Sp"])
+def test_asym_log_gk_matches_legendre_sum(capsys, sym):
+    for k in (2, 3, 10, 57, 250, 1000, 2000):
+        code, rec = run_json(capsys, "asym", sym, str(k))
+        assert code == 0
+        approx = log_moment_asymptotic(SymmetryClass.parse(sym), k)
+        with working_precision(approx.precision_bits):
+            exact = _log_gk_legendre(SymmetryClass.parse(sym), k)
+            assert rec["log_gk_exact"] == mp.nstr(exact, 25), k
+            assert rec["abs_error"] == mp.nstr(abs(exact - approx.value), 3), k
+
+
+@pytest.mark.parametrize(
+    "sym, remainder",
+    [("U", lambda k: 73 / (960 * k * k)), ("O", lambda k: 7 / (16 * k)),
+     ("Sp", lambda k: 7 / (16 * k))],
+)
+def test_asym_above_2000_carries_log_gk(capsys, sym, remainder):
+    # the gap is the remainder of the expansion that c10 pins
+    code, rec = run_json(capsys, "asym", sym, "100000")
+    assert code == 0
+    assert list(rec) == [
+        "command", "inputs", "result", "err_estimate", "log_gk_exact", "abs_error"
+    ]
+    assert float(rec["abs_error"]) == pytest.approx(remainder(100_000), rel=0.01)
 
 
 def test_mollify_evaluates_at_theta(capsys):

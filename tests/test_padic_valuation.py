@@ -174,6 +174,17 @@ def test_window_rejects_non_primes(p):
             valuation_term(sym, p, 1, 10)
 
 
+@pytest.mark.parametrize("k", [0, -3, 2.5, 3.0, "3"])
+def test_orders_must_be_positive_integers(k):
+    # a non-integer order is a DomainError here as in moment_factored
+    with pytest.raises(DomainError):
+        valuation(U, 3, k)
+    with pytest.raises(DomainError):
+        valuation_term(U, 3, 1, k)
+    with pytest.raises(DomainError):
+        zero_valuation_window(U, 5, k)
+
+
 @pytest.mark.parametrize("sym", [U, O])
 def test_window_matches_vanishing(sym):
     for k in range(2, 121):
