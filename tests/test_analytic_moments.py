@@ -718,7 +718,7 @@ def test_running_product_stays_within_its_rounding_bound():
 def test_pole_orders():
     # the pole of the ratio at degree 1/2 - k has order 2k - 1 (U), k (O)
     # and k - 1 (Sp)
-    for k in [*range(1, 31), 50, 100]:
+    for k in [*range(1, 31), 50, 100, 200, 1000]:
         assert pole_order(U, k) == 2 * k - 1, k
         assert pole_order(O, k) == k, k
         assert pole_order(SP, k) == k - 1, k
@@ -783,3 +783,78 @@ def test_log_sum_error_shrinks(kind):
 def test_log_sum_rejects_unknown_kind():
     with pytest.raises(DomainError):
         log_sum_asymptotics("log_squares", 10)
+
+
+def _direct_log_sum(kind, n):
+    """The sum term by term at the working precision (oracle)."""
+    term = {
+        "log_j": lambda j: mp.log(j),
+        "log_odd": lambda j: mp.log(2 * j - 1),
+        "j_log_j": lambda j: j * mp.log(j),
+        "j_log_odd": lambda j: j * mp.log(2 * j - 1),
+    }[kind]
+    return mp.fsum(term(j) for j in range(1, n + 1))
+
+
+@pytest.mark.parametrize("bits", [128, 256, 1024])
+@pytest.mark.parametrize("kind", SUM_KINDS)
+def test_log_sum_matches_term_by_term_oracle(kind, bits):
+    for n in (1, 2, 3, 4, 8, 9, 25, 27, 97, 128, 300, 1000, 3000):
+        exact, _ = log_sum_asymptotics(kind, n, bits)
+        with mp.workprec(bits + 64):
+            expect = _direct_log_sum(kind, n)
+            gap = abs(exact.value - expect)
+            assert gap <= exact.err_estimate, (n, gap)
+            assert gap <= abs(expect) * mp.mpf(2) ** -(bits + 16), (n, gap)
+
+
+def _valuation(m, p):
+    e = 0
+    while m % p == 0:
+        m //= p
+        e += 1
+    return e
+
+
+@pytest.mark.parametrize("kind", SUM_KINDS)
+def test_log_sum_prime_weights_are_exact(kind):
+    # w_p = sum_j f(j) v_p(g(j)), with f(j) = 1 or j and g(j) = j or 2j - 1
+    f = (lambda j: j) if kind.startswith("j_") else (lambda j: 1)
+    g = (lambda j: 2 * j - 1) if kind.endswith("odd") else (lambda j: j)
+    for n in range(1, 201):
+        primes, weights = analytic_moments._prime_weights(kind, n)
+        top = g(n)
+        expect = {
+            p: sum(f(j) * _valuation(g(j), p) for j in range(1, n + 1))
+            for p in range(2, top + 1)
+            if all(p % d for d in range(2, math.isqrt(p) + 1))
+        }
+        expect = {p: w for p, w in expect.items() if w}
+        assert dict(zip(primes, weights)) == expect, n
+
+
+@pytest.mark.parametrize("kind", SUM_KINDS)
+def test_log_sum_takes_one_log_per_bit_slice(kind, monkeypatch):
+    n = 3000
+    _, weights = analytic_moments._prime_weights(kind, n)
+    calls = []
+    log = mp.log
+    monkeypatch.setattr(analytic_moments.mp, "log", lambda x: calls.append(x) or log(x))
+    with working_precision(256):
+        analytic_moments._exact_log_sum(kind, n)
+    assert len(calls) == max(weights).bit_length()
+    assert len(calls) <= 2 * math.log2(n) + 2
+
+
+def test_log_sum_cost_bound(monkeypatch):
+    # the bound is checked before any sieve is built
+    def no_sieve(limit):
+        raise AssertionError(f"sieve to {limit} built")
+
+    monkeypatch.setattr(analytic_moments, "primes_up_to", no_sieve)
+    bound = analytic_moments._LOG_SUM_MAX_N
+    for kind in SUM_KINDS:
+        with pytest.raises(DomainError, match="cost bound"):
+            log_sum_asymptotics(kind, bound + 1, 1024)
+        with pytest.raises(DomainError, match="cost bound"):
+            log_sum_asymptotics(kind, 10**9, 1024)

@@ -260,6 +260,13 @@ def test_poles_record(capsys):
     assert rec["result"] == "0"
 
 
+def test_poles_record_at_large_k(capsys):
+    code, rec = run_json(capsys, "poles", "U", "1000")
+    assert code == 0
+    assert rec["inputs"]["at"] == "-1999/2"
+    assert rec["result"] == "1999"
+
+
 def test_asym_record(capsys):
     code, rec = run_json(capsys, "asym", "U", "50")
     assert code == 0
