@@ -10,10 +10,7 @@ script expose everything on the command line.
 
 from .analytic_moments import (
     SUM_KINDS,
-    FundamentalConstants,
     barnes_g,
-    constants,
-    double_gamma,
     half_moment_unitary,
     log_moment_asymptotic,
     log_sum_asymptotics,
@@ -38,11 +35,9 @@ from .euler_products import (
     FamilyDescriptor,
     MeanValueShape,
     assemble_mean_value,
-    divisor_coefficient,
     sp_local_factor,
     sp_quadratic_arithmetic_factor,
     zeta_arithmetic_factor,
-    zeta_local_factor,
 )
 from .exact_moments import (
     SymmetryClass,
@@ -65,11 +60,10 @@ from .numeric_core import (
     abs_least_residue,
     decimal_string,
     factorial,
-    half_floor_bracket,
     is_prime,
     primes_up_to,
 )
-from .padic_valuation import valuation, valuation_term, zero_valuation_window
+from .padic_valuation import valuation, zero_valuation_window
 from .precision import DEFAULT_PRECISION_BITS, RealApprox, default_precision
 from .self_similar import (
     Cusp,
@@ -79,7 +73,6 @@ from .self_similar import (
     density_exact,
     density_numeric,
     sample_density,
-    valuation_density_ratios,
 )
 
 __version__ = "0.1.0"
@@ -88,7 +81,6 @@ __all__ = [
     "__version__",
     # integer utilities
     "factorial",
-    "half_floor_bracket",
     "abs_least_residue",
     "primes_up_to",
     "is_prime",
@@ -102,7 +94,6 @@ __all__ = [
     "moment_factored",
     # valuations
     "valuation",
-    "valuation_term",
     "zero_valuation_window",
     # self-similar densities
     "SelfSimilar",
@@ -112,12 +103,8 @@ __all__ = [
     "density_exact",
     "density_numeric",
     "sample_density",
-    "valuation_density_ratios",
     # analytic continuation
-    "FundamentalConstants",
-    "constants",
     "barnes_g",
-    "double_gamma",
     "moment_ratio_closed_form",
     "moment_closed_form",
     "moment_by_limit",
@@ -127,8 +114,6 @@ __all__ = [
     "log_sum_asymptotics",
     "SUM_KINDS",
     # Euler products and assembly
-    "divisor_coefficient",
-    "zeta_local_factor",
     "zeta_arithmetic_factor",
     "sp_local_factor",
     "sp_quadratic_arithmetic_factor",

@@ -12,21 +12,18 @@ function two independent ways:
 
 It also houses the supporting pieces those routes need: a first-party
 Barnes G (a fixed-point log-G series on one exact Bernoulli table, shifted
-through the integer product kernel of the limit ladder), the bundle of
-analytic constants (gamma, zeta'(0), zeta'(-1) from the superfactorial,
-zeta'(2)), the unitary constant at degree 1/2, a numeric pole-order probe,
-and the large-degree asymptotic expansions of ``log g_k`` together with the
-partial-sum expansions they rest on.
+through the integer product kernel of the limit ladder), the three
+analytic constants the formulas read (log 2, zeta'(0) and zeta'(-1) from
+the superfactorial, cached per precision), the unitary constant at degree
+1/2, a numeric pole-order probe, and the large-degree asymptotic expansions
+of ``log g_k`` together with the partial-sum expansions they rest on.
 
-Conventions fixed here (and validated by the integer cross-checks in the
-test suite):
-
-* the double gamma function is the reciprocal of Barnes G, so
-  ``double_gamma(1) = 1`` and ``double_gamma(z+1) = double_gamma(z)/gamma(z)``;
-* reported moment values include the ``Gamma(1 + B(lambda))`` factor, so
-  they agree with the exact integers at integer degree.  The bare ratio
-  (which is what has poles of the advertised orders) is exposed
-  separately as ``moment_ratio_closed_form``.
+Convention fixed here (and validated by the integer cross-checks in the
+test suite): reported moment values include the ``Gamma(1 + B(lambda))``
+factor, so they agree with the exact integers at integer degree.  The bare
+ratio (which is what has poles of the advertised orders) is exposed
+separately as ``moment_ratio_closed_form``; the closed forms divide by
+Barnes G directly (the double gamma function is its reciprocal).
 
 The orthogonal-class limit product carries an extra factor 1/2 relative
 to a naive transcription; without it the product reproduces twice every
@@ -39,7 +36,6 @@ from __future__ import annotations
 import functools
 import math
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, count
 
@@ -51,10 +47,7 @@ from .numeric_core import FactoredInteger, primes_up_to
 from .precision import RealApprox, approx, to_fraction, to_mpf, working_precision
 
 __all__ = [
-    "FundamentalConstants",
-    "constants",
     "barnes_g",
-    "double_gamma",
     "moment_ratio_closed_form",
     "moment_closed_form",
     "moment_by_limit",
@@ -71,6 +64,7 @@ _POLE_RADIUS = mp.mpf("1e-8")
 # from k = 10 on, at 1e-4 ... 1e-6 from k = 425 on)
 _PROBE_RADII = (1e-7, 1e-8, 1e-9)
 _LADDER_START = 32
+# the largest N of the limit ladder and the longest shift of Barnes G
 _LADDER_MAX_N = 1 << 20
 # bits of _RunningProduct above the working precision: m ladder steps
 # cost m(m + 3) of its ulps, and m <= 2 _LADDER_MAX_N + 1
@@ -78,55 +72,23 @@ _KERNEL_GUARD = 64
 
 
 # ---------------------------------------------------------------------------
-# fundamental constants
-
-
-@dataclass(frozen=True)
-class FundamentalConstants:
-    """Analytic constants shared by the closed forms and asymptotics."""
-
-    euler_gamma: RealApprox
-    zeta_prime_0: RealApprox
-    zeta_prime_minus1: RealApprox
-    zeta_prime_2: RealApprox
-    log_2: RealApprox
-    log_2pi: RealApprox
-    precision_bits: int
+# analytic constants
 
 
 @functools.lru_cache(maxsize=None)
-def _constants_cached(bits: int) -> FundamentalConstants:
+def _constants(bits: int):
+    """(log 2, zeta'(0), zeta'(-1)) for the closed forms and asymptotics,
+    at the working precision of ``working_precision(bits)``."""
     with working_precision(bits):
         log_2 = mp.log(2)
-        log_2pi = mp.log(2 * mp.pi)
-        zp0 = -log_2pi / 2
+        zp0 = -mp.log(2 * mp.pi) / 2
         # zeta'(-1) = log G(n + 1) minus the log-G series at z = n + 1 (past
         # the series threshold) without its zeta'(-1) term; the superfactorial
         # G(n + 1) = 1! 2! ... (n-1)! runs in the kernel, term i! with ratio i + 1
         n = math.ceil(_series_threshold()) - 1
         superfactorial = _RunningProduct(mp.mpf(1), lambda i: (i + 1, 1)).advance(n - 1)
         zpm1 = mp.log(superfactorial) - _log_barnes_g_large(mp.mpf(n + 1), 0)
-        # Glaisher-Kinkelin relations: log A = 1/12 - zeta'(-1) and
-        # zeta'(2) = zeta(2) (gamma + log 2pi - 12 log A).
-        log_a = mp.mpf(1) / 12 - zpm1
-        gamma = +mp.euler
-        zp2 = mp.pi**2 / 6 * (gamma + log_2pi - 12 * log_a)
-        wrap = lambda v: approx(v, bits)
-        return FundamentalConstants(
-            euler_gamma=wrap(gamma),
-            zeta_prime_0=wrap(zp0),
-            zeta_prime_minus1=wrap(zpm1),
-            zeta_prime_2=wrap(zp2),
-            log_2=wrap(log_2),
-            log_2pi=wrap(log_2pi),
-            precision_bits=bits,
-        )
-
-
-def constants(precision_bits=None) -> FundamentalConstants:
-    """Constant bundle at the requested precision (cached, immutable)."""
-    with working_precision(precision_bits) as bits:
-        return _constants_cached(bits)
+        return log_2, zp0, zpm1
 
 
 # ---------------------------------------------------------------------------
@@ -231,12 +193,19 @@ def _barnes_g_raw(z: mp.mpf, zpm1: mp.mpf) -> mp.mpf:
     Below the series threshold, z is shifted up by n steps with one
     Gamma call: G(z) = G(z + n) / prod_{i<n} Gamma(z + i), and
     prod_{i<n} Gamma(z + i) = Gamma(z)^n prod_{i=1}^{n-1} (z)_i, whose
-    rising factorials run in _RunningProduct on z = a/b exactly.
+    rising factorials run in _RunningProduct on z = a/b exactly.  The cost
+    is linear in n, and the kernel's rounding bound holds for n up to
+    _LADDER_MAX_N; a longer shift is a DomainError, raised before any work.
     """
     threshold = _series_threshold()
     if z >= threshold:
         return mp.exp(_log_barnes_g_large(z, zpm1))
     n = int(mp.ceil(threshold - z))
+    if n > _LADDER_MAX_N:
+        raise DomainError(
+            f"Barnes G at {mp.nstr(z, 15)} needs a shift of {n} steps, "
+            f"above the cost bound {_LADDER_MAX_N}"
+        )
     large = mp.exp(_log_barnes_g_large(z + n, zpm1))
     a, b = to_fraction(z).as_integer_ratio()
     rising_product = _RunningProduct(z, lambda i: (a + i * b, b)).advance(n - 1)
@@ -250,21 +219,15 @@ def barnes_g(z, precision_bits=None) -> RealApprox:
     log-G series, G(z) = G(z + n) / (Gamma(z)^n prod_{i=1}^{n-1} (z)_i),
     so one Gamma call and a running rising factorial replace the n Gamma
     factors.  Nonpositive integers are zeros of G; they are rejected so
-    that the reciprocal is well defined everywhere we accept input.
+    that the reciprocal is well defined everywhere we accept input.  The
+    cost grows linearly with n, so z below about -2^20 (a shift past
+    _LADDER_MAX_N) is a DomainError.
     """
     with working_precision(precision_bits) as bits:
         zv = to_mpf(z)
         if zv <= 0 and mp.isint(zv):
             raise PoleError(f"1/G has a pole at the nonpositive integer {zv}")
-        zpm1 = constants(bits).zeta_prime_minus1.value
-        return approx(_barnes_g_raw(zv, zpm1), bits)
-
-
-def double_gamma(z, precision_bits=None) -> RealApprox:
-    """Reciprocal Barnes G, the double gamma normalization of the module
-    docstring; the closed forms divide by G directly."""
-    with working_precision(precision_bits) as bits:
-        return approx(1 / barnes_g(z, bits).value, bits)
+        return approx(_barnes_g_raw(zv, _constants(bits)[2]), bits)
 
 
 # ---------------------------------------------------------------------------
@@ -283,19 +246,18 @@ def _check_pole(sym: SymmetryClass, lam: mp.mpf) -> None:
         )
 
 
-def _ratio_closed_raw(sym: SymmetryClass, lam: mp.mpf, c: FundamentalConstants) -> mp.mpf:
+def _ratio_closed_raw(sym: SymmetryClass, lam: mp.mpf, c: tuple) -> mp.mpf:
     """g_lambda / Gamma(1 + B(lambda)) via one Barnes G value.
 
     U and O each have one log-prefactor formula; Sp is the shifted O value
     g_Sp(lambda) = 2^-lambda g_O(lambda + 1), whose log power B_O(lambda + 1)
     equals B_Sp(lambda).  U needs G(lambda + 1/2) G(lambda + 3/2), and
     G(z + 1) = Gamma(z) G(z) turns that into Gamma(lambda + 1/2) G(lambda + 1/2)^2.
+    ``c`` is ``_constants(bits)``.
     """
     if sym is SymmetryClass.Sp:
         return _ratio_closed_raw(SymmetryClass.O, lam + 1, c) / mp.power(2, lam)
-    ln2 = c.log_2.value
-    zp0 = c.zeta_prime_0.value
-    zpm1 = c.zeta_prime_minus1.value
+    ln2, zp0, zpm1 = c
     half = mp.mpf("0.5")
     g = _barnes_g_raw(lam + half, zpm1)
     if sym is SymmetryClass.U:
@@ -321,7 +283,7 @@ def moment_ratio_closed_form(sym: SymmetryClass, lam, precision_bits=None) -> Re
     with working_precision(precision_bits) as bits:
         lam_v = to_mpf(lam)
         _check_pole(sym, lam_v)
-        value = _ratio_closed_raw(sym, lam_v, constants(bits))
+        value = _ratio_closed_raw(sym, lam_v, _constants(bits))
         return approx(value, bits)
 
 
@@ -496,12 +458,14 @@ def pole_order(sym: SymmetryClass, k: int, precision_bits=None) -> int:
 
     Fits log|ratio| against log(radius) by least squares over the probe
     radii; the negated slope, rounded, is the estimated order (0 means
-    the point is regular).  A poor linear fit raises NoConvergence.
+    the point is regular).  A poor linear fit raises NoConvergence.  Each
+    probe shifts Barnes G by about k steps, so k above about 2^20 is a
+    DomainError.
     """
     if not isinstance(k, int) or k < 1:
         raise DomainError("pole probing needs a positive integer k")
     with working_precision(precision_bits) as bits:
-        c = constants(bits)
+        c = _constants(bits)
         lam0 = mp.mpf("0.5") - k
         xs = []
         ys = []
@@ -548,10 +512,7 @@ def log_moment_asymptotic(sym: SymmetryClass, k: int, precision_bits=None) -> Re
     if not isinstance(k, int) or k < 2:
         raise DomainError("the expansion needs k >= 2")
     with working_precision(precision_bits) as bits:
-        c = constants(bits)
-        ln2 = c.log_2.value
-        zp0 = c.zeta_prime_0.value
-        zpm1 = c.zeta_prime_minus1.value
+        ln2, zp0, zpm1 = _constants(bits)
         kk = mp.mpf(k)
         log_k = mp.log(kk)
         if sym is SymmetryClass.U:
@@ -656,10 +617,7 @@ def log_sum_asymptotics(kind: str, n: int, precision_bits=None):
             f"n = {n} is above the log-sum cost bound {_LOG_SUM_MAX_N}"
         )
     with working_precision(precision_bits) as bits:
-        c = constants(bits)
-        zp0 = c.zeta_prime_0.value
-        zpm1 = c.zeta_prime_minus1.value
-        ln2 = c.log_2.value
+        ln2, zp0, zpm1 = _constants(bits)
         nn = mp.mpf(n)
         log_n = mp.log(nn)
         log_2n = log_n + ln2

@@ -23,17 +23,6 @@ def factorial(n: int) -> int:
     return math.factorial(n)
 
 
-def half_floor_bracket(x: Rational) -> int:
-    """floor((floor(x) + 1) / 2).
-
-    For x >= 0 this counts the odd integers in [1, x]; it is the variant
-    floor that shows up in valuation formulas for odd double factorials.
-    Defined for every rational x.
-    """
-    fl = x if isinstance(x, int) else math.floor(x)
-    return (fl + 1) // 2
-
-
 def abs_least_residue(n: int, b: int) -> int:
     """The representative of n mod b lying in (-b/2, b/2]."""
     if b < 1:
@@ -128,13 +117,6 @@ class FactoredInteger:
         while len(factors) > 1:
             factors = [math.prod(factors[i : i + 2]) for i in range(0, len(factors), 2)]
         return factors[0] if factors else 1
-
-    def largest_prime(self) -> int:
-        """Largest prime factor; 1 for the empty factorization."""
-        return max(self.exponents) if self.exponents else 1
-
-    def __getitem__(self, p: int) -> int:
-        return self.exponents.get(p, 0)
 
 
 _DECIMAL_LEAF_BITS = 4096

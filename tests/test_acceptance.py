@@ -1,9 +1,11 @@
-"""Acceptance sweep: one test per shipping criterion, one line each under -v.
+"""Acceptance sweep: one test per shipping criterion, one line each under -v,
+and the paper's v_p(g_k) ~ k c_p(x) check through valuation_density_ratios.
 
 Every test here is self-contained and re-derives its own expected values or
 carries them frozen inline.
 """
 
+import math
 import random
 import time
 from fractions import Fraction
@@ -33,7 +35,6 @@ from lfmoments import (
     pole_order,
     primes_up_to,
     valuation,
-    valuation_density_ratios,
     zero_valuation_window,
     zeta_arithmetic_factor,
 )
@@ -70,7 +71,7 @@ def test_c02_hundredth_unitary_constant_factorization():
     for p, e in displayed.items():
         assert fac.exponents.get(p, 0) == e, (p, e, fac.exponents.get(p, 0))
     assert valuation(U, 199, 100) == 49
-    assert fac.largest_prime() == 9973
+    assert max(fac.exponents) == 9973
     assert time.perf_counter() - start < 5.0
 
 
@@ -122,6 +123,38 @@ def test_c05_density_values():
         x = Fraction(rng.randint(1, 200), rng.randint(1, 200))
         got = density_numeric(p, x, eps=1e-12)
         assert abs(float(got) - float(density_exact(p, x))) < 1e-11, (p, x)
+
+
+def valuation_density_ratios(p: int, x, j: int) -> dict:
+    """Actual valuations over the density prediction at k = floor(p^j x):
+    v / (k c) for U and v / ((k/2) c) for O and Sp.  The paper's
+    v_p(g_k) ~ k c_p(x) puts each ratio near 1, off by O(log k)/k relative."""
+    k = math.floor(Fraction(x) * p**j)
+    c = density_exact(p, x)
+    return {
+        "k": k,
+        "U": float(Fraction(valuation(U, p, k)) / (k * c)),
+        "O": float(Fraction(2 * valuation(O, p, k)) / (k * c)),
+        "Sp": float(Fraction(2 * valuation(SP, p, k)) / (k * c)),
+    }
+
+
+def test_density_ratio_examples():
+    ratios = valuation_density_ratios(3, 1, 7)
+    for sym in ("U", "O", "Sp"):
+        assert abs(ratios[sym] - 1) < 0.05
+    ratios5 = valuation_density_ratios(5, Fraction(3, 13), 6)
+    for sym in ("U", "O", "Sp"):
+        assert abs(ratios5[sym] - 1) < 0.1
+
+
+def test_density_ratio_monotone():
+    prev = None
+    for j in range(4, 9):
+        r = valuation_density_ratios(3, 1, j)["U"]
+        if prev is not None:
+            assert abs(r - 1) <= abs(prev - 1)
+        prev = r
 
 
 def test_c06_density_ratio_convergence():

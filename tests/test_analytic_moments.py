@@ -7,6 +7,7 @@ import random
 import sys
 import threading
 from fractions import Fraction
+from functools import partial
 
 import mpmath as mp
 import pytest
@@ -21,8 +22,6 @@ from lfmoments import (
     PoleError,
     SymmetryClass,
     barnes_g,
-    constants,
-    double_gamma,
     half_moment_unitary,
     log_moment_asymptotic,
     log_power,
@@ -34,7 +33,7 @@ from lfmoments import (
     pole_order,
 )
 from lfmoments import analytic_moments
-from lfmoments.precision import to_fraction, working_precision
+from lfmoments.precision import to_fraction, to_mpf, working_precision
 
 U, O, SP = SymmetryClass.U, SymmetryClass.O, SymmetryClass.Sp
 
@@ -47,19 +46,18 @@ def rel_gap(got, expect) -> float:
 # ---------------------------------------------------------------- constants
 
 
-def test_zeta_prime_zero_is_half_log_2pi():
-    c = constants()
-    with mp.workprec(256):
-        assert abs(c.zeta_prime_0.value + c.log_2pi.value / 2) < mp.mpf(2) ** -200
+def _zeta_prime_minus1(bits: int) -> mp.mpf:
+    with working_precision(bits):
+        return analytic_moments._constants(bits)[2]
 
 
 def test_glaisher_identity_ties_the_bundle_together():
-    # log A = 1/12 - zeta'(-1) must equal (gamma + log 2pi)/12 - zeta'(2)/(2 pi^2);
-    # the bundle derives zeta'(2) from log A, so zeta'(2) comes from mpmath here
-    c = constants()
+    # log A = 1/12 - zeta'(-1) must equal (gamma + log 2pi)/12 - zeta'(2)/(2 pi^2),
+    # with gamma, log 2pi and zeta'(2) from mpmath
+    zpm1 = _zeta_prime_minus1(256)
     with mp.workprec(256):
-        left = mp.mpf(1) / 12 - c.zeta_prime_minus1.value
-        right = (c.euler_gamma.value + c.log_2pi.value) / 12 - mp.zeta(
+        left = mp.mpf(1) / 12 - zpm1
+        right = (mp.euler + mp.log(2 * mp.pi)) / 12 - mp.zeta(
             2, derivative=1
         ) / (2 * mp.pi**2)
         assert abs(left - right) < mp.mpf(2) ** -200
@@ -67,44 +65,12 @@ def test_glaisher_identity_ties_the_bundle_together():
 
 @pytest.mark.parametrize("bits", [128, 256, 1024])
 def test_zeta_prime_minus1_matches_glaisher(bits):
-    # the bundle takes zeta'(-1) from the superfactorial G(n + 1) and the
-    # log-G series; mpmath's Glaisher constant gives 1/12 - log A
-    got = constants(bits).zeta_prime_minus1
+    # zeta'(-1) comes from the superfactorial G(n + 1) and the log-G series;
+    # mpmath's Glaisher constant gives 1/12 - log A
+    got = _zeta_prime_minus1(bits)
     with mp.workprec(bits + 64):
         want = mp.mpf(1) / 12 - mp.log(mp.glaisher)
-        assert abs(got.value - want) <= got.err_estimate
-        assert abs(got.value - want) < abs(want) * mp.mpf(2) ** -(bits + 16)
-
-
-@pytest.mark.parametrize("bits", [128, 256, 1024])
-def test_zeta_prime_2_matches_mpmath_derivative(bits):
-    got = constants(bits).zeta_prime_2
-    with mp.workprec(bits + 64):
-        want = mp.zeta(2, derivative=1)
-        assert abs(got.value - want) <= got.err_estimate
-        assert abs(got.value - want) < abs(want) * mp.mpf(2) ** -(bits + 16)
-
-
-def test_euler_gamma_against_harmonic_oracle():
-    # Euler-Maclaurin for H_n - log n, independent of the library constant
-    c = constants()
-    with mp.workprec(256):
-        n = 4000
-        h = mp.fsum(mp.mpf(1) / j for j in range(1, n + 1))
-        approx = (
-            h
-            - mp.log(n)
-            - mp.mpf(1) / (2 * n)
-            + mp.mpf(1) / (12 * n**2)
-            - mp.mpf(1) / (120 * n**4)
-        )
-        assert abs(approx - c.euler_gamma.value) < 1e-20
-
-
-def test_constants_honor_precision_request():
-    c = constants(precision_bits=128)
-    assert c.precision_bits == 128
-    assert c.euler_gamma.precision_bits == 128
+        assert abs(got - want) < abs(want) * mp.mpf(2) ** -(bits + 16)
 
 
 # ----------------------------------------------------------------- barnes G
@@ -183,7 +149,7 @@ def _off_zeros(rng: random.Random) -> float:
 @pytest.mark.parametrize("bits, cases", [(128, 20), (256, 20), (1024, 6)])
 def test_barnes_shift_matches_per_step_gamma_product(bits, cases):
     rng = random.Random(bits)
-    zpm1 = constants(bits).zeta_prime_minus1.value
+    zpm1 = _zeta_prime_minus1(bits)
     with working_precision(bits):
         for _ in range(cases):
             z = mp.mpf(_off_zeros(rng))
@@ -194,10 +160,10 @@ def test_barnes_shift_matches_per_step_gamma_product(bits, cases):
 
 def test_barnes_shift_matches_per_step_gamma_product_at_4096_bits():
     # zeta'(-1) enters both routes as the same factor of G(z + n), so the
-    # 1024-bit bundle value serves (a cold 4096-bit bundle extends the
-    # Bernoulli table to ~860 entries, about 0.8 s); half-integer z keeps
-    # the per-step Gamma calls cheap
-    zpm1 = constants(1024).zeta_prime_minus1.value
+    # 1024-bit value serves (a cold 4096-bit one extends the Bernoulli
+    # table to ~860 entries, about 0.8 s); half-integer z keeps the
+    # per-step Gamma calls cheap
+    zpm1 = _zeta_prime_minus1(1024)
     with working_precision(4096):
         for z in (mp.mpf(-5) / 2, mp.mpf(7) / 2):
             want = _per_step_barnes_g(z, zpm1)
@@ -310,17 +276,17 @@ def test_barnes_g_and_constants_skip_mpmath_bernoulli_and_glaisher(monkeypatch):
     glaisher = CountingGlaisher()
     monkeypatch.setattr(mp, "bernoulli", counting_bernoulli)
     monkeypatch.setattr(mp, "glaisher", glaisher)
-    # a cold bundle and a cold Bernoulli table
+    # cold constants and a cold Bernoulli table
     monkeypatch.setattr(analytic_moments, "_BERNOULLI", [Fraction(1, 6)])
     monkeypatch.setattr(analytic_moments, "_TANGENT_COLUMN", [1])
     monkeypatch.setattr(analytic_moments, "_LOG_G_COEFFS", {})
     monkeypatch.setattr(
         analytic_moments,
-        "_constants_cached",
-        functools.lru_cache(maxsize=None)(analytic_moments._constants_cached.__wrapped__),
+        "_constants",
+        functools.lru_cache(maxsize=None)(analytic_moments._constants.__wrapped__),
     )
     for bits in (128, 1024):
-        constants(bits)
+        _zeta_prime_minus1(bits)
         for z in (Fraction(-7, 3), Fraction(1, 3), 5, 200):
             barnes_g(z, precision_bits=bits)
     assert calls == []
@@ -333,7 +299,7 @@ def test_barnes_g_and_constants_skip_mpmath_bernoulli_and_glaisher(monkeypatch):
 
 
 def test_barnes_g_makes_one_gamma_call(monkeypatch):
-    constants(1024)
+    _zeta_prime_minus1(1024)
     calls = []
     gamma = mp.gamma
 
@@ -355,13 +321,45 @@ def test_barnes_pole_guard():
     for z in (0, -1, -3):
         with pytest.raises(PoleError):
             barnes_g(z)
-        with pytest.raises(PoleError):
-            double_gamma(z)
 
 
-def test_double_gamma_normalization():
-    for z in (1, 2, 3):
-        assert rel_gap(double_gamma(z).value, 1) < 1e-70
+# a degree 10^9 below zero, and the pole at 1/2 - 2^20
+FAR_SHIFTS = {
+    "barnes_g": lambda: barnes_g(-(10**9) - Fraction(1, 3)),
+    **{
+        f"closed_{sym.value}": partial(moment_closed_form, sym, -(10**9) - Fraction(1, 3))
+        for sym in SymmetryClass
+    },
+    **{f"poles_{sym.value}": partial(pole_order, sym, 2**20) for sym in SymmetryClass},
+}
+
+
+@pytest.mark.parametrize("route", sorted(FAR_SHIFTS))
+def test_barnes_shift_beyond_the_cost_bound_is_an_error(monkeypatch, route):
+    # the shift costs time linear in its length (barnes_g(-100000.33) took
+    # 0.3 s, pole_order(U, 10^5) 0.5 s); past _LADDER_MAX_N steps it is
+    # refused before the kernel starts
+    _zeta_prime_minus1(256)
+
+    def no_kernel(*args):
+        raise AssertionError("shift kernel started")
+
+    monkeypatch.setattr(analytic_moments, "_RunningProduct", no_kernel)
+    with pytest.raises(DomainError, match="cost bound"):
+        FAR_SHIFTS[route]()
+
+
+def test_barnes_shift_bound_admits_exactly_ladder_max_n_steps(monkeypatch):
+    z = Fraction(-119, 2)
+    with working_precision(256):
+        n = int(mp.ceil(analytic_moments._series_threshold() - to_mpf(z)))
+        want = _per_step_barnes_g(to_mpf(z), analytic_moments._constants(256)[2])
+    monkeypatch.setattr(analytic_moments, "_LADDER_MAX_N", n)
+    got = barnes_g(z, 256)
+    assert abs(got.value - want) <= got.err_estimate
+    monkeypatch.setattr(analytic_moments, "_LADDER_MAX_N", n - 1)
+    with pytest.raises(DomainError, match="cost bound"):
+        barnes_g(z, 256)
 
 
 # ------------------------------------------------------------- closed forms

@@ -393,3 +393,30 @@ def test_cp_plot_requires_a_destination(capsys):
     code, rec = run_json(capsys, "cp-plot", "3", "0.2", "8", "50")
     assert code == 1
     assert "error" in rec
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("poles", "U", "10000000"),
+        ("glambda", "U", "--", "-1000000000"),
+        ("glambda", "Sp", "--", "-7000001/3"),
+        ("ak", "zeta", "2", "--cutoff", "1000000000"),
+        ("ak", "spquad", "2", "--cutoff", "1000000000"),
+        ("assemble", "U", "1", "2", "--cutoff", "1000000000"),
+    ],
+)
+def test_cost_bounds_are_error_records(capsys, argv):
+    # each of these used to run for hours or to exhaust memory
+    code, rec = run_json(capsys, *argv)
+    assert code == 1
+    assert rec["error"]["type"] == "DomainError"
+    assert re.search("cost bound|prime_cutoff", rec["error"]["message"])
+
+
+def test_cp_plot_sample_count_beyond_the_cost_bound_is_an_error_record(tmp_path, capsys):
+    path = tmp_path / "points.csv"
+    code, rec = run_json(capsys, "cp-plot", "3", "1", "2", "1000000000", "--csv", str(path))
+    assert code == 1
+    assert rec["error"]["type"] == "DomainError"
+    assert not path.exists()

@@ -14,74 +14,32 @@ from lfmoments import (
     RealApprox,
     SymmetryClass,
     assemble_mean_value,
-    divisor_coefficient,
     primes_up_to,
     sp_local_factor,
     sp_quadratic_arithmetic_factor,
     zeta_arithmetic_factor,
-    zeta_local_factor,
 )
-from lfmoments.euler_products import _euler_products, _sp_local, _sp_shape
-from lfmoments.precision import working_precision
+from lfmoments import euler_products
+from lfmoments.euler_products import (
+    _euler_products,
+    _sp_local,
+    _sp_shape,
+    _zeta_order,
+    _zeta_product,
+)
+from lfmoments.precision import approx, working_precision
 
 U, O, SP = SymmetryClass.U, SymmetryClass.O, SymmetryClass.Sp
 
 
-# ---------------------------------------------------------- d_k coefficients
-
-
-def test_dk_examples():
-    assert divisor_coefficient(1, 5) == 1
-    assert divisor_coefficient(2, 3) == 4
-    assert divisor_coefficient(3, 2) == 6
-    assert divisor_coefficient(7, 0) == 1
-
-
-def test_dk_integer_k_is_exact():
-    got = divisor_coefficient(4, 6)
-    assert isinstance(got, int)
-    assert got == 84  # C(9, 6)
-
-
-def test_dk_at_zero_order_is_delta():
-    assert divisor_coefficient(0, 0) == 1
-    assert divisor_coefficient(0, 3) == 0
-
-
-def test_dk_rejects_bad_input():
-    with pytest.raises(DomainError):
-        divisor_coefficient(2, -1)
-    with pytest.raises(DomainError):
-        divisor_coefficient(-0.5, 2)
-
-
-def test_dk_convolution_identity():
-    # multiplying the generating series: sum_{i+j=n} d_a d_b = d_{a+b}
-    for a in (1, 2, 3):
-        for b in (1, 2, 4):
-            for n in range(0, 11):
-                conv = sum(
-                    divisor_coefficient(a, i) * divisor_coefficient(b, n - i)
-                    for i in range(n + 1)
-                )
-                assert conv == divisor_coefficient(a + b, n)
-
-
-def test_dk_partial_sums_match_binomial_series():
-    # sum_j d_k(p^j) x^j converges to (1-x)^-k
-    for k in (1, 2, 3):
-        for x in (Fraction(1, 2), Fraction(1, 3), Fraction(-1, 2)):
-            partial = sum(divisor_coefficient(k, j) * x**j for j in range(80))
-            target = (1 - x) ** -k
-            assert abs(float(partial - target)) < 1e-18
-
-
-def test_dk_real_order_tracks_integer_values():
-    for j in range(0, 8):
-        assert abs(divisor_coefficient(3.0, j) - divisor_coefficient(3, j)) < 1e-9
-
-
 # ------------------------------------------------------------- local factors
+
+
+def zeta_local_factor(k, p: int, precision_bits=None):
+    """One local factor (1 - 1/p)^{k^2} 2F1(k, k; 1; 1/p): the kernel's
+    product over the single prime p."""
+    with working_precision(precision_bits) as bits:
+        return approx(_zeta_product(_zeta_order(k), [p], bits), bits)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 97])
@@ -128,12 +86,6 @@ def test_zeta_local_factor_matches_hypergeometric_series(k, bits):
             x = 1 / mp.mpf(p)
             want = (1 - x) ** (k_mp * k_mp) * mp.hyp2f1(k_mp, k_mp, 1, x)
             assert abs(got.value - want) <= got.err_estimate, (k, p, bits)
-
-
-@pytest.mark.parametrize("p", [0, 1, 4, 9, 91, 3.0])
-def test_zeta_local_factor_rejects_non_primes(p):
-    with pytest.raises(DomainError):
-        zeta_local_factor(2, p)
 
 
 def test_local_factor_rejects_low_k():
@@ -227,6 +179,21 @@ def test_zeta_huge_order_is_divergent():
 def test_ak_zeta_rejects_small_cutoff():
     with pytest.raises(DomainError):
         zeta_arithmetic_factor(2, prime_cutoff=50)
+
+
+@pytest.mark.parametrize(
+    "cutoff", [euler_products._MAX_CUTOFF + 1, 10**9, 10**400, 1000.0, "1000"]
+)
+@pytest.mark.parametrize("product", [zeta_arithmetic_factor, sp_quadratic_arithmetic_factor])
+def test_prime_cutoff_beyond_the_cost_bound_is_an_error(monkeypatch, product, cutoff):
+    # primes_up_to(10^9) would build a 1 GB sieve; the cutoff is checked
+    # before any sieve is built
+    def no_sieve(limit):
+        raise AssertionError(f"sieve to {limit} built")
+
+    monkeypatch.setattr(euler_products, "primes_up_to", no_sieve)
+    with pytest.raises(DomainError, match="prime_cutoff"):
+        product(2, prime_cutoff=cutoff)
 
 
 # ------------------------------------------------------- Sp quadratic family
@@ -394,6 +361,13 @@ def test_family_descriptor_coerces_and_validates():
     assert fam.conductor_exponent == Fraction(1, 2)
     with pytest.raises(DomainError):
         FamilyDescriptor(sym=U, conductor_exponent=0, label="bad")
+
+
+@pytest.mark.parametrize("exponent", [math.nan, math.inf, -math.inf, "nan", "inf"])
+def test_family_descriptor_rejects_non_finite_exponents(exponent):
+    # Fraction raised a bare ValueError or OverflowError here
+    with pytest.raises(DomainError, match="finite"):
+        FamilyDescriptor(sym=U, conductor_exponent=exponent, label="bad")
 
 
 def test_assemble_second_moment_classical_shape():

@@ -86,11 +86,11 @@ def test_factored_examples():
 
 def test_factored_u100_display():
     f = moment_factored(U, 100)
-    assert f[2] == 95
-    assert f[3] == 65
-    assert f[5] == 24
-    assert f[7] == 33
-    assert f.largest_prime() == 9973
+    assert f.exponents[2] == 95
+    assert f.exponents[3] == 65
+    assert f.exponents[5] == 24
+    assert f.exponents[7] == 33
+    assert max(f.exponents) == 9973
 
 
 @pytest.mark.parametrize("sym", list(SymmetryClass))

@@ -1,4 +1,4 @@
-"""Integer helpers: factorials, brackets, residues, primes, factored integers."""
+"""Integer helpers: factorials, residues, primes, factored integers."""
 
 import math
 import sys
@@ -14,7 +14,6 @@ from lfmoments import (
     abs_least_residue,
     decimal_string,
     factorial,
-    half_floor_bracket,
     is_prime,
     moment_constant_factorial_form,
     moment_factored,
@@ -39,29 +38,6 @@ def test_factorial_rejects_negative():
 def test_double_factorial_splits_factorial(j):
     # (2j-1)!! * 2^j * j! = (2j)!
     assert math.prod(range(1, 2 * j, 2)) * 2**j * factorial(j) == factorial(2 * j)
-
-
-def test_half_floor_bracket_values():
-    assert half_floor_bracket(5) == 3
-    assert half_floor_bracket(4) == 2
-    assert half_floor_bracket(0) == 0
-
-
-def test_half_floor_bracket_fractions():
-    assert half_floor_bracket(Fraction(7, 2)) == 2
-    assert half_floor_bracket(Fraction(-1, 2)) == 0
-
-
-@given(st.integers(min_value=-500, max_value=500))
-def test_half_floor_bracket_odd_identity(n):
-    # on odd integers the bracket is exactly (n+1)/2
-    m = 2 * n + 1
-    assert half_floor_bracket(m) == (m + 1) // 2
-
-
-@given(st.integers(min_value=-300, max_value=300))
-def test_half_floor_bracket_nondecreasing(n):
-    assert half_floor_bracket(n) <= half_floor_bracket(n + 1)
 
 
 def test_abs_least_residue_values():
@@ -187,9 +163,9 @@ def test_decimal_string_ignores_int_str_limit():
 def test_factored_integer_accessors():
     f = moment_factored(SymmetryClass.U, 4)
     assert f.value() == 24024
-    assert f.largest_prime() == 13
-    assert f[7] == 1
-    assert f[5] == 0
+    assert max(f.exponents) == 13
+    assert f.exponents[7] == 1
+    assert 5 not in f.exponents
     assert f == FactoredInteger({13: 1, 11: 1, 7: 1, 3: 1, 2: 3})
 
 
@@ -200,7 +176,6 @@ def test_factor_roundtrip(exponents):
     # the balanced product tree of value() against a plain running product
     f = FactoredInteger(exponents)
     assert f.value() == math.prod(p**e for p, e in exponents.items())
-    assert f.largest_prime() == max(exponents, default=1)
 
 
 @pytest.mark.parametrize("sym", list(SymmetryClass))

@@ -1,4 +1,8 @@
-"""Closed-form valuations of the moment constants, plus the zero windows."""
+"""Valuations of the moment constants, the paper's closed per-level terms
+as their oracle, and the zero windows."""
+
+import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -13,13 +17,69 @@ from lfmoments import (
     moment_constant_factorial_form,
     primes_up_to,
     valuation,
-    valuation_term,
     zero_valuation_window,
 )
 
 U, O, SP = SymmetryClass.U, SymmetryClass.O, SymmetryClass.Sp
 
 ODD_PRIMES = primes_up_to(997)[1:]
+
+
+def half_floor_bracket(x) -> int:
+    """floor((floor(x) + 1) / 2): for x >= 0 the number of odd integers in
+    [1, x], the floor of the valuation formulas for odd double factorials."""
+    fl = x if isinstance(x, int) else math.floor(x)
+    return (fl + 1) // 2
+
+
+def valuation_term(sym, p: int, ell: int, k: int) -> int:
+    """The paper's closed level-ell summand of v_p for the U or O constant
+    at an odd prime p: a nonnegative integer, and the sum over ell >= 1
+    is the full valuation."""
+    if sym is SP or p == 2:
+        raise UnsupportedClass("closed valuation terms cover U and O at odd primes")
+    q = p**ell
+    if sym is U:
+        a = (k - 1) // q
+        b = (2 * k - 1) // q
+        doubled = (
+            2 * (k * k // q)
+            + 2 * (2 * k - q) * a
+            + (q - 4 * k) * b
+            - 2 * q * a * a
+            + q * b * b
+        )
+    else:
+        m = half_floor_bracket((2 * k - 3) // q)
+        doubled = 2 * (k * (k - 1) // 2 // q) - (2 * k - 1) * m + q * m * m
+    assert doubled % 2 == 0, ("half-integer valuation term", sym, p, ell, k)
+    return doubled // 2
+
+
+def test_half_floor_bracket_values():
+    assert half_floor_bracket(5) == 3
+    assert half_floor_bracket(4) == 2
+    assert half_floor_bracket(0) == 0
+
+
+def test_half_floor_bracket_fractions():
+    assert half_floor_bracket(Fraction(7, 2)) == 2
+    assert half_floor_bracket(Fraction(-1, 2)) == 0
+
+
+@given(st.integers(min_value=-500, max_value=500))
+def test_half_floor_bracket_odd_identity(n):
+    # on odd integers the bracket is exactly (n+1)/2
+    m = 2 * n + 1
+    assert half_floor_bracket(m) == (m + 1) // 2
+
+
+@given(st.integers(min_value=-300, max_value=300))
+def test_half_floor_bracket_nondecreasing(n):
+    assert half_floor_bracket(n) <= half_floor_bracket(n + 1)
+
+
+
 
 
 def test_term_examples():
@@ -170,8 +230,6 @@ def test_window_rejects_non_primes(p):
     for sym in (U, O):
         with pytest.raises(DomainError):
             zero_valuation_window(sym, p, 10)
-        with pytest.raises(DomainError):
-            valuation_term(sym, p, 1, 10)
 
 
 @pytest.mark.parametrize("k", [0, -3, 2.5, 3.0, "3"])
@@ -179,8 +237,6 @@ def test_orders_must_be_positive_integers(k):
     # a non-integer order is a DomainError here as in moment_factored
     with pytest.raises(DomainError):
         valuation(U, 3, k)
-    with pytest.raises(DomainError):
-        valuation_term(U, 3, 1, k)
     with pytest.raises(DomainError):
         zero_valuation_window(U, 5, k)
 

@@ -13,9 +13,7 @@ from lfmoments import (
     SymmetryClass,
     assemble_mean_value,
     barnes_g,
-    constants,
     default_precision,
-    double_gamma,
     half_moment_unitary,
     log_moment_asymptotic,
     log_sum_asymptotics,
@@ -25,7 +23,6 @@ from lfmoments import (
     pole_order,
     sp_quadratic_arithmetic_factor,
     zeta_arithmetic_factor,
-    zeta_local_factor,
 )
 from lfmoments.precision import (
     DEFAULT_PRECISION_BITS,
@@ -53,8 +50,6 @@ def _assemble(bits):
 ENTRY_POINTS = {
     "assemble_mean_value": _assemble,
     "barnes_g": lambda b: barnes_g(HALF, precision_bits=b),
-    "double_gamma": lambda b: double_gamma(HALF, precision_bits=b),
-    "constants": lambda b: constants(precision_bits=b),
     "moment_closed_form": lambda b: moment_closed_form(U, HALF, precision_bits=b),
     "moment_ratio_closed_form": lambda b: moment_ratio_closed_form(
         U, HALF, precision_bits=b
@@ -66,7 +61,6 @@ ENTRY_POINTS = {
     "pole_order": lambda b: pole_order(SP, 1, precision_bits=b),
     "log_moment_asymptotic": lambda b: log_moment_asymptotic(U, 10, precision_bits=b),
     "log_sum_asymptotics": lambda b: log_sum_asymptotics("log_j", 10, precision_bits=b),
-    "zeta_local_factor": lambda b: zeta_local_factor(2, 3, precision_bits=b),
     "zeta_arithmetic_factor": lambda b: zeta_arithmetic_factor(
         2, prime_cutoff=100, precision_bits=b
     ),
@@ -82,14 +76,12 @@ NUMERIC_ARGUMENT = {
         FamilyDescriptor(sym=U, conductor_exponent=1, label="zeta"), 2, x
     ),
     "barnes_g": barnes_g,
-    "double_gamma": double_gamma,
     "moment_closed_form": lambda x: moment_closed_form(U, x),
     "moment_ratio_closed_form": lambda x: moment_ratio_closed_form(U, x),
     "moment_by_limit": lambda x: moment_by_limit(U, x),
     "pole_order": lambda x: pole_order(SP, x),
     "log_moment_asymptotic": lambda x: log_moment_asymptotic(U, x),
     "log_sum_asymptotics": lambda x: log_sum_asymptotics("log_j", x),
-    "zeta_local_factor": lambda x: zeta_local_factor(x, 3),
     "zeta_arithmetic_factor": lambda x: zeta_arithmetic_factor(x, prime_cutoff=100),
     "sp_quadratic_arithmetic_factor": lambda x: sp_quadratic_arithmetic_factor(
         x, prime_cutoff=100
@@ -98,7 +90,7 @@ NUMERIC_ARGUMENT = {
 
 
 def test_numeric_arguments_cover_the_entry_points():
-    no_argument = {"constants", "half_moment_unitary"}
+    no_argument = {"half_moment_unitary"}
     assert set(NUMERIC_ARGUMENT) | no_argument == set(ENTRY_POINTS)
 
 

@@ -19,7 +19,6 @@ from lfmoments import (
     density_exact,
     density_numeric,
     sample_density,
-    valuation_density_ratios,
 )
 from lfmoments import self_similar
 
@@ -117,8 +116,6 @@ def test_non_finite_eps_and_x_are_domain_errors(bad):
         density_numeric(3, bad)
     with pytest.raises(DomainError):
         density_exact(3, bad)
-    with pytest.raises(DomainError):
-        valuation_density_ratios(3, bad, 2)
 
 
 def test_orbit_beyond_the_cost_budget_is_an_error():
@@ -186,7 +183,6 @@ PRIME_ARGUMENT = {
     "density_exact": lambda p: density_exact(p, Fraction(1, 3)),
     "density_numeric": lambda p: density_numeric(p, Fraction(1, 3)),
     "classify_point": lambda p: classify_point(p, 1, 7),
-    "valuation_density_ratios": lambda p: valuation_density_ratios(p, 1, 3),
 }
 
 
@@ -220,24 +216,6 @@ def test_half_integers_are_cusps(p, a):
         assert classify_point(p, a, 2) == Cusp()
 
 
-def test_density_ratio_examples():
-    ratios = valuation_density_ratios(3, 1, 7)
-    for sym in ("U", "O", "Sp"):
-        assert abs(ratios[sym] - 1) < 0.05
-    ratios5 = valuation_density_ratios(5, Fraction(3, 13), 6)
-    for sym in ("U", "O", "Sp"):
-        assert abs(ratios5[sym] - 1) < 0.1
-
-
-def test_density_ratio_monotone():
-    prev = None
-    for j in range(4, 9):
-        r = valuation_density_ratios(3, 1, j)["U"]
-        if prev is not None:
-            assert abs(r - 1) <= abs(prev - 1)
-        prev = r
-
-
 def test_sample_density_grid():
     pts = sample_density(3, 1.0, 3.0, 3)
     assert [x for x, _ in pts] == [1.0, 2.0, 3.0]
@@ -252,6 +230,18 @@ def test_sample_density_grid():
     hi = Fraction(3, 13) + Fraction(1, 625)
     window = sample_density(5, lo, hi, 101, eps=1e-10)
     assert abs(window[50][1] - 23 / 72) < 1e-9
+
+
+@pytest.mark.parametrize("n", [1, self_similar._MAX_SAMPLES + 1, 10**9])
+def test_sample_count_beyond_the_cost_bound_is_an_error(monkeypatch, n):
+    # a point costs about 0.6 ms, so n = 10^9 would run for days; the count
+    # is checked before any point is sampled
+    def no_density(*args, **kwargs):
+        raise AssertionError("a point was sampled")
+
+    monkeypatch.setattr(self_similar, "density_numeric", no_density)
+    with pytest.raises(DomainError, match="sample points"):
+        sample_density(3, 1, 2, n)
 
 
 def test_large_p_approaches_norm_square():
