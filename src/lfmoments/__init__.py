@@ -21,7 +21,6 @@ from .analytic_moments import (
 )
 from .errors import (
     ConstraintError,
-    DivergentInner,
     DomainError,
     IntegralityViolation,
     LfmomentsError,
@@ -35,7 +34,6 @@ from .euler_products import (
     FamilyDescriptor,
     MeanValueShape,
     assemble_mean_value,
-    sp_local_factor,
     sp_quadratic_arithmetic_factor,
     zeta_arithmetic_factor,
 )
@@ -115,7 +113,6 @@ __all__ = [
     "SUM_KINDS",
     # Euler products and assembly
     "zeta_arithmetic_factor",
-    "sp_local_factor",
     "sp_quadratic_arithmetic_factor",
     "FamilyDescriptor",
     "MeanValueShape",
@@ -142,5 +139,4 @@ __all__ = [
     "PoleError",
     "NoConvergence",
     "ConstraintError",
-    "DivergentInner",
 ]

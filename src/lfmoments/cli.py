@@ -348,11 +348,8 @@ def _emit(record: dict, as_csv: bool) -> None:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    output = common.add_mutually_exclusive_group()
-    output.add_argument("--json", dest="csv", action="store_false", default=False,
-                        help="JSON output (default)")
-    output.add_argument("--csv", dest="csv", action="store_true",
-                        help="flat CSV output")
+    common.add_argument("--csv", action="store_true",
+                        help="flat CSV output instead of JSON")
     common.add_argument("--timing", action="store_true",
                         help="include elapsed_ms in the record")
 
@@ -385,11 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cp", parents=[common], help="self-similar valuation density")
     p.add_argument("p", type=_positive_prime)
     p.add_argument("x", type=_fraction)
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--exact", action="store_true", default=True,
-                      help="exact rational evaluation (default)")
-    mode.add_argument("--eps", type=float, default=None,
-                      help="numeric evaluation to this tolerance instead")
+    p.add_argument("--eps", type=float, default=None,
+                   help="numeric evaluation to this tolerance, not exact")
     p.set_defaults(handler=_cmd_cp)
 
     # no [common] parent here: --csv takes a PATH for this subcommand,
@@ -419,11 +413,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("lam", type=_fraction, metavar="lambda",
                    help="real degree, e.g. 1/2 or -3.5; put -- before a "
                    "negative fraction: glambda U -- -7/3")
-    route = p.add_mutually_exclusive_group()
-    route.add_argument("--closed", action="store_true", default=True,
-                       help="closed form (default)")
-    route.add_argument("--limit", action="store_true", default=False,
-                       help="extrapolated defining limit instead")
+    p.add_argument("--limit", action="store_true",
+                   help="extrapolated defining limit instead of the closed form")
     p.add_argument("--digits", type=int, default=12,
                    help="target digits for the limit route")
     p.set_defaults(handler=_cmd_glambda)

@@ -39,7 +39,3 @@ class NoConvergence(LfmomentsError):
 
 class ConstraintError(LfmomentsError):
     """Polynomial inputs violate a structural constraint (parity, nonzero...)."""
-
-
-class DivergentInner(LfmomentsError):
-    """An inner local sum failed to converge within the iteration budget."""

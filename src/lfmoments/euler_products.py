@@ -6,7 +6,8 @@ and the one attached to the quadratic-character symplectic family.  Both
 are truncated at a prime cutoff with an observable error estimate, and
 both take the shape (prod_p (1 - 1/p))^alpha * prod_p S(1/p) with a power
 series S whose coefficients do not depend on p; one fixed-point kernel,
-_euler_products, evaluates that shape for either family.
+_euler_products, evaluates that shape for either family, once _check_cost
+has bounded its work from k, the cutoff and the precision alone.
 
 ``assemble_mean_value`` combines an arithmetic factor with the exact
 moment constant into the leading-term shape
@@ -20,48 +21,89 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
+from itertools import count
 
 import mpmath as mp
 
-from .errors import DivergentInner, DomainError
+from .errors import DomainError
 from .exact_moments import SymmetryClass, log_power, moment_constant
-from .numeric_core import check_prime, factorial, primes_up_to
+from .numeric_core import factorial, primes_up_to
 from .precision import RealApprox, approx, to_fraction, to_mpf, working_precision
 
 __all__ = [
     "zeta_arithmetic_factor",
-    "sp_local_factor",
     "sp_quadratic_arithmetic_factor",
     "FamilyDescriptor",
     "MeanValueShape",
     "assemble_mean_value",
 ]
 
-_INNER_BUDGET = 100_000
-# prime cutoffs the products accept: at 256 bits the largest took 0.27 s
-# (zeta, k = 2) to 1.1 s (k = 1/2), where 10^7 took 2.4 s and 8.1 s (2-vCPU
-# x86-64, CPython 3.11); the sieve holds a byte per integer up to the cutoff
 _MIN_CUTOFF = 100
-_MAX_CUTOFF = 10**6
+# estimated nanoseconds the products may take, from the steps and widths
+# _series_steps bounds.  On a 2-vCPU x86-64, CPython 3.11, no gmpy2:
+#   input                             estimate  time
+#   zeta 1/2, cutoff 10^6, 256 bits   2.8 s     0.8-1.1 s  accepted
+#   zeta 1, cutoff 10^7, 64 bits      1.4 s     1.3 s      accepted
+#   spquad 1000, cutoff 10^3          2.2 s     0.25 s     accepted
+#   zeta 1/2, cutoff 10^6, 512 bits   10 s      3.5-4.1 s  refused
+#   zeta 1/2, cutoff 10^4, 4096 bits  29 s      15 s       refused
+#   spquad 3000, cutoff 10^4          240 s     4.5 s      refused
+#   zeta 20001/2, cutoff 10^5         1.5e4 s   16.6 s     refused
+_MAX_WORK_NS = 3 * 10**9
 
 
-def _check_cutoff(prime_cutoff) -> None:
-    """Raise DomainError, before any sieve, unless prime_cutoff is an int
-    in [_MIN_CUTOFF, _MAX_CUTOFF]."""
-    in_range = isinstance(prime_cutoff, int) and _MIN_CUTOFF <= prime_cutoff <= _MAX_CUTOFF
-    if not in_range:
+def _series_steps(k: Fraction, prime_cutoff: int, bits: int):
+    """Upper bounds on the kernel's steps over the primes up to prime_cutoff
+    (two a prime for the running products, the rest in the series), on the
+    bit width of their ints and on the series ratios, computed once.
+
+    Primes <= x number below 1.25506 x / ln x (Rosser and Schoenfeld, 1962),
+    so below 2x / (b - 1) for the bit length b of x.  At integer k >= 0 the
+    series takes at most k + 2 steps a prime: Sp's Horner over k + 2
+    coefficients of at most k bits, or zeta's polynomial of at most k terms.
+    Otherwise zeta's series at a = min(k, 1 - k) has |(a)_j / j!| <= 2^A,
+    A = ceil(max(0, -a)), so its terms at p fall below 2^-(bits + 16) once
+    j log2 p > T = 2A + bits + 16: within T / log2 p + 1 steps, counted as
+    at p = 2 up to 2^h <= sqrt(prime_cutoff) and as at p = 2^h above.  k
+    and A are capped at _MAX_WORK_NS, where one prime alone passes the bound.
+    """
+    def primes(x):
+        return 2 * x // (x.bit_length() - 1)
+
+    big = min(max(0, math.ceil(-min(k, 1 - k))), _MAX_WORK_NS)
+    if k.denominator == 1:
+        ratios = min(k.numerator, _MAX_WORK_NS) + 2
+        steps = primes(prime_cutoff) * (ratios + 2)
+    else:
+        ratios = 2 * big + bits + 17
+        h = (prime_cutoff.bit_length() - 1) // 2
+        steps = primes(1 << h) * ratios + primes(prime_cutoff) * (ratios // h + 3)
+    return steps, mp.mp.prec + 32 + 2 * big + 2, ratios
+
+
+def _check_cost(k, prime_cutoff, bits: int) -> Fraction:
+    """k as an exact rational (``to_fraction``), once k > -1/2, the cutoff
+    is an int >= _MIN_CUTOFF and the products' work at these bits is within
+    _MAX_WORK_NS; DomainError otherwise.  Runs before any sieve or table."""
+    if not isinstance(prime_cutoff, int) or prime_cutoff < _MIN_CUTOFF:
         raise DomainError(
-            f"prime_cutoff must be an integer in [{_MIN_CUTOFF}, {_MAX_CUTOFF}], "
+            f"prime_cutoff must be an integer of at least {_MIN_CUTOFF}, "
             f"got {prime_cutoff!r}"
         )
-
-
-def _divergent(p: int, bits: int) -> DivergentInner:
-    eps = mp.ldexp(1, -(bits + 16))
-    return DivergentInner(
-        f"local sum at p={p} did not fall below {mp.nstr(eps, 3)} "
-        f"within {_INNER_BUDGET} terms"
-    )
+    k = to_fraction(k)
+    if k <= Fraction(-1, 2):
+        raise DomainError("the product is defined only for k > -1/2")
+    steps, width, ratios = _series_steps(k, prime_cutoff, bits)
+    # a step multiplies and divides w-bit ints in about w (w + 2048) / 1024
+    # ns; each ratio squares ints the size of k's numerator or denominator
+    table = width + 2 * max(k.numerator.bit_length(), k.denominator.bit_length())
+    work = steps * width * (width + 2048) + ratios * table * (table + 2048)
+    if work >> 10 > _MAX_WORK_NS:
+        raise DomainError(
+            f"k, prime_cutoff and {bits} bits pass the cost bound of the Euler "
+            f"products: over {_MAX_WORK_NS // 10**9} s of estimated work"
+        )
+    return k
 
 
 def _euler_products(primes, alpha, make_local, ends) -> list:
@@ -122,23 +164,15 @@ def _zeta_local(a: Fraction, bits: int, width: int):
             total += term
             if term < eps:
                 return total
-        for j in range(len(ratios) + 1, _INNER_BUDGET + 1):
+        for j in count(len(ratios) + 1):
             ratio = ((num + (j - 1) * den) ** 2 << width) // (j * den) ** 2
             ratios.append(ratio)
             term = term * ratio // scale
             total += term
             if term < eps:
                 return total
-        raise _divergent(p, bits)
 
     return local
-
-
-def _zeta_order(k) -> Fraction:
-    """k as an exact rational (``to_fraction``), checked to lie above -1/2."""
-    if to_mpf(k) <= mp.mpf("-0.5"):
-        raise DomainError("the product is defined only for k > -1/2")
-    return to_fraction(k)
 
 
 def _zeta_product(k: Fraction, primes, bits: int) -> mp.mpf:
@@ -151,10 +185,6 @@ def _zeta_product(k: Fraction, primes, bits: int) -> mp.mpf:
     the kernel's shape with alpha = a^2 and S = 2F1(a, a; 1; x).
     """
     a = min(k, 1 - k)
-    s = 1 / mp.sqrt(primes[0])
-    # the terms at the smallest prime rise while j < (-a s - 1) / (1 + s)
-    if -to_mpf(a) * s - 1 > _INNER_BUDGET * (1 + s):
-        raise _divergent(primes[0], bits)
     make_local = partial(_zeta_local, a, bits)
     return _euler_products(primes, a * a, make_local, [len(primes)])[0]
 
@@ -192,9 +222,8 @@ def zeta_arithmetic_factor(
     local-factor logs decay like k^2(k-1)^2/(4p^2), summed with the exact
     prime zeta tail), never less than the working-precision floor.
     """
-    _check_cutoff(prime_cutoff)
     with working_precision(precision_bits) as bits:
-        k = _zeta_order(k)
+        k = _check_cost(k, prime_cutoff, bits)
         primes = primes_up_to(prime_cutoff)
         product = _zeta_product(k, primes, bits)
         # each p^-2 rounded down by < 2^-_TAIL_BITS; the tail P(2) - sum,
@@ -236,24 +265,6 @@ def _sp_local(coeffs, width: int):
     return local
 
 
-def sp_local_factor(k: int, p: int) -> Fraction:
-    """Exact local factor of the symplectic quadratic-family product.
-
-    The average over the two square-root signs is even in p^{-1/2}, hence
-    rational in 1/p; integer k therefore admits exact evaluation.  At
-    k = 1 this simplifies to 1 - 1/(p^2 + p).
-    """
-    if not isinstance(k, int) or k < 1:
-        raise DomainError("exact local factors need a positive integer k")
-    check_prime(p)
-    alpha, coeffs = _sp_shape(k)
-    y = Fraction(1, p)
-    series = Fraction(0)
-    for c in reversed(coeffs):
-        series = series * y + c
-    return (1 - y) ** alpha * series / (1 + y)
-
-
 def sp_quadratic_arithmetic_factor(
     k: int, prime_cutoff: int = 100_000, precision_bits=None
 ) -> RealApprox:
@@ -263,7 +274,7 @@ def sp_quadratic_arithmetic_factor(
     (1-1/p)^{k(k+1)/2} * (((1+p^{-1/2})^{-k} + (1-p^{-1/2})^{-k})/2 + 1/p)
     / (1 + 1/p): the common shape (prod (1 - 1/p))^alpha prod S(1/p),
     times prod p/(p+1), with alpha = k(k-1)/2 and the integer polynomial S
-    of sp_local_factor.  The fixed-point kernel evaluates it at W = working
+    of _sp_shape.  The fixed-point kernel evaluates it at W = working
     precision + 32 bits, S by Horner (under 3 ulps of 2^-W per prime), the
     power once; for n primes the rounding stays within
     (1 + alpha) n log(cutoff) 2^-W relative.  The err_estimate is the gap
@@ -272,8 +283,8 @@ def sp_quadratic_arithmetic_factor(
     """
     if not isinstance(k, int) or k < 1:
         raise DomainError("k must be a positive integer")
-    _check_cutoff(prime_cutoff)
     with working_precision(precision_bits) as bits:
+        _check_cost(k, prime_cutoff, bits)
         primes = primes_up_to(prime_cutoff)
         alpha, coeffs = _sp_shape(k)
         half = bisect_right(primes, prime_cutoff // 2)

@@ -58,7 +58,7 @@ def test_gk_example(capsys):
 
 
 def test_cp_example(capsys):
-    code, rec = run_json(capsys, "cp", "5", "3/13", "--exact")
+    code, rec = run_json(capsys, "cp", "5", "3/13")
     assert code == 0
     assert rec["result"] == "23/72"
 
@@ -99,7 +99,7 @@ def test_unknown_subcommand_exits_two(capsys):
 
 
 def test_domain_error_record_exits_one(capsys):
-    code, rec = run_json(capsys, "glambda", "U", "-0.5", "--closed")
+    code, rec = run_json(capsys, "glambda", "U", "-0.5")
     assert code == 1
     assert rec["error"]["type"] == "PoleError"
     assert "pole" in rec["error"]["message"]
@@ -169,7 +169,7 @@ def test_vp_record(capsys):
 
 
 def test_cp_value_round_trip(capsys):
-    code, rec = run_json(capsys, "cp", "3", "7/5", "--exact")
+    code, rec = run_json(capsys, "cp", "3", "7/5")
     assert code == 0
     assert Fraction(rec["result"]) == density_exact(3, Fraction(7, 5))
 
@@ -202,7 +202,7 @@ def test_classify_record(capsys):
 
 
 def test_glambda_matches_library(capsys):
-    code, rec = run_json(capsys, "glambda", "O", "5/2", "--closed")
+    code, rec = run_json(capsys, "glambda", "O", "5/2")
     assert code == 0
     want = float(moment_closed_form(SymmetryClass.O, Fraction(5, 2)))
     assert float(rec["result"]) == pytest.approx(want, rel=1e-12)
@@ -237,7 +237,8 @@ def test_ak_zeta_fractional_order_matches_library(capsys):
 def test_ak_zeta_huge_order_is_an_error_record(capsys):
     code, rec = run_json(capsys, "ak", "zeta", "1e400", "--cutoff", "100")
     assert code == 1
-    assert rec["error"]["type"] == "DivergentInner"
+    assert rec["error"]["type"] == "DomainError"
+    assert "cost bound" in rec["error"]["message"]
 
 
 def test_assemble_orthogonal_notes_missing_factor(capsys):
@@ -346,8 +347,8 @@ def test_timing_flag_adds_elapsed(capsys):
 
 
 def test_determinism(capsys):
-    _, first = run(capsys, "glambda", "Sp", "1.7", "--closed")
-    _, second = run(capsys, "glambda", "Sp", "1.7", "--closed")
+    _, first = run(capsys, "glambda", "Sp", "1.7")
+    _, second = run(capsys, "glambda", "Sp", "1.7")
     assert first == second
 
 
@@ -404,14 +405,33 @@ def test_cp_plot_requires_a_destination(capsys):
         ("ak", "zeta", "2", "--cutoff", "1000000000"),
         ("ak", "spquad", "2", "--cutoff", "1000000000"),
         ("assemble", "U", "1", "2", "--cutoff", "1000000000"),
+        ("ak", "zeta", "200001/2", "--cutoff", "100"),
+        ("ak", "spquad", "100000", "--cutoff", "100"),
+        ("ak", "zeta", "20001/2"),
+        ("ak", "spquad", "3000", "--cutoff", "10000"),
+        ("ak", "zeta", "1e-300000", "--cutoff", "100"),
     ],
 )
 def test_cost_bounds_are_error_records(capsys, argv):
-    # each of these used to run for hours or to exhaust memory
+    # each of these used to run for seconds to hours or to exhaust memory
     code, rec = run_json(capsys, *argv)
     assert code == 1
     assert rec["error"]["type"] == "DomainError"
     assert re.search("cost bound|prime_cutoff", rec["error"]["message"])
+
+
+@pytest.mark.parametrize(
+    "bits, argv",
+    [("16384", ("ghalf",)), ("1024", ("ak", "zeta", "1/2", "--cutoff", "1000000"))],
+)
+def test_precision_from_the_environment_beyond_a_bound_is_an_error_record(
+    monkeypatch, capsys, bits, argv
+):
+    # past the precision ceiling, and past the Euler cost bound at 1024 bits
+    monkeypatch.setenv("LFMOMENTS_PRECISION", bits)
+    code, rec = run_json(capsys, *argv)
+    assert code == 1
+    assert rec["error"]["type"] == "DomainError"
 
 
 def test_cp_plot_sample_count_beyond_the_cost_bound_is_an_error_record(tmp_path, capsys):

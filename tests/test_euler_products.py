@@ -8,25 +8,27 @@ import mpmath as mp
 import pytest
 
 from lfmoments import (
-    DivergentInner,
     DomainError,
     FamilyDescriptor,
     RealApprox,
     SymmetryClass,
     assemble_mean_value,
     primes_up_to,
-    sp_local_factor,
     sp_quadratic_arithmetic_factor,
     zeta_arithmetic_factor,
 )
 from lfmoments import euler_products
 from lfmoments.euler_products import (
+    _MAX_WORK_NS,
+    _MIN_CUTOFF,
+    _check_cost,
     _euler_products,
+    _series_steps,
     _sp_local,
     _sp_shape,
-    _zeta_order,
     _zeta_product,
 )
+from lfmoments.numeric_core import check_prime
 from lfmoments.precision import approx, working_precision
 
 U, O, SP = SymmetryClass.U, SymmetryClass.O, SymmetryClass.Sp
@@ -37,9 +39,29 @@ U, O, SP = SymmetryClass.U, SymmetryClass.O, SymmetryClass.Sp
 
 def zeta_local_factor(k, p: int, precision_bits=None):
     """One local factor (1 - 1/p)^{k^2} 2F1(k, k; 1; 1/p): the kernel's
-    product over the single prime p."""
+    product over the single prime p, with k checked as for the primes up to
+    the least cutoff."""
     with working_precision(precision_bits) as bits:
-        return approx(_zeta_product(_zeta_order(k), [p], bits), bits)
+        k = _check_cost(k, _MIN_CUTOFF, bits)
+        return approx(_zeta_product(k, [p], bits), bits)
+
+
+def sp_local_factor(k: int, p: int) -> Fraction:
+    """Exact local factor of the symplectic quadratic-family product.
+
+    The average over the two square-root signs is even in p^{-1/2}, hence
+    rational in 1/p; integer k therefore admits exact evaluation.  At
+    k = 1 this simplifies to 1 - 1/(p^2 + p).
+    """
+    if not isinstance(k, int) or k < 1:
+        raise DomainError("exact local factors need a positive integer k")
+    check_prime(p)
+    alpha, coeffs = _sp_shape(k)
+    y = Fraction(1, p)
+    series = Fraction(0)
+    for c in reversed(coeffs):
+        series = series * y + c
+    return (1 - y) ** alpha * series / (1 + y)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 97])
@@ -168,11 +190,9 @@ def test_zeta_ak_matches_term_by_term_product():
             assert abs(got.value - want) < mp.mpf(2) ** -110 * want, k
 
 
-def test_zeta_huge_order_is_divergent():
-    # the terms at p = 2 would still be rising when the term budget runs out
-    with pytest.raises(DivergentInner):
-        zeta_local_factor(Fraction(10**400), 2)
-    with pytest.raises(DivergentInner):
+def test_zeta_huge_order_is_beyond_the_cost_bound():
+    # about 10^400 series steps a prime, refused before any sieve
+    with pytest.raises(DomainError, match="cost bound"):
         zeta_arithmetic_factor(Fraction(10**400), prime_cutoff=100)
 
 
@@ -181,9 +201,7 @@ def test_ak_zeta_rejects_small_cutoff():
         zeta_arithmetic_factor(2, prime_cutoff=50)
 
 
-@pytest.mark.parametrize(
-    "cutoff", [euler_products._MAX_CUTOFF + 1, 10**9, 10**400, 1000.0, "1000"]
-)
+@pytest.mark.parametrize("cutoff", [10**8, 10**9, 10**400, 1000.0, "1000"])
 @pytest.mark.parametrize("product", [zeta_arithmetic_factor, sp_quadratic_arithmetic_factor])
 def test_prime_cutoff_beyond_the_cost_bound_is_an_error(monkeypatch, product, cutoff):
     # primes_up_to(10^9) would build a 1 GB sieve; the cutoff is checked
@@ -194,6 +212,72 @@ def test_prime_cutoff_beyond_the_cost_bound_is_an_error(monkeypatch, product, cu
     monkeypatch.setattr(euler_products, "primes_up_to", no_sieve)
     with pytest.raises(DomainError, match="prime_cutoff"):
         product(2, prime_cutoff=cutoff)
+
+
+@pytest.mark.parametrize(
+    "k, cutoff, bits, accepted",
+    [
+        (Fraction(1, 2), 10**6, 256, True),
+        (1, 10**7, 64, True),
+        (1000, 1000, 256, True),
+        (Fraction(1, 2), 10**6, 512, False),
+        (Fraction(1, 2), 10**4, 4096, False),
+        (3000, 10**4, 256, False),
+        (Fraction(20001, 2), 10**5, 256, False),
+    ],
+    ids=str,
+)
+def test_cost_bound_keeps_its_calibration_rows(k, cutoff, bits, accepted):
+    # the rows timed in the comment above _MAX_WORK_NS, without running them
+    with working_precision(bits) as bits:
+        if accepted:
+            assert _check_cost(k, cutoff, bits) == k
+        else:
+            with pytest.raises(DomainError, match="cost bound"):
+                _check_cost(k, cutoff, bits)
+
+
+# accepted inputs near the cost bound, one per regime of _series_steps: a
+# large A at the least cutoff, integer k for either family, many primes
+@pytest.mark.parametrize(
+    "product, k, cutoff, bits",
+    [
+        (zeta_arithmetic_factor, Fraction(4601, 2), 100, 128),
+        (zeta_arithmetic_factor, 1000, 1000, 256),
+        (sp_quadratic_arithmetic_factor, 1000, 1000, 256),
+        (zeta_arithmetic_factor, Fraction(1, 3), 10**5, 512),
+    ],
+    ids=lambda v: getattr(v, "__name__", str(v)),
+)
+def test_series_steps_bound_the_steps_the_kernel_takes(monkeypatch, product, k, cutoff, bits):
+    # every kernel step, a series term or a running product, floor-divides
+    # an int of at most 2 * width bits by a prime p or by p << width: primes
+    # that count those divisions see each step
+    steps = widest = 0
+
+    class Prime(int):
+        def __lshift__(self, shift):
+            return Prime(int(self) << shift)
+
+        def __rfloordiv__(self, other):
+            nonlocal steps, widest
+            steps += 1
+            widest = max(widest, other.bit_length())
+            return other // int(self)
+
+    with working_precision(bits) as bits:
+        bound, width, _ = _series_steps(Fraction(k), cutoff, bits)
+        # accepted, but refused by a bound four times smaller
+        assert _check_cost(k, cutoff, bits) == k
+        monkeypatch.setattr(euler_products, "_MAX_WORK_NS", _MAX_WORK_NS // 4)
+        with pytest.raises(DomainError, match="cost bound"):
+            _check_cost(k, cutoff, bits)
+    monkeypatch.setattr(euler_products, "_MAX_WORK_NS", _MAX_WORK_NS)
+    primes = [Prime(p) for p in primes_up_to(cutoff)]
+    monkeypatch.setattr(euler_products, "primes_up_to", lambda limit: primes)
+    product(k, prime_cutoff=cutoff, precision_bits=bits)
+    assert 0 < steps <= bound
+    assert widest <= 2 * width
 
 
 # ------------------------------------------------------- Sp quadratic family

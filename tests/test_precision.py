@@ -27,6 +27,7 @@ from lfmoments import (
 from lfmoments.precision import (
     DEFAULT_PRECISION_BITS,
     GUARD_BITS,
+    MAX_PRECISION_BITS,
     MIN_PRECISION_BITS,
     approx,
     to_fraction,
@@ -164,6 +165,8 @@ def test_every_approximate_routine_enforces_the_floor(name):
     call = ENTRY_POINTS[name]
     with pytest.raises(DomainError):
         call(MIN_PRECISION_BITS - 1)
+    with pytest.raises(DomainError, match="at most"):
+        call(MAX_PRECISION_BITS + 1)
     got = call(MIN_PRECISION_BITS)
     if hasattr(got, "precision_bits"):
         assert got.precision_bits == MIN_PRECISION_BITS
