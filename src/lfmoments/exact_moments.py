@@ -14,9 +14,11 @@ the mean value carries a 1/Gamma(1+B(k)) alongside.
 
 Each constant is a ratio of factorials, so one engine applies Legendre's
 formula to that all-factorial form and yields the exponent of every prime
-without building g_k.  The factorization, the valuations and the integer (a
-product tree over p**e) all come from it; moment_constant_factorial_form,
-by exact division, is the independent test oracle.
+without building g_k.  The factorization, the valuations, the integer (a
+product tree over p**e) and its decimal string (built in decimal from the
+exponents' bits, FactoredInteger.decimal_string) all come from it;
+moment_constant_factorial_form, by exact division, is the independent test
+oracle.
 """
 
 from __future__ import annotations
@@ -139,13 +141,24 @@ def _legendre_exponents(sym: SymmetryClass, k: int, primes) -> dict:
     return exps
 
 
+# the cost bound on B(k), the sieve limit: at 4 * 10**6 (U k = 2000, O and
+# Sp k ~ 2828) g_k has ~1.2 * 10**7 digits, which gk prints in ~5 s and
+# ~90 MB; gk U 100000 would otherwise allocate a 10 GB sieve
+_MAX_LOG_POWER = 4_000_000
+
+
 def moment_factored(sym: SymmetryClass, k: int) -> FactoredInteger:
     """Exact prime factorization of the moment constant, by Legendre's formula.
 
     No prime above max(2, B(k)) divides the constant (2 is the exception
     to B: g_O(2) = 2 while B = 1).  The integer itself is never built.
+    B(k) past _MAX_LOG_POWER is a DomainError, raised before the sieve.
     """
     _check_k(k)
-    return FactoredInteger(
-        _legendre_exponents(sym, k, primes_up_to(max(2, log_power(sym, k))))
-    )
+    b = log_power(sym, k)
+    if b > _MAX_LOG_POWER:
+        raise DomainError(
+            f"k={k} passes the cost bound of the exact constants: "
+            f"B(k) = {b} > {_MAX_LOG_POWER}"
+        )
+    return FactoredInteger(_legendre_exponents(sym, k, primes_up_to(max(2, b))))

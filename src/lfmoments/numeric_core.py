@@ -1,10 +1,12 @@
 """Exact integer and rational primitives used by everything else.
 
-All arithmetic here is exact: Python ints and fractions.Fraction only.
+All arithmetic here is exact: Python ints, fractions.Fraction, and decimal
+in a context that traps any rounding.
 """
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -118,8 +120,43 @@ class FactoredInteger:
             factors = [math.prod(factors[i : i + 2]) for i in range(0, len(factors), 2)]
         return factors[0] if factors else 1
 
+    def decimal_string(self) -> str:
+        """str(self.value()), built in decimal without the binary integer.
 
+        The integer is prod_i P_i^(2^i), where P_i is the product of the
+        primes whose exponent has bit i set: from the top bit down, square
+        and multiply by a decimal product tree over P_i's primes.  Decimal
+        multiplication is sub-quadratic and its str() is linear, so this
+        skips both the binary product tree and the base conversion.  Values
+        up to _FACTORED_DIRECT_BITS take the binary route, faster there.
+        """
+        items = self.exponents.items()
+        if sum(e * math.log2(p) for p, e in items) <= _FACTORED_DIRECT_BITS:
+            return decimal_string(self.value())
+        ctx = _exact_decimal_context()
+        acc = decimal.Decimal(1)
+        for i in reversed(range(max(self.exponents.values()).bit_length())):
+            factors = [decimal.Decimal(p) for p, e in items if e >> i & 1]
+            while len(factors) > 1:
+                paired = list(map(ctx.multiply, factors[::2], factors[1::2]))
+                factors = paired + factors[len(paired) * 2 :]
+            acc = ctx.multiply(acc, acc)
+            if factors:
+                acc = ctx.multiply(acc, factors[0])
+        return str(acc)
+
+
+# where the two routes cross for g_k of all three classes: 0.7-1.0 ms each
+# at 2^14 bits (U k = 60, O and Sp k = 80; measured on a 2-vCPU x86-64)
+_FACTORED_DIRECT_BITS = 1 << 14
 _DECIMAL_LEAF_BITS = 4096
+
+
+def _exact_decimal_context() -> decimal.Context:
+    """A decimal context whose arithmetic on integers never rounds."""
+    return decimal.Context(
+        prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=[decimal.Inexact]
+    )
 
 
 def decimal_string(n: Rational) -> str:
@@ -136,11 +173,7 @@ def decimal_string(n: Rational) -> str:
         return str(n)
     if n < 0:
         return "-" + decimal_string(-n)
-    import decimal  # only large integers pay for the import
-
-    ctx = decimal.Context(
-        prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=[decimal.Inexact]
-    )
+    ctx = _exact_decimal_context()
     # powers[i] = 2**(4096 * 2**i), one per split level
     powers = [decimal.Decimal(1 << _DECIMAL_LEAF_BITS)]
     while _DECIMAL_LEAF_BITS << len(powers) < n.bit_length():

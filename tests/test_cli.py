@@ -3,6 +3,7 @@
 import json
 import re
 import sys
+import time
 from fractions import Fraction
 
 import mpmath as mp
@@ -18,7 +19,7 @@ from lfmoments import (
     SymmetryClass,
     zeta_arithmetic_factor,
 )
-from lfmoments import exact_moments
+from lfmoments import cli, exact_moments
 from lfmoments.cli import main
 from lfmoments.precision import working_precision
 
@@ -346,6 +347,49 @@ def test_timing_flag_adds_elapsed(capsys):
     assert "elapsed_ms" in rec
 
 
+def test_shared_parser_records_match_a_fresh_parser(tmp_path, capsys, monkeypatch):
+    # main parses with one parser per process; a run of calls through it,
+    # usage error and cp-plot's --csv PATH included, must print what a
+    # parser built for each call prints
+    path = tmp_path / "points.csv"
+    calls = [
+        ["gk", "U", "frog"],
+        ["cp-plot", "3", "1/5", "4/5", "7", "--csv", str(path)],
+        ["gk", "U", "4", "--csv"],
+        ["gk", "Sp", "7", "--factor"],
+    ]
+
+    def run_all():
+        results = []
+        for argv in calls:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            results.append((code, captured.out, captured.err))
+        return results, path.read_bytes()
+
+    cli._parser.cache_clear()
+    shared = run_all()
+    assert cli._parser.cache_info().misses == 1
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    fresh = run_all()
+    assert [code for code, _, _ in shared[0]] == [2, 0, 0, 0]
+    assert shared == fresh
+
+
+@pytest.mark.parametrize("literal", ["1e10000000", "1E-10000000", "-3.5e+500001"])
+def test_huge_decimal_exponent_is_a_usage_error(capsys, literal):
+    # Fraction would build the integer 10**exponent first, for seconds
+    started = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        main(["ak", "zeta", "--cutoff", "100", "--", literal])
+    assert exc.value.code == 2
+    assert time.perf_counter() - started < 1.0
+    assert "decimal exponent" in capsys.readouterr().err
+
+
 def test_determinism(capsys):
     _, first = run(capsys, "glambda", "Sp", "1.7")
     _, second = run(capsys, "glambda", "Sp", "1.7")
@@ -410,6 +454,7 @@ def test_cp_plot_requires_a_destination(capsys):
         ("ak", "zeta", "20001/2"),
         ("ak", "spquad", "3000", "--cutoff", "10000"),
         ("ak", "zeta", "1e-300000", "--cutoff", "100"),
+        ("gk", "U", "100000"),
     ],
 )
 def test_cost_bounds_are_error_records(capsys, argv):

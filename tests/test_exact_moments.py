@@ -14,6 +14,7 @@ from lfmoments import (
     moment_factored,
     primes_up_to,
 )
+from lfmoments import exact_moments
 
 U, O, SP = SymmetryClass.U, SymmetryClass.O, SymmetryClass.Sp
 
@@ -77,6 +78,17 @@ def test_positivity_and_unit_start(sym):
     assert moment_constant(sym, 1) == 1
     for k in range(1, 30):
         assert moment_constant(sym, k) >= 1
+
+
+@pytest.mark.parametrize("sym, k", [(U, 2001), (O, 2829), (SP, 2828), (U, 100000)])
+def test_factored_past_the_cost_bound_is_refused_before_the_sieve(monkeypatch, sym, k):
+    # B(k) > 4 * 10**6 in each case; U 100000 would sieve to 10**10
+    def no_sieve(limit):
+        raise AssertionError(f"sieved to {limit}")
+
+    monkeypatch.setattr(exact_moments, "primes_up_to", no_sieve)
+    with pytest.raises(DomainError, match="cost bound"):
+        moment_factored(sym, k)
 
 
 def test_factored_examples():

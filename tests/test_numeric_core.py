@@ -5,7 +5,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lfmoments import (
@@ -20,7 +20,7 @@ from lfmoments import (
     primes_up_to,
     SymmetryClass,
 )
-from lfmoments.numeric_core import check_prime
+from lfmoments.numeric_core import _FACTORED_DIRECT_BITS, check_prime
 
 
 def test_factorial_values():
@@ -184,3 +184,41 @@ def test_factor_roundtrip_on_moment_constants(sym, k):
     f = moment_factored(sym, k)
     assert f.value() == moment_constant_factorial_form(sym, k)
     assert all(is_prime(p) for p in f.exponents)
+
+
+@pytest.fixture
+def int_str_limit_lifted():
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # str(n) is the reference at any length
+    yield
+    sys.set_int_max_str_digits(before)
+
+
+@pytest.mark.parametrize("sym", list(SymmetryClass))
+def test_factored_decimal_string_matches_str_of_value(sym, int_str_limit_lifted):
+    # every k through the size threshold (U crosses it at k = 60, O and Sp
+    # at k = 81), then a stride up to k = 260, where g_U has 137,235 digits;
+    # str() is quadratic, so the stride keeps the test to seconds
+    sizes = []
+    for k in sorted({*range(1, 121), *range(130, 261, 26)}):
+        f = moment_factored(sym, k)
+        value = f.value()
+        sizes.append(value.bit_length())
+        assert f.decimal_string() == str(value), (sym, k)
+    assert min(sizes) < _FACTORED_DIRECT_BITS < max(sizes)
+
+
+@given(st.one_of(
+    st.dictionaries(st.sampled_from(primes_up_to(200)),
+                    st.integers(min_value=1, max_value=2**12), max_size=10),
+    st.dictionaries(st.sampled_from(primes_up_to(5000)),
+                    st.integers(min_value=1, max_value=40), max_size=300),
+))
+@example({})
+@example({2: 2**20})
+@settings(max_examples=100, deadline=None)
+def test_factored_decimal_string_matches_the_binary_route(exponents):
+    # decimal_string(value()) is today's route, itself checked against str
+    # above; {2: 2**20} would take str() seconds
+    f = FactoredInteger(exponents)
+    assert f.decimal_string() == decimal_string(f.value())
