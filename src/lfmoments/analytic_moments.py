@@ -203,8 +203,8 @@ def _barnes_g_raw(z: mp.mpf, zpm1: mp.mpf) -> mp.mpf:
     n = int(mp.ceil(threshold - z))
     if n > _LADDER_MAX_N:
         raise DomainError(
-            f"Barnes G at {mp.nstr(z, 15)} needs a shift of {n} steps, "
-            f"above the cost bound {_LADDER_MAX_N}"
+            f"Barnes G at {mp.nstr(z, 15)} needs a shift of more than "
+            f"{_LADDER_MAX_N} steps, the cost bound"
         )
     large = mp.exp(_log_barnes_g_large(z + n, zpm1))
     a, b = to_fraction(z).as_integer_ratio()

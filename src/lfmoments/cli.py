@@ -73,6 +73,19 @@ def _coeff_list(text: str):
     return [_fraction(piece) for piece in text.split(",") if piece.strip() != ""]
 
 
+def _echo(value):
+    """An input as records show it: exact rationals in decimal, floats by repr."""
+    if isinstance(value, SymmetryClass):
+        return value.value
+    if isinstance(value, Fraction):
+        return decimal_string(value)
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, list):
+        return [_echo(item) for item in value]
+    return value
+
+
 def _err_text(result: RealApprox) -> str:
     return f"{result.err_estimate:.3e}"
 
@@ -98,17 +111,18 @@ def _arithmetic_factor(family: str, k, cutoff: int) -> RealApprox:
 
 
 # --- subcommand handlers ----------------------------------------------------
+# Each returns its record's fields; main echoes the inputs the parser names.
 
 
 def _cmd_gk(args) -> dict:
-    record = {"inputs": {"sym": args.sym.value, "k": args.k}}
     if args.k == 0:
-        record["result"] = "1"
-        record["note"] = "k = 0 is the empty product; every class gives 1"
-        return record
+        return {"result": "1",
+                "note": "k = 0 is the empty product; every class gives 1"}
     factored = moment_factored(args.sym, args.k)
-    record["result"] = factored.decimal_string()
-    record["log_power"] = decimal_string(log_power(args.sym, args.k))
+    record = {
+        "result": factored.decimal_string(),
+        "log_power": decimal_string(log_power(args.sym, args.k)),
+    }
     if args.factor:
         record["factorization"] = {
             str(p): e for p, e in sorted(factored.exponents.items())
@@ -117,21 +131,14 @@ def _cmd_gk(args) -> dict:
 
 
 def _cmd_vp(args) -> dict:
-    return {
-        "inputs": {"sym": args.sym.value, "p": args.p, "k": args.k},
-        "result": decimal_string(valuation(args.sym, args.p, args.k)),
-    }
+    return {"result": decimal_string(valuation(args.sym, args.p, args.k))}
 
 
 def _cmd_cp(args) -> dict:
-    record = {"inputs": {"p": args.p, "x": decimal_string(args.x)}}
     if args.eps is not None:
         approx = self_similar.density_numeric(args.p, args.x, eps=args.eps)
-        _approx_record(record, approx)
-        record["inputs"]["eps"] = repr(args.eps)
-    else:
-        record["result"] = decimal_string(self_similar.density_exact(args.p, args.x))
-    return record
+        return _approx_record({}, approx)
+    return {"result": decimal_string(self_similar.density_exact(args.p, args.x))}
 
 
 def _cmd_cp_plot(args) -> dict:
@@ -148,82 +155,49 @@ def _cmd_cp_plot(args) -> dict:
             writer.writerows(points)
         written.append(args.csv_path)
     if args.svg_path:
+        span = f"[{decimal_string(args.x_min)}, {decimal_string(args.x_max)}]"
         with open(args.svg_path, "w") as handle:
-            handle.write(_polyline_svg(points, f"c_{args.p} on [{args.x_min}, {args.x_max}]"))
+            handle.write(_polyline_svg(points, f"c_{args.p} on {span}"))
         written.append(args.svg_path)
-    return {
-        "inputs": {
-            "p": args.p,
-            "x_min": decimal_string(args.x_min),
-            "x_max": decimal_string(args.x_max),
-            "n": args.n,
-        },
-        "result": written,
-        "points": len(points),
-    }
+    return {"result": written, "points": len(points)}
 
 
 def _cmd_classify(args) -> dict:
-    record = {"inputs": {"p": args.p, "a": args.a, "b": args.b}}
     point_class = self_similar.classify_point(args.p, args.a, args.b)
     if isinstance(point_class, self_similar.SelfSimilar):
-        record["result"] = "self-similar"
-        record["period"] = str(point_class.period)
-    elif isinstance(point_class, self_similar.Cusp):
-        record["result"] = "cusp"
-    else:
-        record["result"] = "vertical-tangent"
-    return record
+        return {"result": "self-similar", "period": str(point_class.period)}
+    if isinstance(point_class, self_similar.Cusp):
+        return {"result": "cusp"}
+    return {"result": "vertical-tangent"}
 
 
 def _cmd_glambda(args) -> dict:
-    record = {
-        "inputs": {
-            "sym": args.sym.value,
-            "lambda": decimal_string(args.lam),
-            "route": "limit" if args.limit else "closed",
-        }
-    }
+    lam = getattr(args, "lambda")
     if args.limit:
         approx = analytic_moments.moment_by_limit(
-            args.sym, args.lam, target_digits=args.digits
+            args.sym, lam, target_digits=args.digits
         )
     else:
-        approx = analytic_moments.moment_closed_form(args.sym, args.lam)
+        approx = analytic_moments.moment_closed_form(args.sym, lam)
+    record = {"inputs": {"route": "limit" if args.limit else "closed"}}
     return _approx_record(record, approx, digits=args.digits + 2)
 
 
 def _cmd_ghalf(args) -> dict:
-    return _approx_record(
-        {"inputs": {}}, analytic_moments.half_moment_unitary()
-    )
+    return _approx_record({}, analytic_moments.half_moment_unitary())
 
 
 def _cmd_ak(args) -> dict:
-    record = {
-        "inputs": {
-            "family": args.family,
-            "k": decimal_string(args.k),
-            "cutoff": args.cutoff,
-        }
-    }
-    return _approx_record(record, _arithmetic_factor(args.family, args.k, args.cutoff))
+    return _approx_record({}, _arithmetic_factor(args.family, args.k, args.cutoff))
 
 
 def _cmd_assemble(args) -> dict:
     family = euler_products.FamilyDescriptor(
-        sym=args.sym, conductor_exponent=args.conductor_exponent, label="cli"
+        sym=args.sym, conductor_exponent=args.A, label="cli"
     )
-    record = {
-        "inputs": {
-            "sym": args.sym.value,
-            "A": decimal_string(args.conductor_exponent),
-            "k": args.k,
-        }
-    }
+    record = {}
     if args.ak is not None:
         ak = args.ak
-        record["inputs"]["ak"] = decimal_string(args.ak)
     elif args.sym in _FAMILIES:
         name, label = _FAMILIES[args.sym]
         ak = _arithmetic_factor(name, args.k, args.cutoff)
@@ -243,18 +217,12 @@ def _cmd_assemble(args) -> dict:
 
 
 def _cmd_mollify(args) -> dict:
-    poly = mollifier.mean_square(args.sym, args.p_coeffs, args.q_coeffs)
+    poly = mollifier.mean_square(args.sym, args.P, args.Q)
     record = {
-        "inputs": {
-            "sym": args.sym.value,
-            "P": [decimal_string(c) for c in args.p_coeffs],
-            "Q": [decimal_string(c) for c in args.q_coeffs],
-        },
         "result": poly.format(),
         "theta_validity": decimal_string(mollifier.THETA_VALIDITY[args.sym]),
     }
     if args.theta is not None:
-        record["inputs"]["theta"] = decimal_string(args.theta)
         record["value_at_theta"] = decimal_string(poly.evaluate(args.theta))
     return record
 
@@ -264,7 +232,6 @@ def _cmd_asym(args) -> dict:
     with working_precision(approx.precision_bits) as bits:
         exact = mp.log(analytic_moments.moment_closed_form(args.sym, args.k, bits).value)
         return {
-            "inputs": {"sym": args.sym.value, "k": args.k},
             "result": approx.digits(_DISPLAY_DIGITS),
             "err_estimate": _err_text(approx),
             "log_gk_exact": mp.nstr(exact, _DISPLAY_DIGITS),
@@ -275,21 +242,13 @@ def _cmd_asym(args) -> dict:
 def _cmd_poles(args) -> dict:
     order = analytic_moments.pole_order(args.sym, args.k)
     return {
-        "inputs": {
-            "sym": args.sym.value,
-            "k": args.k,
-            "at": decimal_string(Fraction(1, 2) - args.k),
-        },
+        "inputs": {"at": decimal_string(Fraction(1, 2) - args.k)},
         "result": str(order),
     }
 
 
 def _cmd_window(args) -> dict:
-    inside = zero_valuation_window(args.sym, args.p, args.k)
-    return {
-        "inputs": {"sym": args.sym.value, "p": args.p, "k": args.k},
-        "result": inside,
-    }
+    return {"result": zero_valuation_window(args.sym, args.p, args.k)}
 
 
 # --- plumbing ----------------------------------------------------------------
@@ -376,27 +335,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("sym", type=_sym)
     p.add_argument("k", type=int)
     p.add_argument("--factor", action="store_true", help="include the prime factorization")
-    p.set_defaults(handler=_cmd_gk)
+    p.set_defaults(handler=_cmd_gk, echo=("sym", "k"))
 
     p = sub.add_parser("vp", parents=[common], help="p-adic valuation of a moment constant")
     p.add_argument("sym", type=_sym)
     p.add_argument("p", type=_positive_prime)
     p.add_argument("k", type=int)
-    p.set_defaults(handler=_cmd_vp)
+    p.set_defaults(handler=_cmd_vp, echo=("sym", "p", "k"))
 
     p = sub.add_parser("window", parents=[common],
                        help="is the valuation zero by the window test")
     p.add_argument("sym", type=_sym)
     p.add_argument("p", type=_positive_prime)
     p.add_argument("k", type=int)
-    p.set_defaults(handler=_cmd_window)
+    p.set_defaults(handler=_cmd_window, echo=("sym", "p", "k"))
 
     p = sub.add_parser("cp", parents=[common], help="self-similar valuation density")
     p.add_argument("p", type=_positive_prime)
     p.add_argument("x", type=_fraction)
     p.add_argument("--eps", type=float, default=None,
                    help="numeric evaluation to this tolerance, not exact")
-    p.set_defaults(handler=_cmd_cp)
+    p.set_defaults(handler=_cmd_cp, echo=("p", "x", "eps"))
 
     # no [common] parent here: --csv takes a PATH for this subcommand,
     # which would collide with the global boolean output flag
@@ -410,69 +369,69 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", dest="csv_path", default=None, metavar="PATH")
     p.add_argument("--eps", type=float, default=1e-9)
     p.add_argument("--timing", action="store_true")
-    p.set_defaults(handler=_cmd_cp_plot, csv=False)
+    p.set_defaults(handler=_cmd_cp_plot, csv=False, echo=("p", "x_min", "x_max", "n"))
 
     p = sub.add_parser("classify", parents=[common],
                        help="local class of the density graph at a/b")
     p.add_argument("p", type=_positive_prime)
     p.add_argument("a", type=int)
     p.add_argument("b", type=int)
-    p.set_defaults(handler=_cmd_classify)
+    p.set_defaults(handler=_cmd_classify, echo=("p", "a", "b"))
 
     p = sub.add_parser("glambda", parents=[common],
                        help="moment constant at real degree")
     p.add_argument("sym", type=_sym)
-    p.add_argument("lam", type=_fraction, metavar="lambda",
+    p.add_argument("lambda", type=_fraction,
                    help="real degree, e.g. 1/2 or -3.5; put -- before a "
                    "negative fraction: glambda U -- -7/3")
     p.add_argument("--limit", action="store_true",
                    help="extrapolated defining limit instead of the closed form")
     p.add_argument("--digits", type=int, default=12,
                    help="target digits for the limit route")
-    p.set_defaults(handler=_cmd_glambda)
+    p.set_defaults(handler=_cmd_glambda, echo=("sym", "lambda"))
 
     p = sub.add_parser("ghalf", parents=[common],
                        help="the degree-1/2 unitary constant")
-    p.set_defaults(handler=_cmd_ghalf)
+    p.set_defaults(handler=_cmd_ghalf, echo=())
 
     p = sub.add_parser("ak", parents=[common], help="arithmetic factor")
     p.add_argument("family", choices=("zeta", "spquad"))
     p.add_argument("k", type=_fraction)
     p.add_argument("--cutoff", type=int, default=100_000)
-    p.set_defaults(handler=_cmd_ak)
+    p.set_defaults(handler=_cmd_ak, echo=("family", "k", "cutoff"))
 
     p = sub.add_parser("assemble", parents=[common],
                        help="leading mean-value term for a family")
     p.add_argument("sym", type=_sym)
-    p.add_argument("conductor_exponent", type=_fraction, metavar="A")
+    p.add_argument("A", type=_fraction)
     p.add_argument("k", type=int)
     p.add_argument("--ak", type=_fraction, default=None,
                    help="arithmetic factor override")
     p.add_argument("--cutoff", type=int, default=10_000,
                    help="prime cutoff when computing the built-in factor")
-    p.set_defaults(handler=_cmd_assemble)
+    p.set_defaults(handler=_cmd_assemble, echo=("sym", "A", "k", "ak"))
 
     p = sub.add_parser("mollify", parents=[common],
                        help="mollified mean-square as a Laurent polynomial")
     p.add_argument("sym", type=_sym)
-    p.add_argument("--P", dest="p_coeffs", type=_coeff_list, required=True,
+    p.add_argument("--P", type=_coeff_list, required=True,
                    help="comma-separated coefficients, constant first")
-    p.add_argument("--Q", dest="q_coeffs", type=_coeff_list, required=True)
+    p.add_argument("--Q", type=_coeff_list, required=True)
     p.add_argument("--theta", type=_fraction, default=None,
                    help="also evaluate at this theta")
-    p.set_defaults(handler=_cmd_mollify)
+    p.set_defaults(handler=_cmd_mollify, echo=("sym", "P", "Q", "theta"))
 
     p = sub.add_parser("asym", parents=[common],
                        help="large-k expansion of log g_k")
     p.add_argument("sym", type=_sym)
     p.add_argument("k", type=int)
-    p.set_defaults(handler=_cmd_asym)
+    p.set_defaults(handler=_cmd_asym, echo=("sym", "k"))
 
     p = sub.add_parser("poles", parents=[common],
                        help="numeric pole order at degree 1/2 - k")
     p.add_argument("sym", type=_sym)
     p.add_argument("k", type=int)
-    p.set_defaults(handler=_cmd_poles)
+    p.set_defaults(handler=_cmd_poles, echo=("sym", "k"))
 
     return parser
 
@@ -489,7 +448,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     started = time.perf_counter()
     try:
-        record = {"command": args.command, **args.handler(args)}
+        fields = args.handler(args)
     except LfmomentsError as exc:
         error_record = {
             "command": args.command,
@@ -497,6 +456,12 @@ def main(argv=None) -> int:
         }
         _emit(error_record, args.csv)
         return 1
+    # inputs are echoed once the result is in: an error record carries none,
+    # so a refused huge input is never written back
+    given = vars(args)
+    inputs = {key: _echo(given[key]) for key in args.echo if given[key] is not None}
+    inputs.update(fields.pop("inputs", {}))
+    record = {"command": args.command, "inputs": inputs, **fields}
     if args.timing:
         record["elapsed_ms"] = round((time.perf_counter() - started) * 1000.0, 3)
     _emit(record, args.csv)

@@ -158,7 +158,7 @@ def moment_factored(sym: SymmetryClass, k: int) -> FactoredInteger:
     b = log_power(sym, k)
     if b > _MAX_LOG_POWER:
         raise DomainError(
-            f"k={k} passes the cost bound of the exact constants: "
-            f"B(k) = {b} > {_MAX_LOG_POWER}"
+            f"k passes the cost bound of the exact constants: "
+            f"B(k) > {_MAX_LOG_POWER}"
         )
     return FactoredInteger(_legendre_exponents(sym, k, primes_up_to(max(2, b))))

@@ -49,7 +49,9 @@ def zero_valuation_window(sym: SymmetryClass, p: int, k: int) -> bool:
     if p >= b:
         raise OutOfRegime(f"p={p} >= B(k)={b}: valuation is trivially zero there")
     if p * p <= b:
-        raise OutOfRegime(f"p={p} has p^2 <= B(k)={b}: valuation is always positive")
+        raise OutOfRegime(
+            f"p={p} has p^2 = {p * p} <= B(k): valuation is always positive"
+        )
     d = p - k
     if sym is SymmetryClass.U:
         return p > k and d * d < p

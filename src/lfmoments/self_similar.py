@@ -19,10 +19,11 @@ v_p(g_{k,O}) ~ v_p(g_{k,Sp}) ~ (k/2)*c_p(x) along k = floor(p^j x).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Tuple, Union
+from typing import Iterator, List, Tuple, Union
 
 from .errors import DomainError, PreconditionError
 from .numeric_core import abs_least_residue, check_prime
@@ -57,9 +58,22 @@ def _as_positive_fraction(x) -> Fraction:
     return fx
 
 
-def _nearest_int_distance(y: Fraction) -> Fraction:
-    f = y - math.floor(y)
-    return min(f, 1 - f)
+# cap on a residue walk's work: a step reduces and squares ints of the
+# modulus' width w, charged w (w + 2^14), which overcharges wide moduli;
+# walks at the cap took 0.8-1.4 s (2-vCPU x86-64, CPython 3.11)
+_WALK_BUDGET = 1 << 43
+
+
+def _max_steps(modulus: int) -> int:
+    return _WALK_BUDGET // (modulus.bit_length() * (modulus.bit_length() + (1 << 14)))
+
+
+def _check_walk(steps: int, modulus: int) -> None:
+    if steps > _max_steps(modulus):
+        raise DomainError(
+            f"a walk of {steps} or more residues modulo a {modulus.bit_length()}"
+            f"-bit number passes the cost bound (steps * w * (w + 2^14) <= 2^43)"
+        )
 
 
 # cap on r * p.bit_length() for an orbit of length r: the period sum in
@@ -69,27 +83,40 @@ def _nearest_int_distance(y: Fraction) -> Fraction:
 _ORBIT_BIT_BUDGET = 1 << 18
 
 
+def _residue_walk(p: int, a: int, b: int) -> Iterator[int]:
+    """Absolute least residues of a, ap, ap^2, ... mod b, without end."""
+    half = b >> 1  # t <= b/2 exactly when t <= half
+    t = a % b
+    while True:
+        yield t if t <= half else t - b
+        t = t * p % b
+
+
 def _orbit_residues(p: int, a: int, b: int) -> List[int]:
     """Absolute least residues of a, ap, ap^2, ... mod b, one period.
 
     With gcd(a, b) = 1 and a prime p not dividing b (both callers ensure
     it) the orbit returns to a mod b after exactly the multiplicative order
-    r of p mod b.  Raises DomainError, during the walk, once
-    r * p.bit_length() would pass _ORBIT_BIT_BUDGET.
+    r of p mod b.  Raises DomainError, during the walk, once r would pass
+    _ORBIT_BIT_BUDGET // p.bit_length() or the walk bound at b's width.
     """
-    max_len = _ORBIT_BIT_BUDGET // p.bit_length()
+    max_len = min(_ORBIT_BIT_BUDGET // p.bit_length(), _max_steps(b))
     residues = []
-    start = t = a % b
-    while True:
-        residues.append(abs_least_residue(t, b))
-        t = t * p % b
-        if t == start:
+    for res in _residue_walk(p, a, b):
+        if residues and res == residues[0]:
             return residues
         if len(residues) == max_len:
-            raise DomainError(
-                f"the orbit of {p} mod {b} is longer than {max_len} steps "
-                f"(r * p.bit_length() is capped at {_ORBIT_BIT_BUDGET})"
-            )
+            break
+        residues.append(res)
+    if b.bit_length() > 3072:  # the width bound can bind; str(b) stops at 4300 digits
+        raise DomainError(
+            f"the orbit of {p} modulo a {b.bit_length()}-bit number is longer than "
+            f"{max_len} steps (r * p.bit_length() <= 2^18, r * w * (w + 2^14) <= 2^43)"
+        )
+    raise DomainError(
+        f"the orbit of {p} mod {b} is longer than {max_len} steps "
+        f"(r * p.bit_length() is capped at {_ORBIT_BIT_BUDGET})"
+    )
 
 
 def _period_sum(p: int, squares: List[int]) -> Tuple[int, int]:
@@ -106,16 +133,25 @@ def _period_sum(p: int, squares: List[int]) -> Tuple[int, int]:
     return left * p_right + right, p_left * p_right
 
 
-def _negative_side(p: int, fx: Fraction) -> Fraction:
-    """The ell <= -1 part of the sum, exactly: terms p^m ||x / p^m||^2 for
-    m >= 1; once x / p^m <= 1/2 the terms are x^2 / p^m, a geometric tail."""
-    total = Fraction(0)
-    m = 1
-    while fx / p**m > Fraction(1, 2):
-        d = _nearest_int_distance(fx / p**m)
-        total += p**m * d * d
-        m += 1
-    return total + fx * fx * Fraction(p, (p - 1) * p**m)
+def _negative_side(p: int, a: int, b: int) -> Fraction:
+    """The ell <= -1 part of the sum at x = a/b, exactly: r_m^2 / (b^2 p^m)
+    for 1 <= m < M, r_m the absolute least residue of a mod b p^m (taken
+    from r_(m+1), largest modulus first) and M the least m with
+    2a <= b p^m, then the geometric tail x^2 p / ((p - 1) p^M)."""
+    steps, modulus = 0, b
+    while 2 * a > modulus * p:
+        steps += 1
+        modulus *= p
+        _check_walk(steps, modulus)
+    squares, r = [], a
+    for _ in range(steps):
+        r = abs_least_residue(r, modulus)
+        squares.append(r * r)
+        modulus //= p
+    # sum_m r_m^2 / (b^2 p^m) = num / (b^2 p^(M-1)), and the tail is
+    # a^2 / (b^2 (p - 1) p^(M-1))
+    num, p_steps = _period_sum(p, squares[::-1])
+    return Fraction(num * (p - 1) + a * a, b * b * (p - 1) * p_steps)
 
 
 def density_exact(p: int, x) -> Fraction:
@@ -128,50 +164,47 @@ def density_exact(p: int, x) -> Fraction:
     """
     check_prime(p)
     fx = _as_positive_fraction(x)
-    while fx.denominator % p == 0:
-        fx *= p
     a, b = fx.numerator, fx.denominator
-
-    total = _negative_side(p, fx)
+    if b % p == 0 and b.bit_length() <= _ORBIT_BIT_BUDGET:
+        # p^v divides b for v < b.bit_length() / (p.bit_length() - 1); a
+        # wider b keeps it, so its orbit never closes and the walk refuses it
+        b //= math.gcd(b, p ** (b.bit_length() // (p.bit_length() - 1)))
 
     # ell >= 0: ||p^ell x|| = |[[a p^ell mod b]]| / b, purely periodic with
     # period r, the multiplicative order of p mod b.  The period sums
     # res_i^2 / (b^2 p^i) for i < r; with num = sum_i res_i^2 p^(r-1-i) and
     # the factor p^r / (p^r - 1) for all periods, that is num p / (b^2 (p^r - 1)).
     num, p_r = _period_sum(p, [res * res for res in _orbit_residues(p, a, b)])
-    total += Fraction(num * p, b * b * (p_r - 1))
-
-    return total / fx
+    total = _negative_side(p, a, b) + Fraction(num * p, b * b * (p_r - 1))
+    return total * b / a
 
 
 def density_numeric(p: int, x, eps: float = 1e-9) -> RealApprox:
-    """c_p(x) by truncated summation, independent of density_exact's
-    period sum.
+    """c_p(x) by truncated summation, to within eps.
 
     Floating-point x is treated as the exact binary rational it stores.
-    The negative side is density_exact's; the positive side is summed
-    term by term and truncated once its worst-case tail (||.|| <= 1/2)
-    drops below eps/2.
+    The negative side is density_exact's; the positive side is the first
+    L terms of the same residue walk, L the least with the worst-case tail
+    (||.|| <= 1/2) below eps/2.
     """
     check_prime(p)
     if not 0 < eps < math.inf:  # also false for NaN
         raise DomainError(f"eps must be positive and finite, got {eps}")
     fx = _as_positive_fraction(x)
+    a, b = fx.numerator, fx.denominator
 
-    total = _negative_side(p, fx)
+    # L >= 1 with (1/4) sum_{l>=L} p^-l < eps/2 * x, that is
+    # p e_d b < 2 (p - 1) e_n a p^L for eps = e_n / e_d
+    e_n, e_d = Fraction(eps).as_integer_ratio()
+    steps, bound, target = 1, 2 * (p - 1) * e_n * a * p, p * e_d * b
+    while bound <= target:
+        steps += 1
+        bound *= p
+        _check_walk(steps, b)
+    prefix = itertools.islice(_residue_walk(p, a, b), steps)
+    num, p_steps = _period_sum(p, [res * res for res in prefix])
 
-    # positive side: stop when (1/4) * sum_{l>L} p^-l < eps/2 * x
-    tail_budget = Fraction(eps) / 2 * fx
-    ell = 0
-    while True:
-        d = _nearest_int_distance(fx * p**ell)
-        total += d * d / Fraction(p**ell)
-        ell += 1
-        worst_tail = Fraction(1, 4) * Fraction(p, (p - 1) * p**ell)
-        if worst_tail < tail_budget:
-            break
-
-    value = total / fx
+    value = (_negative_side(p, a, b) + Fraction(num * p, b * b * p_steps)) / fx
     # bits enough that the rounding floor |value| 2^(8 - bits) of approx
     # stays below eps; 2^magnitude > |value|
     magnitude = value.numerator.bit_length() - value.denominator.bit_length() + 1
@@ -202,8 +235,9 @@ def classify_point(p: int, a: int, b: int) -> PointClass:
     return VerticalTangent()
 
 
-# sample_density answers up to this n; a point cost about 0.6 ms, so
-# n = 10^4 took 6.4 s (2-vCPU x86-64, CPython 3.11)
+# sample_density answers up to this n; a point at eps = 1e-9 costs about
+# 0.08 ms for p = 2, 3, 5 or 101, so n = 10^4 took 0.7-0.8 s (2-vCPU
+# x86-64, CPython 3.11)
 _MAX_SAMPLES = 10_000
 
 
@@ -217,9 +251,8 @@ def sample_density(
     hi = _as_positive_fraction(x_max)
     if hi <= lo:
         raise DomainError("need x_max > x_min > 0")
+    if hi >= 2**1023:
+        raise DomainError("need x_max < 2^1023: the samples are floats")
     step = (hi - lo) / (n - 1)
-    out = []
-    for i in range(n):
-        xi = lo + i * step
-        out.append((float(xi), float(density_numeric(p, xi, eps).value)))
-    return out
+    points = (lo + i * step for i in range(n))
+    return [(float(xi), float(density_numeric(p, xi, eps).value)) for xi in points]

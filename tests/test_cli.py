@@ -195,6 +195,56 @@ def test_cp_orbit_beyond_the_cost_budget_is_an_error_record(capsys):
         assert rec["error"]["type"] == "DomainError"
 
 
+_HUGE_K = str(10**3999)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gk", "U", _HUGE_K),
+        ("gk", "O", _HUGE_K),
+        ("window", "U", "101", _HUGE_K),
+        ("assemble", "U", "1", _HUGE_K, "--ak", "1"),
+        ("poles", "U", _HUGE_K),
+        ("cp", "5", "1e-20000"),
+        ("cp", "2", "1e-20000"),
+        ("cp", "3", "1e-300000"),
+    ],
+    ids=lambda argv: " ".join(a if len(a) < 20 else "<4000 digits>" for a in argv),
+)
+def test_errors_state_bounds_not_huge_integers(capsys, int_str_limit, argv):
+    # each message printed B(k) = k^2, the orbit's modulus or the Barnes G
+    # shift, most of them past the default int-to-str limit, which ended in
+    # a ValueError traceback
+    sys.set_int_max_str_digits(int_str_limit)
+    code, rec = run_json(capsys, *argv)
+    assert code == 1
+    assert set(rec) == {"command", "error"}
+    assert len(rec["error"]["message"]) < 200
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("ak", "zeta", "1e-500000", "--cutoff", "100"),
+        ("assemble", "U", "1/3", "2", "--cutoff", "1000000000"),
+        ("glambda", "U", "--", "-1000000001/3"),
+        ("cp", "3", "1e20000"),
+        ("cp", "3", "1e-20000", "--eps", "1e-9"),
+    ],
+)
+def test_refused_input_is_never_echoed(capsys, monkeypatch, argv):
+    # writing a huge input back (ak zeta 1e-500000: 0.42 s) came before
+    # the check that refuses it
+    def no_echo(value):
+        raise AssertionError("an input was echoed")
+
+    monkeypatch.setattr(cli, "decimal_string", no_echo)
+    code, rec = run_json(capsys, *argv)
+    assert code == 1
+    assert rec["error"]["type"] == "DomainError"
+
+
 def test_classify_record(capsys):
     code, rec = run_json(capsys, "classify", "5", "3", "13")
     assert code == 0
@@ -455,6 +505,8 @@ def test_cp_plot_requires_a_destination(capsys):
         ("ak", "spquad", "3000", "--cutoff", "10000"),
         ("ak", "zeta", "1e-300000", "--cutoff", "100"),
         ("gk", "U", "100000"),
+        ("cp", "3", "1e20000"),
+        ("cp", "3", "1e-20000", "--eps", "1e-9"),
     ],
 )
 def test_cost_bounds_are_error_records(capsys, argv):

@@ -40,6 +40,9 @@ def _commands():
     ]
     for p, x in (("5", "3/13"), ("3", "1/2"), ("7", "2/5"), ("2", "1/3"), ("3", "7/4")):
         cmds.append(["cp", p, x])
+    # x > p (the negative side) and p | b (stripped before the period walk)
+    for p, x in (("3", "7/81"), ("2", "7/1024"), ("7", "100000/3"), ("3", "1e40")):
+        cmds.append(["cp", p, x])
     for p, a, b in (("5", "3", "13"), ("3", "1", "2"), ("5", "1", "3"), ("7", "2", "5")):
         cmds.append(["classify", p, a, b])
     cmds.append(["classify", "3", "1", "3"])  # p divides the denominator
@@ -51,6 +54,9 @@ def _commands():
         cmds.append(["mollify", sym, "--P", p, "--Q", q])
         cmds.append(["mollify", sym, "--P", p, "--Q", q, "--theta", theta])
     cmds.append(["mollify", "U", "--P", "1,1", "--Q", "1"])  # P(0) != 0
+    for sym in ("U", "O", "Sp"):
+        for k in ("1", "2", "3"):
+            cmds.append(["poles", sym, k])
     cmds.append(["gk", "U", "4", "--csv"])
     return cmds
 

@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import mpmath as mp
@@ -21,6 +22,114 @@ from lfmoments import (
     sample_density,
 )
 from lfmoments import self_similar
+from lfmoments.precision import approx, to_mpf, working_precision
+
+
+# --- the term-by-term sum, one Fraction a term: the oracle for both routes
+
+
+def _nearest_int_distance(y: Fraction) -> Fraction:
+    f = y - math.floor(y)
+    return min(f, 1 - f)
+
+
+def _negative_side_by_terms(p, fx):
+    # p^m ||x / p^m||^2 for m >= 1 until x / p^m <= 1/2, then the
+    # geometric tail x^2 / p^m
+    total = Fraction(0)
+    m = 1
+    while fx / p**m > Fraction(1, 2):
+        d = _nearest_int_distance(fx / p**m)
+        total += p**m * d * d
+        m += 1
+    return total + fx * fx * Fraction(p, (p - 1) * p**m)
+
+
+def _density_by_terms(p, x):
+    fx = Fraction(x)
+    while fx.denominator % p == 0:
+        fx *= p
+    # ell >= 0: one period of ||p^ell x||, r the order of p mod the
+    # denominator, and all periods by the factor p^r / (p^r - 1)
+    # (None past 300 terms: the sum is quadratic in r)
+    squares = []
+    start = y = fx - math.floor(fx)
+    while not squares or y != start:
+        if len(squares) == 300:
+            return None
+        squares.append(_nearest_int_distance(y) ** 2)
+        y = y * p - math.floor(y * p)
+    r = len(squares)
+    period = sum(sq * p ** (r - i) for i, sq in enumerate(squares)) / (p**r - 1)
+    return (_negative_side_by_terms(p, fx) + period) / fx
+
+
+def _density_numeric_by_terms(p, x, eps):
+    # terms ell = 0, 1, ... until the worst-case tail (||.|| <= 1/2) is
+    # below eps/2, rounded at max(128, -log2 eps + 9 + log2 of the value) bits
+    fx = Fraction(x)
+    total = _negative_side_by_terms(p, fx)
+    tail_budget = Fraction(eps) / 2 * fx
+    ell = 0
+    while True:
+        d = _nearest_int_distance(fx * p**ell)
+        total += d * d / Fraction(p**ell)
+        ell += 1
+        if Fraction(1, 4) * Fraction(p, (p - 1) * p**ell) < tail_budget:
+            break
+    value = total / fx
+    magnitude = value.numerator.bit_length() - value.denominator.bit_length() + 1
+    bits = max(128, math.ceil(-math.log2(eps)) + max(magnitude, 0) + 9)
+    with working_precision(bits):
+        return approx(to_mpf(value), bits, err=eps)
+
+
+PRIMES = [2, 3, 5, 7, 101, 999_999_999_989]
+
+
+@st.composite
+def density_points(draw):
+    """(p, x): x a float, p | b, x > p^3, x < 1/(2p) or a plain rational."""
+    p = draw(st.sampled_from(PRIMES))
+    small = st.integers(min_value=1, max_value=10**6)
+    kind = draw(st.sampled_from(["float", "p|b", "large", "tiny", "rational"]))
+    if kind == "float":
+        return p, draw(st.floats(min_value=1e-6, max_value=1e6))
+    if kind == "p|b":
+        denominator = p ** draw(st.integers(1, 5)) * draw(st.integers(1, 50))
+        return p, Fraction(draw(small), denominator)
+    if kind == "large":
+        return p, p**3 + Fraction(draw(small), draw(st.integers(1, 50)))
+    if kind == "tiny":
+        return p, Fraction(1, 2 * p + draw(small))
+    return p, Fraction(draw(small), draw(st.integers(1, 500)))
+
+
+@given(point=density_points())
+@settings(max_examples=300, deadline=None)
+def test_density_exact_matches_the_term_by_term_sum(point):
+    p, x = point
+    want = _density_by_terms(p, x)
+    if want is not None:
+        assert density_exact(p, x) == want
+    fx = Fraction(x)
+    assert self_similar._negative_side(
+        p, fx.numerator, fx.denominator
+    ) == _negative_side_by_terms(p, fx)
+
+
+@given(
+    point=density_points(),
+    eps=st.sampled_from([0.5, 1e-3, 1e-9, 2.5e-17, 1e-40, 1e-300]),
+)
+@settings(max_examples=300, deadline=None)
+def test_density_numeric_matches_the_term_by_term_sum(point, eps):
+    p, x = point
+    got = density_numeric(p, x, eps=eps)
+    want = _density_numeric_by_terms(p, x, eps)
+    assert got.value._mpf_ == want.value._mpf_
+    assert got.precision_bits == want.precision_bits
+    assert got.err_estimate == want.err_estimate
 
 
 def test_exact_examples():
@@ -140,6 +249,56 @@ def test_orbit_budget_boundary(monkeypatch):
         density_exact(3, Fraction(1, 17))
 
 
+def test_walk_budget_boundary(monkeypatch):
+    # x = 10^40, p = 3: the negative side walks 84 residues below a 134-bit
+    # modulus, charged 84 * 134 * (134 + 2^14)
+    charge = 84 * 134 * (134 + 2**14)
+    monkeypatch.setattr(self_similar, "_WALK_BUDGET", charge)
+    assert density_exact(3, 10**40) == Fraction(
+        1178761568923274751330436742372275137647, 2 * 10**39
+    )
+    monkeypatch.setattr(self_similar, "_WALK_BUDGET", charge - 1)
+    with pytest.raises(DomainError, match="cost bound"):
+        density_exact(3, 10**40)
+    # x = 1/21, eps = 1e-9: the prefix is 22 residues mod 21 (5 bits)
+    charge = 22 * 5 * (5 + 2**14)
+    monkeypatch.setattr(self_similar, "_WALK_BUDGET", charge)
+    density_numeric(3, Fraction(1, 21))
+    monkeypatch.setattr(self_similar, "_WALK_BUDGET", charge - 1)
+    with pytest.raises(DomainError, match="cost bound"):
+        density_numeric(3, Fraction(1, 21))
+
+
+@pytest.mark.parametrize(
+    "route, p, x",
+    [
+        (density_exact, 3, Fraction(10**20000)),  # 41918 residues, 66k bits wide
+        (density_numeric, 3, Fraction(10**20000)),
+        (density_numeric, 3, Fraction(1, 10**20000)),  # 41937 residues mod 10^20000
+        (density_exact, 5, Fraction(1, 10**20000)),  # the orbit of 5 mod 2^20000
+    ],
+)
+def test_walks_past_the_cost_bound_are_refused_at_once(route, p, x):
+    # the first three took 21-26 s as residue walks, longer by Fractions;
+    # the orbit stops after the 12086 steps its width allows
+    started = time.perf_counter()
+    with pytest.raises(DomainError):
+        route(p, x)
+    assert time.perf_counter() - started < 1.0
+
+
+def test_denominators_divide_out_p_at_once():
+    # one division by a gcd; the Fraction loop x *= p took a gcd per factor
+    assert density_exact(2, Fraction(1, 2**262000)) == 1
+    assert density_exact(3, Fraction(7, 2 * 3**150000)) == density_exact(3, 3.5)
+    assert density_exact(5, Fraction(3, 13 * 5**3)) == Fraction(23, 72)
+    # past 2^18 bits b keeps p, and its orbit walk stops at once
+    started = time.perf_counter()
+    with pytest.raises(DomainError, match="262201-bit"):
+        density_exact(2, Fraction(1, 2**262200))
+    assert time.perf_counter() - started < 1.0
+
+
 def _horner_period_sum(p, squares):
     # the period sum by Horner on one growing integer, quadratic in r
     num = 0
@@ -234,14 +393,21 @@ def test_sample_density_grid():
 
 @pytest.mark.parametrize("n", [1, self_similar._MAX_SAMPLES + 1, 10**9])
 def test_sample_count_beyond_the_cost_bound_is_an_error(monkeypatch, n):
-    # a point costs about 0.6 ms, so n = 10^9 would run for days; the count
-    # is checked before any point is sampled
+    # a point costs about 0.08 ms, so n = 10^9 would run for a day; the
+    # count is checked before any point is sampled
     def no_density(*args, **kwargs):
         raise AssertionError("a point was sampled")
 
     monkeypatch.setattr(self_similar, "density_numeric", no_density)
     with pytest.raises(DomainError, match="sample points"):
         sample_density(3, 1, 2, n)
+
+
+def test_samples_past_the_float_range_are_an_error():
+    # float(x) raised OverflowError for x_max = 10^400
+    with pytest.raises(DomainError, match="floats"):
+        sample_density(3, 10**400, 2 * 10**400, 3)
+    assert sample_density(3, 2**1022, 2**1022 + 1, 2)[0][0] == 2.0**1022
 
 
 def test_large_p_approaches_norm_square():
