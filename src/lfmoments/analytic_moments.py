@@ -15,8 +15,9 @@ Barnes G (a fixed-point log-G series on one exact Bernoulli table, shifted
 through the integer product kernel of the limit ladder), the three
 analytic constants the formulas read (log 2, zeta'(0) and zeta'(-1) from
 the superfactorial, cached per precision), the unitary constant at degree
-1/2, a numeric pole-order probe, and the large-degree asymptotic expansions
-of ``log g_k`` together with the partial-sum expansions they rest on.
+1/2, the pole orders counted from the zeros of Barnes G, and the
+large-degree asymptotic expansions of ``log g_k`` together with the
+partial-sum expansions they rest on.
 
 Convention fixed here (and validated by the integer cross-checks in the
 test suite): reported moment values include the ``Gamma(1 + B(lambda))``
@@ -59,10 +60,6 @@ __all__ = [
 ]
 
 _POLE_RADIUS = mp.mpf("1e-8")
-# distances from a pole at which pole_order samples the ratio, close enough
-# that the next Laurent term does not bend the log-log fit (at 1e-2 it does
-# from k = 10 on, at 1e-4 ... 1e-6 from k = 425 on)
-_PROBE_RADII = (1e-7, 1e-8, 1e-9)
 _LADDER_START = 32
 # the largest N of the limit ladder and the longest shift of Barnes G
 _LADDER_MAX_N = 1 << 20
@@ -234,12 +231,24 @@ def barnes_g(z, precision_bits=None) -> RealApprox:
 # closed forms
 
 
+def _pole_order(sym: SymmetryClass, k: int) -> int:
+    """Order of the ratio's pole at degree 1/2 - k; not positive where it is regular.
+
+    At z = lambda + 1/2 = 1 - k (k >= 1) G has a zero of order k and Gamma
+    a simple pole, so U, which divides by Gamma(z) G(z)^2, has order
+    2k - 1, and O, which divides by G(z), order k.  Sp is the O value at
+    lambda + 1: order k - 1.  For k < 1 every class gives 0 or less.
+    """
+    if sym is SymmetryClass.U:
+        return 2 * k - 1
+    return k if sym is SymmetryClass.O else k - 1
+
+
 def _check_pole(sym: SymmetryClass, lam: mp.mpf) -> None:
-    """Reject lam within 1e-8 of a pole 1/2 - k (k >= 1; k >= 2 for Sp)."""
+    """Reject lam within 1e-8 of a pole 1/2 - k."""
     k = int(mp.nint(mp.mpf("0.5") - lam))
     location = mp.mpf("0.5") - k
-    first = 2 if sym is SymmetryClass.Sp else 1
-    if k >= first and abs(lam - location) < _POLE_RADIUS:
+    if _pole_order(sym, k) > 0 and abs(lam - location) < _POLE_RADIUS:
         raise PoleError(
             f"{sym.value} moment has a pole at degree {mp.nstr(location, 8)}; "
             "requested point is within 1e-8 of it"
@@ -278,7 +287,7 @@ def moment_ratio_closed_form(sym: SymmetryClass, lam, precision_bits=None) -> Re
     """Closed form for the moment constant divided by Gamma(1 + B(lambda)).
 
     This is the analytic object whose poles sit at half-integers below
-    1/2; ``pole_order`` probes it directly.
+    1/2, of the orders ``pole_order`` gives.
     """
     with working_precision(precision_bits) as bits:
         lam_v = to_mpf(lam)
@@ -445,7 +454,7 @@ def moment_by_limit(
 
 
 # ---------------------------------------------------------------------------
-# special values and pole probing
+# special values and pole orders
 
 
 def half_moment_unitary(precision_bits=None) -> RealApprox:
@@ -454,45 +463,16 @@ def half_moment_unitary(precision_bits=None) -> RealApprox:
 
 
 def pole_order(sym: SymmetryClass, k: int, precision_bits=None) -> int:
-    """Numeric order of the pole of the moment ratio at degree 1/2 - k.
+    """Order of the pole of the moment ratio at degree 1/2 - k (0: regular).
 
-    Fits log|ratio| against log(radius) by least squares over the probe
-    radii; the negated slope, rounded, is the estimated order (0 means
-    the point is regular).  A poor linear fit raises NoConvergence.  Each
-    probe shifts Barnes G by about k steps, so k above about 2^20 is a
-    DomainError.
+    2k - 1 for U, k for O and k - 1 for Sp, counted from the zeros of
+    Barnes G (see ``_pole_order``).  The order is exact at any precision;
+    ``precision_bits`` is only range-checked.
     """
     if not isinstance(k, int) or k < 1:
-        raise DomainError("pole probing needs a positive integer k")
-    with working_precision(precision_bits) as bits:
-        c = _constants(bits)
-        lam0 = mp.mpf("0.5") - k
-        xs = []
-        ys = []
-        for radius in _PROBE_RADII:
-            eps = mp.mpf(radius)
-            value = _ratio_closed_raw(sym, lam0 + eps, c)
-            xs.append(mp.log(eps))
-            ys.append(mp.log(abs(value)))
-        m = len(xs)
-        x_mean = mp.fsum(xs) / m
-        y_mean = mp.fsum(ys) / m
-        sxx = mp.fsum((x - x_mean) ** 2 for x in xs)
-        sxy = mp.fsum(
-            (x - x_mean) * (y - y_mean) for x, y in zip(xs, ys)
-        )
-        slope = sxy / sxx
-        intercept = y_mean - slope * x_mean
-        residual = mp.sqrt(
-            mp.fsum((y - (slope * x + intercept)) ** 2 for x, y in zip(xs, ys))
-            / m
-        )
-        if residual > mp.mpf("0.1"):
-            raise NoConvergence(
-                f"pole probe at degree {lam0} is not a clean power law "
-                f"(rms residual {mp.nstr(residual, 5)})"
-            )
-        return int(mp.nint(-slope))
+        raise DomainError("pole orders need a positive integer k")
+    with working_precision(precision_bits):
+        return _pole_order(sym, k)
 
 
 # ---------------------------------------------------------------------------

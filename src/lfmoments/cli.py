@@ -243,7 +243,7 @@ def _cmd_poles(args) -> dict:
     order = analytic_moments.pole_order(args.sym, args.k)
     return {
         "inputs": {"at": decimal_string(Fraction(1, 2) - args.k)},
-        "result": str(order),
+        "result": decimal_string(order),
     }
 
 
@@ -428,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_asym, echo=("sym", "k"))
 
     p = sub.add_parser("poles", parents=[common],
-                       help="numeric pole order at degree 1/2 - k")
+                       help="pole order at degree 1/2 - k")
     p.add_argument("sym", type=_sym)
     p.add_argument("k", type=int)
     p.set_defaults(handler=_cmd_poles, echo=("sym", "k"))

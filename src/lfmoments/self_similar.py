@@ -54,7 +54,8 @@ def _as_positive_fraction(x) -> Fraction:
     except (ValueError, OverflowError) as exc:  # NaN, infinities
         raise DomainError(f"density needs a finite x, got {x!r}") from exc
     if fx <= 0:
-        raise DomainError(f"density is defined for x > 0, got {x!r}")
+        # the sign, not the value: a huge x has no repr under the int-to-str limit
+        raise DomainError(f"density is defined for x > 0, got {'0' if fx == 0 else 'x < 0'}")
     return fx
 
 

@@ -323,22 +323,20 @@ def test_barnes_pole_guard():
             barnes_g(z)
 
 
-# a degree 10^9 below zero, and the pole at 1/2 - 2^20
+# a degree 10^9 below zero
 FAR_SHIFTS = {
     "barnes_g": lambda: barnes_g(-(10**9) - Fraction(1, 3)),
     **{
         f"closed_{sym.value}": partial(moment_closed_form, sym, -(10**9) - Fraction(1, 3))
         for sym in SymmetryClass
     },
-    **{f"poles_{sym.value}": partial(pole_order, sym, 2**20) for sym in SymmetryClass},
 }
 
 
 @pytest.mark.parametrize("route", sorted(FAR_SHIFTS))
 def test_barnes_shift_beyond_the_cost_bound_is_an_error(monkeypatch, route):
     # the shift costs time linear in its length (barnes_g(-100000.33) took
-    # 0.3 s, pole_order(U, 10^5) 0.5 s); past _LADDER_MAX_N steps it is
-    # refused before the kernel starts
+    # 0.3 s); past _LADDER_MAX_N steps it is refused before the kernel starts
     _zeta_prime_minus1(256)
 
     def no_kernel(*args):
@@ -448,9 +446,6 @@ def test_closed_form_evaluates_barnes_g_once(sym, monkeypatch):
         calls.clear()
         moment_closed_form(sym, lam)
         assert len(calls) == 1, (sym, lam)
-    calls.clear()
-    pole_order(sym, 2)
-    assert len(calls) == len(analytic_moments._PROBE_RADII)
 
 
 def _off_poles(sym, rng: random.Random) -> Fraction:
@@ -713,13 +708,65 @@ def test_running_product_stays_within_its_rounding_bound():
 # -------------------------------------------------------------- pole orders
 
 
+# distances from a pole at which the probe samples the ratio, close enough
+# that the next Laurent term does not bend the log-log fit (at 1e-2 it does
+# from k = 10 on, at 1e-4 ... 1e-6 from k = 425 on)
+_PROBE_RADII = (1e-7, 1e-8, 1e-9)
+
+
+def _probed_pole_order(sym, k: int) -> int:
+    """The pole order at 1/2 - k read off the closed form: the negated
+    least-squares slope of log|ratio| against log(radius)."""
+    with working_precision(None) as bits:
+        c = analytic_moments._constants(bits)
+        lam0 = mp.mpf("0.5") - k
+        xs = [mp.log(mp.mpf(r)) for r in _PROBE_RADII]
+        ys = [
+            mp.log(abs(analytic_moments._ratio_closed_raw(sym, lam0 + mp.mpf(r), c)))
+            for r in _PROBE_RADII
+        ]
+        m = len(xs)
+        x_mean = mp.fsum(xs) / m
+        y_mean = mp.fsum(ys) / m
+        slope = mp.fsum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys)) / mp.fsum(
+            (x - x_mean) ** 2 for x in xs
+        )
+        intercept = y_mean - slope * x_mean
+        residual = mp.sqrt(
+            mp.fsum((y - (slope * x + intercept)) ** 2 for x, y in zip(xs, ys)) / m
+        )
+        assert residual <= mp.mpf("0.1"), f"{sym.value} k = {k}: not a clean power law"
+        return int(mp.nint(-slope))
+
+
 def test_pole_orders():
     # the pole of the ratio at degree 1/2 - k has order 2k - 1 (U), k (O)
-    # and k - 1 (Sp)
+    # and k - 1 (Sp), as the closed form shows near the pole
     for k in [*range(1, 31), 50, 100, 200, 1000]:
-        assert pole_order(U, k) == 2 * k - 1, k
-        assert pole_order(O, k) == k, k
-        assert pole_order(SP, k) == k - 1, k
+        for sym, want in ((U, 2 * k - 1), (O, k), (SP, k - 1)):
+            assert pole_order(sym, k) == want == _probed_pole_order(sym, k), (sym, k)
+
+
+def test_pole_order_evaluates_no_barnes_g(monkeypatch):
+    # the order is counted from G's zeros: no G value, no shift kernel and no
+    # Gamma, so k = 5 * 10^5 (where no numeric fit reads the order) and k
+    # past the shift's cost bound answer at once
+    def refused(*args):
+        raise AssertionError("pole_order evaluated a function")
+
+    for name in ("_barnes_g_raw", "_RunningProduct"):
+        monkeypatch.setattr(analytic_moments, name, refused)
+    monkeypatch.setattr(mp, "gamma", refused)
+    for k in (500_000, 10**7, 10**4300 - 1):
+        assert pole_order(U, k) == 2 * k - 1
+        assert pole_order(O, k) == k
+        assert pole_order(SP, k, precision_bits=128) == k - 1
+
+
+@pytest.mark.parametrize("k", [0, -1, 2.0, Fraction(3), "2"])
+def test_pole_order_needs_a_positive_integer(k):
+    with pytest.raises(DomainError):
+        pole_order(U, k)
 
 
 # -------------------------------------------------------------- asymptotics

@@ -205,17 +205,19 @@ _HUGE_K = str(10**3999)
         ("gk", "O", _HUGE_K),
         ("window", "U", "101", _HUGE_K),
         ("assemble", "U", "1", _HUGE_K, "--ak", "1"),
-        ("poles", "U", _HUGE_K),
         ("cp", "5", "1e-20000"),
         ("cp", "2", "1e-20000"),
         ("cp", "3", "1e-300000"),
+        ("cp", "3", "--", "-1e-300000"),
+        ("cp", "3", "--", "-1e-5000"),
+        ("cp-plot", "3", "--svg", "unwritten.svg", "--", "-1e-5000", "1", "10"),
     ],
     ids=lambda argv: " ".join(a if len(a) < 20 else "<4000 digits>" for a in argv),
 )
 def test_errors_state_bounds_not_huge_integers(capsys, int_str_limit, argv):
-    # each message printed B(k) = k^2, the orbit's modulus or the Barnes G
-    # shift, most of them past the default int-to-str limit, which ended in
-    # a ValueError traceback
+    # each message printed B(k) = k^2, the orbit's modulus or the refused x,
+    # most of them past the default int-to-str limit, which ended in a
+    # ValueError traceback
     sys.set_int_max_str_digits(int_str_limit)
     code, rec = run_json(capsys, *argv)
     assert code == 1
@@ -312,11 +314,35 @@ def test_poles_record(capsys):
     assert rec["result"] == "0"
 
 
-def test_poles_record_at_large_k(capsys):
-    code, rec = run_json(capsys, "poles", "U", "1000")
+@pytest.mark.parametrize(
+    "sym, k, want",
+    [
+        ("U", 1000, 1999),
+        # near the pole at k = 5 * 10^5 the closed form is no clean power
+        # law in the distance, so no numeric fit reads the order there
+        ("O", 500_000, 500_000),
+        ("U", 500_000, 999_999),
+        # past the Barnes G shift's cost bound
+        ("U", 10_000_000, 19_999_999),
+    ],
+)
+def test_poles_record_at_large_k(capsys, sym, k, want):
+    code, rec = run_json(capsys, "poles", sym, str(k))
     assert code == 0
-    assert rec["inputs"]["at"] == "-1999/2"
-    assert rec["result"] == "1999"
+    assert rec["inputs"]["at"] == f"{1 - 2 * k}/2"
+    assert rec["result"] == str(want)
+
+
+def test_poles_at_the_largest_k_argparse_reads(capsys, int_str_limit):
+    # int() reads k = 10^4300 - 1 under the default limit; 2k - 1 has 4301
+    # digits, one past what str() writes
+    sys.set_int_max_str_digits(int_str_limit)
+    k = 10**4300 - 1
+    code, rec = run_json(capsys, "poles", "U", str(k))
+    assert code == 0
+    sys.set_int_max_str_digits(0)
+    assert rec["result"] == str(2 * k - 1)
+    assert len(rec["result"]) == 4301
 
 
 def test_asym_record(capsys):
@@ -493,7 +519,6 @@ def test_cp_plot_requires_a_destination(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ("poles", "U", "10000000"),
         ("glambda", "U", "--", "-1000000000"),
         ("glambda", "Sp", "--", "-7000001/3"),
         ("ak", "zeta", "2", "--cutoff", "1000000000"),

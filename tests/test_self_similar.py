@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -147,6 +148,24 @@ def test_rejects_nonpositive():
         density_exact(3, 0)
     with pytest.raises(DomainError):
         density_numeric(5, -2.0)
+
+
+def test_nonpositive_x_is_named_by_its_sign():
+    # repr(x) would pass the default int-to-str limit and raise ValueError
+    x = -Fraction(1, 10**300000)
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        for route in (
+            lambda: density_exact(3, x),
+            lambda: density_numeric(3, x),
+            lambda: sample_density(3, x, 1, 10),
+        ):
+            with pytest.raises(DomainError, match="got x < 0") as info:
+                route()
+            assert len(str(info.value)) < 200
+    finally:
+        sys.set_int_max_str_digits(before)
 
 
 def test_numeric_matches_exact():
