@@ -42,7 +42,7 @@ from itertools import compress, count
 
 import mpmath as mp
 
-from .errors import DomainError, NoConvergence, PoleError
+from .errors import DomainError, NoConvergence, PoleError, brief
 from .exact_moments import SymmetryClass, log_power
 from .numeric_core import FactoredInteger, primes_up_to
 from .precision import RealApprox, approx, to_fraction, to_mpf, working_precision
@@ -594,7 +594,7 @@ def log_sum_asymptotics(kind: str, n: int, precision_bits=None):
         raise DomainError("n must be a positive integer")
     if n > _LOG_SUM_MAX_N:
         raise DomainError(
-            f"n = {n} is above the log-sum cost bound {_LOG_SUM_MAX_N}"
+            f"n is above the log-sum cost bound {_LOG_SUM_MAX_N}, got {brief(n)}"
         )
     with working_precision(precision_bits) as bits:
         ln2, zp0, zpm1 = _constants(bits)

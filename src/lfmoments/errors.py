@@ -1,8 +1,21 @@
 """Exception types shared across the toolkit.
 
 Every domain failure raises one of these instead of a bare ValueError so the
-command-line layer can map them to structured error records.
+command-line layer can map them to structured error records.  Messages name
+a caller's value through brief(), which never formats a huge integer.
 """
+
+# values up to this width are printed in messages; a longer int may pass
+# CPython's int-to-str limit, where formatting it raises ValueError
+_BRIEF_BITS = 128
+
+
+def brief(value) -> str:
+    """repr(value) for a message, or the sign and width of a long int."""
+    if isinstance(value, int) and value.bit_length() > _BRIEF_BITS:
+        article = "a negative" if value < 0 else "an"
+        return f"{article} integer of {value.bit_length()} bits"
+    return repr(value)
 
 
 class LfmomentsError(Exception):

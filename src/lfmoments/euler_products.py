@@ -25,7 +25,7 @@ from itertools import count
 
 import mpmath as mp
 
-from .errors import DomainError
+from .errors import DomainError, brief
 from .exact_moments import SymmetryClass, log_power, moment_constant
 from .numeric_core import factorial, primes_up_to
 from .precision import RealApprox, approx, to_fraction, to_mpf, working_precision
@@ -88,7 +88,7 @@ def _check_cost(k, prime_cutoff, bits: int) -> Fraction:
     if not isinstance(prime_cutoff, int) or prime_cutoff < _MIN_CUTOFF:
         raise DomainError(
             f"prime_cutoff must be an integer of at least {_MIN_CUTOFF}, "
-            f"got {prime_cutoff!r}"
+            f"got {brief(prime_cutoff)}"
         )
     k = to_fraction(k)
     if k <= Fraction(-1, 2):

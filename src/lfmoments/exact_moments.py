@@ -14,9 +14,11 @@ the mean value carries a 1/Gamma(1+B(k)) alongside.
 
 Each constant is a ratio of factorials, so one engine applies Legendre's
 formula to that all-factorial form and yields the exponent of every prime
-without building g_k.  The factorization, the valuations, the integer (a
-product tree over p**e) and its decimal string (built in decimal from the
-exponents' bits, FactoredInteger.decimal_string) all come from it;
+without building g_k: level by level for the primes up to 2k, and B // p
+for the primes above 2k, which have one level.  The factorization, the
+valuations, the integer (a product tree over p**e) and its decimal string
+(built in decimal from the primes grouped by exponent,
+FactoredInteger.decimal_string) all come from it;
 moment_constant_factorial_form, by exact division, is the independent test
 oracle.
 """
@@ -24,10 +26,9 @@ oracle.
 from __future__ import annotations
 
 import enum
-from math import prod
 
-from .errors import DomainError, IntegralityViolation
-from .numeric_core import FactoredInteger, factorial, primes_up_to
+from .errors import DomainError, IntegralityViolation, brief
+from .numeric_core import FactoredInteger, _balanced_product, factorial, primes_up_to
 
 
 class SymmetryClass(enum.Enum):
@@ -62,14 +63,34 @@ def log_power(sym: SymmetryClass, k):
 
 
 def _check_k(k: int) -> None:
-    if not isinstance(k, int) or k < 1:
-        raise DomainError(f"moment order must be a positive integer, got {k!r}")
+    # True is an int equal to 1; False fails k < 1
+    if not isinstance(k, int) or k is True or k < 1:
+        raise DomainError(f"moment order must be a positive integer, got {brief(k)}")
 
 
 def moment_constant(sym: SymmetryClass, k: int) -> int:
     """The exact integer moment constant: a balanced product of p**e over
     its factorization (see moment_factored)."""
     return moment_factored(sym, k).value()
+
+
+def _factorial_form(sym: SymmetryClass, k: int) -> tuple:
+    """(numerator, denominator) of the all-factorial form of the constant."""
+
+    def factorials(js):
+        return _balanced_product([factorial(j) for j in js])
+
+    b = log_power(sym, k)
+    if sym is SymmetryClass.U:
+        numer = factorial(b) * factorials(range(1, k)) ** 2
+        denom = factorials(range(1, 2 * k))
+    elif sym is SymmetryClass.O:
+        numer = factorial(b) * 2 ** (b + k - 1) * factorials(range(1, k))
+        denom = factorials(range(2, 2 * k - 1, 2))
+    else:
+        numer = factorial(b) * 2**b * factorials(range(1, k + 1))
+        denom = factorials(range(2, 2 * k + 1, 2))
+    return numer, denom
 
 
 def moment_constant_factorial_form(sym: SymmetryClass, k: int) -> int:
@@ -79,19 +100,7 @@ def moment_constant_factorial_form(sym: SymmetryClass, k: int) -> int:
     to agree with moment_constant everywhere.
     """
     _check_k(k)
-    b = log_power(sym, k)
-    if sym is SymmetryClass.U:
-        numer = factorial(b) * prod(factorial(j) for j in range(1, k)) ** 2
-        denom = prod(factorial(j) for j in range(1, 2 * k))
-    elif sym is SymmetryClass.O:
-        numer = factorial(b) * 2 ** (b + k - 1) * prod(
-            factorial(j) for j in range(1, k)
-        )
-        denom = prod(factorial(2 * j) for j in range(1, k))
-    else:
-        numer = factorial(b) * 2**b * prod(factorial(j) for j in range(1, k + 1))
-        denom = prod(factorial(2 * j) for j in range(1, k + 1))
-    g, rem = divmod(numer, denom)
+    g, rem = divmod(*_factorial_form(sym, k))
     if rem:
         raise IntegralityViolation(
             f"factorial-form moment constant for {sym.value}, k={k} is not integral"
@@ -112,30 +121,37 @@ def _legendre_exponents(sym: SymmetryClass, k: int, primes) -> dict:
     all-factorial form that moment_constant_factorial_form multiplies out.
     A product of j! over j <= m contributes _floor_sum(m, q) per level; for
     (2j)!, floor(2j/q) = floor(j/q) + floor((j + (q-1)/2)/q) when q is odd
-    and floor(j/(q/2)) when q is even.
+    and floor(j/(q/2)) when q is even.  A prime p > 2k has p^2 > 4k^2 >= top,
+    so only the level q = p, where every floor sum is 0 (they need
+    q <= 2k - 1): its exponent is B // p, with no level loop.
     """
     b = log_power(sym, k)
     m = k - 1 if sym is SymmetryClass.O else k
-    top = max(b, 2 * k)
+    cut = 2 * k
+    top = max(b, cut)
     exps = {}
     for p in primes:
-        e = 0
-        if p == 2 and sym is not SymmetryClass.U:
-            e = b + k - 1 if sym is SymmetryClass.O else b
-        q = p
-        while q <= top:
-            e += b // q
-            if sym is SymmetryClass.U:
-                e += 2 * _floor_sum(k - 1, q) - _floor_sum(2 * k - 1, q)
-            elif q % 2:
-                e -= _floor_sum(m + q // 2, q)  # the floor(j/q) parts cancel
-            else:
-                e += _floor_sum(m, q) - _floor_sum(m, q // 2)
-            q *= p
-        if e < 0:
-            raise IntegralityViolation(
-                f"moment constant for {sym.value}, k={k} has a negative power of {p}"
-            )
+        if p > cut:
+            e = b // p
+        else:
+            e = 0
+            if p == 2 and sym is not SymmetryClass.U:
+                e = b + k - 1 if sym is SymmetryClass.O else b
+            q = p
+            while q <= top:
+                e += b // q
+                if sym is SymmetryClass.U:
+                    e += 2 * _floor_sum(k - 1, q) - _floor_sum(2 * k - 1, q)
+                elif q % 2:
+                    e -= _floor_sum(m + q // 2, q)  # the floor(j/q) parts cancel
+                else:
+                    e += _floor_sum(m, q) - _floor_sum(m, q // 2)
+                q *= p
+            if e < 0:
+                raise IntegralityViolation(
+                    f"moment constant for {sym.value}, k={k} has a negative "
+                    f"power of {p}"
+                )
         if e:
             exps[p] = e
     return exps

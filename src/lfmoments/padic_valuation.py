@@ -10,18 +10,31 @@ them as its oracle.  The zero-window criterion covers U and O at odd primes.
 
 from __future__ import annotations
 
-from .errors import OutOfRegime, UnsupportedClass
+from .errors import DomainError, OutOfRegime, UnsupportedClass
 from .exact_moments import SymmetryClass, _check_k, _legendre_exponents, log_power
 from .numeric_core import check_prime
+
+
+# the cost bound on k: Legendre's sum walks ~log_p(k^2) levels of big-int
+# divisions, so the time grows faster than the square of k's width; k < 2^4096
+# (1233 digits) answers in at most ~0.6 s for p = 2 or 3, where 2^6644
+# took ~2 s (every class, 2-vCPU x86-64, CPython 3.11)
+_MAX_VALUATION_K_BITS = 4096
 
 
 def valuation(sym: SymmetryClass, p: int, k: int) -> int:
     """v_p of the exact moment constant, for every prime p and class.
 
     Legendre's formula on the all-factorial form; the constant itself is
-    never built.
+    never built.  k >= 2^_MAX_VALUATION_K_BITS is a DomainError, raised
+    before any work.
     """
     _check_k(k)
+    if k.bit_length() > _MAX_VALUATION_K_BITS:
+        raise DomainError(
+            f"k passes the cost bound of the valuations: "
+            f"k >= 2^{_MAX_VALUATION_K_BITS}"
+        )
     check_prime(p)
     return _legendre_exponents(sym, k, [p]).get(p, 0)
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import mpmath
 
-from .errors import DomainError
+from .errors import DomainError, brief
 
 DEFAULT_PRECISION_BITS = 256
 MIN_PRECISION_BITS = 64
@@ -69,7 +69,7 @@ def working_precision(precision_bits=None):
     if not MIN_PRECISION_BITS <= bits <= MAX_PRECISION_BITS:
         raise DomainError(
             f"need at least {MIN_PRECISION_BITS} and at most {MAX_PRECISION_BITS} "
-            f"bits of precision, got {bits}"
+            f"bits of precision, got {brief(bits)}"
         )
     with mpmath.workprec(bits + GUARD_BITS):
         yield bits

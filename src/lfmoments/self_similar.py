@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, List, Tuple, Union
 
-from .errors import DomainError, PreconditionError
+from .errors import DomainError, PreconditionError, brief
 from .numeric_core import abs_least_residue, check_prime
 from .precision import RealApprox, approx, to_mpf, working_precision
 
@@ -247,7 +247,7 @@ def sample_density(
 ) -> List[Tuple[float, float]]:
     """n uniformly spaced samples of c_p over [x_min, x_max], 2 <= n <= 10^4."""
     if not 2 <= n <= _MAX_SAMPLES:
-        raise DomainError(f"need 2 to {_MAX_SAMPLES} sample points, got {n}")
+        raise DomainError(f"need 2 to {_MAX_SAMPLES} sample points, got {brief(n)}")
     lo = _as_positive_fraction(x_min)
     hi = _as_positive_fraction(x_max)
     if hi <= lo:

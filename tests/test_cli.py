@@ -203,6 +203,7 @@ _HUGE_K = str(10**3999)
     [
         ("gk", "U", _HUGE_K),
         ("gk", "O", _HUGE_K),
+        ("vp", "U", "2", str(10**4298)),
         ("window", "U", "101", _HUGE_K),
         ("assemble", "U", "1", _HUGE_K, "--ak", "1"),
         ("cp", "5", "1e-20000"),
@@ -532,6 +533,7 @@ def test_cp_plot_requires_a_destination(capsys):
         ("gk", "U", "100000"),
         ("cp", "3", "1e20000"),
         ("cp", "3", "1e-20000", "--eps", "1e-9"),
+        ("vp", "U", "2", str(10**4298)),
     ],
 )
 def test_cost_bounds_are_error_records(capsys, argv):

@@ -114,6 +114,14 @@ def test_factored_matches_direct_factorization(sym):
             moment_constant_factorial_form(sym, k)
         )
         assert all(is_prime(p) for p in exponents)
+    # at k = 250 and 400 most primes lie in (2k, B], past the Legendre
+    # engine's per-level loop; the product times the factorial form's
+    # denominator is its numerator (the division alone takes seconds)
+    for k in (250, 400):
+        f = moment_factored(sym, k)
+        numer, denom = exact_moments._factorial_form(sym, k)
+        assert f.value() * denom == numer, (sym, k)
+        assert all(is_prime(p) for p in f.exponents)
 
 
 @pytest.mark.parametrize("sym", list(SymmetryClass))

@@ -20,7 +20,7 @@ from lfmoments import (
     primes_up_to,
     SymmetryClass,
 )
-from lfmoments.numeric_core import _FACTORED_DIRECT_BITS, check_prime
+from lfmoments.numeric_core import check_prime
 
 
 def test_factorial_values():
@@ -60,9 +60,17 @@ def test_primes_up_to():
 
 
 def test_is_prime_agrees_with_sieve():
-    sieve = set(primes_up_to(2000))
-    for n in range(2, 2001):
-        assert is_prime(n) == (n in sieve)
+    # Miller-Rabin against the odd-only sieve: every limit below 200 (each
+    # parity and square boundary of a small sieve), 0..5000, and the 5000
+    # numbers up to the prime 10^6 + 3
+    for limit in range(200):
+        assert primes_up_to(limit) == [n for n in range(limit + 1) if is_prime(n)]
+    assert primes_up_to(5000) == [n for n in range(5001) if is_prime(n)]
+    high = 10**6 + 3
+    tail = [n for n in range(high - 5000, high + 1) if is_prime(n)]
+    primes = primes_up_to(high)
+    assert primes[-len(tail) :] == tail
+    assert primes[-len(tail) - 1] < high - 5000
 
 
 def _strong_probable_prime(n, a):
@@ -196,16 +204,11 @@ def int_str_limit_lifted():
 
 @pytest.mark.parametrize("sym", list(SymmetryClass))
 def test_factored_decimal_string_matches_str_of_value(sym, int_str_limit_lifted):
-    # every k through the size threshold (U crosses it at k = 60, O and Sp
-    # at k = 81), then a stride up to k = 260, where g_U has 137,235 digits;
-    # str() is quadratic, so the stride keeps the test to seconds
-    sizes = []
+    # every k up to 120, then a stride up to k = 260, where g_U has 137,235
+    # digits; str() is quadratic, so the stride keeps the test to seconds
     for k in sorted({*range(1, 121), *range(130, 261, 26)}):
         f = moment_factored(sym, k)
-        value = f.value()
-        sizes.append(value.bit_length())
-        assert f.decimal_string() == str(value), (sym, k)
-    assert min(sizes) < _FACTORED_DIRECT_BITS < max(sizes)
+        assert f.decimal_string() == str(f.value()), (sym, k)
 
 
 @given(st.one_of(
@@ -216,9 +219,12 @@ def test_factored_decimal_string_matches_str_of_value(sym, int_str_limit_lifted)
 ))
 @example({})
 @example({2: 2**20})
+@example({7919: 3, 2: 5, 101: 3, 3: 1, 65521: 5})  # keys not ascending
+# one exponent group of 600 17-bit primes: three slices of 240
+@example(dict.fromkeys(primes_up_to(70000)[-600:], 3))
 @settings(max_examples=100, deadline=None)
 def test_factored_decimal_string_matches_the_binary_route(exponents):
-    # decimal_string(value()) is today's route, itself checked against str
-    # above; {2: 2**20} would take str() seconds
+    # decimal_string(value()) converts the binary integer, itself checked
+    # against str above; {2: 2**20} would take str() seconds
     f = FactoredInteger(exponents)
     assert f.decimal_string() == decimal_string(f.value())

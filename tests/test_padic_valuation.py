@@ -19,6 +19,8 @@ from lfmoments import (
     valuation,
     zero_valuation_window,
 )
+from lfmoments import padic_valuation
+from lfmoments.exact_moments import _legendre_exponents
 
 U, O, SP = SymmetryClass.U, SymmetryClass.O, SymmetryClass.Sp
 
@@ -168,6 +170,28 @@ def test_valuation_matches_legendre_on_factorial_form(sym):
             assert v == _factorial_form_valuation(sym, p, k), (sym, p, k)
             q, r = divmod(g, p**v)
             assert r == 0 and q % p != 0, (sym, p, k)
+    # at k = 250 and 400 the engine's per-level loop stops at 2k and the
+    # primes in (2k, B] take B // p: every prime up to 4k, then a stride,
+    # the top of the range and the first primes past B
+    for k in (250, 400):
+        b = log_power(sym, k)
+        primes = primes_up_to(b + 100)
+        split = primes.index(next(p for p in primes if p > 4 * k))
+        above = [p for p in primes if p > b]
+        sample = primes[:split] + primes[split::37] + primes[-len(above) - 5 :]
+        for p in sample:
+            v = valuation(sym, p, k)
+            assert v == _factorial_form_valuation(sym, p, k), (sym, p, k)
+        assert all(valuation(sym, p, k) == 0 for p in above)
+
+
+@pytest.mark.parametrize("sym", list(SymmetryClass))
+def test_valuation_past_log_power_is_zero(sym):
+    # a single prime above B(k) gets no exponent, not a zero entry
+    for k, p in ((1, 2), (3, 11), (10, 101), (100, 10007)):
+        assert p > log_power(sym, k)
+        assert valuation(sym, p, k) == 0
+        assert _legendre_exponents(sym, k, [p]) == {}
 
 
 @pytest.mark.parametrize("sym", [U, O])
@@ -257,3 +281,20 @@ def test_unitary_window_interval_forces_zero():
         for p in ODD_PRIMES:
             if k < p and (p - k) ** 2 < p:
                 assert valuation(U, p, k) == 0, (p, k)
+
+
+def test_valuation_past_the_cost_bound_is_refused_before_any_work(monkeypatch):
+    # 10^1500 took ~0.9 s at p = 2, and the time grows faster than the
+    # square of k's width; 2^4096 is the first k refused
+    calls = []
+
+    def engine(sym, k, primes):
+        calls.append(k)
+        return {}
+
+    monkeypatch.setattr(padic_valuation, "_legendre_exponents", engine)
+    for k in (2**4096, 10**1500, 10**4299):
+        with pytest.raises(DomainError, match="cost bound"):
+            valuation(U, 2, k)
+    assert valuation(U, 2, 2**4096 - 1) == 0
+    assert calls == [2**4096 - 1]
