@@ -42,9 +42,9 @@ from itertools import compress, count
 
 import mpmath as mp
 
-from .errors import DomainError, NoConvergence, PoleError, brief
-from .exact_moments import SymmetryClass, log_power
-from .numeric_core import FactoredInteger, primes_up_to
+from .errors import DomainError, NoConvergence, PoleError, brief, require_int
+from .exact_moments import SymmetryClass, log_power, require_class
+from .numeric_core import _balanced_product, primes_up_to
 from .precision import RealApprox, approx, to_fraction, to_mpf, working_precision
 
 __all__ = [
@@ -239,7 +239,7 @@ def _pole_order(sym: SymmetryClass, k: int) -> int:
     2k - 1, and O, which divides by G(z), order k.  Sp is the O value at
     lambda + 1: order k - 1.  For k < 1 every class gives 0 or less.
     """
-    if sym is SymmetryClass.U:
+    if require_class(sym) is SymmetryClass.U:
         return 2 * k - 1
     return k if sym is SymmetryClass.O else k - 1
 
@@ -415,11 +415,10 @@ def moment_by_limit(
     rational lam, on the doubling ladder N = 32, 64, ... and
     Richardson-extrapolates (leading error c/N, with higher powers
     cancelled level by level) until two successive extrapolants agree to
-    ``target_digits`` significant digits.
+    ``target_digits`` significant digits, at most what the precision carries.
     """
-    if target_digits < 1:
-        raise DomainError("target_digits must be at least 1")
     with working_precision(precision_bits) as bits:
+        require_int("target_digits", target_digits, 1, int(bits * math.log10(2)))
         lam_v = to_mpf(lam)
         _check_pole(sym, lam_v)
         if lam_v < mp.mpf("-0.5"):
@@ -448,7 +447,7 @@ def moment_by_limit(
                 best_prev = best
             n *= 2
         raise NoConvergence(
-            f"limit product for {sym.value} at degree {lam_v} did not "
+            f"limit product for {sym.value} at degree {mp.nstr(lam_v, 15)} did not "
             f"stabilize to {target_digits} digits by N = {_LADDER_MAX_N}"
         )
 
@@ -469,10 +468,8 @@ def pole_order(sym: SymmetryClass, k: int, precision_bits=None) -> int:
     Barnes G (see ``_pole_order``).  The order is exact at any precision;
     ``precision_bits`` is only range-checked.
     """
-    if not isinstance(k, int) or k < 1:
-        raise DomainError("pole orders need a positive integer k")
     with working_precision(precision_bits):
-        return _pole_order(sym, k)
+        return _pole_order(sym, require_int("k", k, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -489,13 +486,12 @@ def log_moment_asymptotic(sym: SymmetryClass, k: int, precision_bits=None) -> Re
     -7/(16k) + O(1/k^2) for O and +7/(16k) + O(1/k^2) for Sp;
     err_estimate is 1/k for every class.
     """
-    if not isinstance(k, int) or k < 2:
-        raise DomainError("the expansion needs k >= 2")
+    require_int("k", k, 2)
     with working_precision(precision_bits) as bits:
         ln2, zp0, zpm1 = _constants(bits)
         kk = mp.mpf(k)
         log_k = mp.log(kk)
-        if sym is SymmetryClass.U:
+        if require_class(sym) is SymmetryClass.U:
             value = (
                 kk * kk * log_k
                 + (mp.mpf("0.5") - 2 * ln2) * kk * kk
@@ -566,8 +562,7 @@ def _exact_log_sum(kind: str, n: int) -> mp.mpf:
     terms = []
     for i in range(max(weights, default=0).bit_length()):
         sliced = compress(primes, [w >> i & 1 for w in weights])
-        product = FactoredInteger(dict.fromkeys(sliced, 1)).value()
-        terms.append(mp.ldexp(mp.log(product), i))
+        terms.append(mp.ldexp(mp.log(_balanced_product(list(sliced))), i))
     return mp.fsum(terms)
 
 
@@ -590,9 +585,7 @@ def log_sum_asymptotics(kind: str, n: int, precision_bits=None):
     """
     if kind not in SUM_KINDS:
         raise DomainError(f"unknown sum kind {kind!r}; expected one of {SUM_KINDS}")
-    if not isinstance(n, int) or n < 1:
-        raise DomainError("n must be a positive integer")
-    if n > _LOG_SUM_MAX_N:
+    if require_int("n", n, 1) > _LOG_SUM_MAX_N:
         raise DomainError(
             f"n is above the log-sum cost bound {_LOG_SUM_MAX_N}, got {brief(n)}"
         )

@@ -1,9 +1,12 @@
 """Exception types shared across the toolkit.
 
 Every domain failure raises one of these instead of a bare ValueError so the
-command-line layer can map them to structured error records.  Messages name
-a caller's value through brief(), which never formats a huge integer.
+command-line layer can map them to structured error records.  require_int
+checks every integer argument; messages name a caller's value through
+brief(), which never formats a huge integer.
 """
+
+from fractions import Fraction
 
 # values up to this width are printed in messages; a longer int may pass
 # CPython's int-to-str limit, where formatting it raises ValueError
@@ -11,11 +14,27 @@ _BRIEF_BITS = 128
 
 
 def brief(value) -> str:
-    """repr(value) for a message, or the sign and width of a long int."""
-    if isinstance(value, int) and value.bit_length() > _BRIEF_BITS:
-        article = "a negative" if value < 0 else "an"
-        return f"{article} integer of {value.bit_length()} bits"
+    """repr(value) for a message, or the sign and width of a long int or
+    Fraction."""
+    if isinstance(value, (int, Fraction)):
+        bits = max(value.numerator.bit_length(), value.denominator.bit_length())
+        if bits > _BRIEF_BITS:
+            noun = "integer" if isinstance(value, int) else "fraction"
+            article = "a negative" if value < 0 else "an" if noun == "integer" else "a"
+            return f"{article} {noun} of {bits} bits"
     return repr(value)
+
+
+def require_int(name: str, value, low, high=None) -> int:
+    """value, once it is an int (bool is not) in [low, high], a None bound
+    being no bound; otherwise a DomainError whose message states the bounds."""
+    if (isinstance(value, int) and not isinstance(value, bool)
+            and (low is None or low <= value) and (high is None or value <= high)):
+        return value
+    pairs = (("at least", low), ("at most", high))
+    bounds = " and ".join(f"{word} {end}" for word, end in pairs if end is not None)
+    of = f" of {bounds}" if bounds else ""
+    raise DomainError(f"{name} must be an integer{of}, got {brief(value)}")
 
 
 class LfmomentsError(Exception):

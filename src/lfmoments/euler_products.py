@@ -25,7 +25,7 @@ from itertools import count
 
 import mpmath as mp
 
-from .errors import DomainError, brief
+from .errors import DomainError, require_int
 from .exact_moments import SymmetryClass, log_power, moment_constant
 from .numeric_core import factorial, primes_up_to
 from .precision import RealApprox, approx, to_fraction, to_mpf, working_precision
@@ -85,11 +85,7 @@ def _check_cost(k, prime_cutoff, bits: int) -> Fraction:
     """k as an exact rational (``to_fraction``), once k > -1/2, the cutoff
     is an int >= _MIN_CUTOFF and the products' work at these bits is within
     _MAX_WORK_NS; DomainError otherwise.  Runs before any sieve or table."""
-    if not isinstance(prime_cutoff, int) or prime_cutoff < _MIN_CUTOFF:
-        raise DomainError(
-            f"prime_cutoff must be an integer of at least {_MIN_CUTOFF}, "
-            f"got {brief(prime_cutoff)}"
-        )
+    require_int("prime_cutoff", prime_cutoff, _MIN_CUTOFF)
     k = to_fraction(k)
     if k <= Fraction(-1, 2):
         raise DomainError("the product is defined only for k > -1/2")
@@ -281,10 +277,8 @@ def sp_quadratic_arithmetic_factor(
     to the partial product over p <= cutoff/2, the same scale a
     cutoff-doubling test would see.
     """
-    if not isinstance(k, int) or k < 1:
-        raise DomainError("k must be a positive integer")
     with working_precision(precision_bits) as bits:
-        _check_cost(k, prime_cutoff, bits)
+        _check_cost(require_int("k", k, 1), prime_cutoff, bits)
         primes = primes_up_to(prime_cutoff)
         alpha, coeffs = _sp_shape(k)
         half = bisect_right(primes, prime_cutoff // 2)
@@ -337,8 +331,6 @@ def assemble_mean_value(family: FamilyDescriptor, k: int, ak) -> MeanValueShape:
     caller-provided arithmetic factor may be a RealApprox, a Fraction, or
     a float.
     """
-    if not isinstance(k, int) or k < 1:
-        raise DomainError("k must be a positive integer")
     g = moment_constant(family.sym, k)
     b_exp = log_power(family.sym, k)
     given_bits = ak.precision_bits if isinstance(ak, RealApprox) else None

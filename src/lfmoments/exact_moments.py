@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import enum
 
-from .errors import DomainError, IntegralityViolation, brief
+from .errors import DomainError, IntegralityViolation, brief, require_int
 from .numeric_core import FactoredInteger, _balanced_product, factorial, primes_up_to
 
 
@@ -50,22 +50,24 @@ O = SymmetryClass.O
 Sp = SymmetryClass.Sp
 
 
+def require_class(sym) -> SymmetryClass:
+    """sym, once it is a SymmetryClass member (by isinstance: on Python 3.12
+    "U" in SymmetryClass is true); DomainError otherwise."""
+    if not isinstance(sym, SymmetryClass):
+        raise DomainError(f"sym must be SymmetryClass.U, O or Sp, got {brief(sym)}")
+    return sym
+
+
 def log_power(sym: SymmetryClass, k):
     """B(k): the exponent of log in the mean value.
 
     Exact for int and Fraction inputs, generic arithmetic otherwise
     (floats, mpf).
     """
-    if sym is SymmetryClass.U:
+    if require_class(sym) is SymmetryClass.U:
         return k * k
     twice = k * (k - 1) if sym is SymmetryClass.O else k * (k + 1)
     return twice // 2 if isinstance(k, int) else twice / 2
-
-
-def _check_k(k: int) -> None:
-    # True is an int equal to 1; False fails k < 1
-    if not isinstance(k, int) or k is True or k < 1:
-        raise DomainError(f"moment order must be a positive integer, got {brief(k)}")
 
 
 def moment_constant(sym: SymmetryClass, k: int) -> int:
@@ -99,8 +101,7 @@ def moment_constant_factorial_form(sym: SymmetryClass, k: int) -> int:
     The independent test oracle for the Legendre engine; tests require it
     to agree with moment_constant everywhere.
     """
-    _check_k(k)
-    g, rem = divmod(*_factorial_form(sym, k))
+    g, rem = divmod(*_factorial_form(sym, require_int("k", k, 1)))
     if rem:
         raise IntegralityViolation(
             f"factorial-form moment constant for {sym.value}, k={k} is not integral"
@@ -170,8 +171,7 @@ def moment_factored(sym: SymmetryClass, k: int) -> FactoredInteger:
     to B: g_O(2) = 2 while B = 1).  The integer itself is never built.
     B(k) past _MAX_LOG_POWER is a DomainError, raised before the sieve.
     """
-    _check_k(k)
-    b = log_power(sym, k)
+    b = log_power(sym, require_int("k", k, 1))
     if b > _MAX_LOG_POWER:
         raise DomainError(
             f"k passes the cost bound of the exact constants: "

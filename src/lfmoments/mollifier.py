@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ConstraintError, DomainError
-from .exact_moments import SymmetryClass
+from .exact_moments import SymmetryClass, require_class
 from .numeric_core import decimal_string
 
 __all__ = [
@@ -275,4 +275,4 @@ _DISPATCH = {
 
 def mean_square(sym: SymmetryClass, p, q) -> LaurentPolynomial:
     """Class-dispatching entry point used by the command line."""
-    return _DISPATCH[sym](p, q)
+    return _DISPATCH[require_class(sym)](p, q)

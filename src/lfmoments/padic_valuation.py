@@ -10,8 +10,8 @@ them as its oracle.  The zero-window criterion covers U and O at odd primes.
 
 from __future__ import annotations
 
-from .errors import DomainError, OutOfRegime, UnsupportedClass
-from .exact_moments import SymmetryClass, _check_k, _legendre_exponents, log_power
+from .errors import DomainError, OutOfRegime, UnsupportedClass, require_int
+from .exact_moments import SymmetryClass, _legendre_exponents, log_power, require_class
 from .numeric_core import check_prime
 
 
@@ -29,8 +29,7 @@ def valuation(sym: SymmetryClass, p: int, k: int) -> int:
     never built.  k >= 2^_MAX_VALUATION_K_BITS is a DomainError, raised
     before any work.
     """
-    _check_k(k)
-    if k.bit_length() > _MAX_VALUATION_K_BITS:
+    if require_int("k", k, 1).bit_length() > _MAX_VALUATION_K_BITS:
         raise DomainError(
             f"k passes the cost bound of the valuations: "
             f"k >= 2^{_MAX_VALUATION_K_BITS}"
@@ -48,17 +47,14 @@ def zero_valuation_window(sym: SymmetryClass, p: int, k: int) -> bool:
     Outside the regime (p >= B(k), where the valuation is trivially zero, or
     p^2 <= B(k), where it is always positive) raises OutOfRegime.
     """
-    if sym is SymmetryClass.Sp:
+    if require_class(sym) is SymmetryClass.Sp:
         raise UnsupportedClass(
             "window criterion covers U and O; use the O window at k+1 for Sp"
         )
-    if sym not in (SymmetryClass.U, SymmetryClass.O):
-        raise UnsupportedClass(f"no window criterion for {sym!r}")
     check_prime(p)
     if p == 2:
         raise UnsupportedClass(f"the window criteria need an odd prime, got {p}")
-    _check_k(k)
-    b = log_power(sym, k)
+    b = log_power(sym, require_int("k", k, 1))
     if p >= b:
         raise OutOfRegime(f"p={p} >= B(k)={b}: valuation is trivially zero there")
     if p * p <= b:

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import mpmath
 
-from .errors import DomainError, brief
+from .errors import DomainError, require_int
 
 DEFAULT_PRECISION_BITS = 256
 MIN_PRECISION_BITS = 64
@@ -64,13 +64,10 @@ class RealApprox:
 @contextmanager
 def working_precision(precision_bits=None):
     """Run the block at the requested precision plus GUARD_BITS; yields the
-    requested bit count (``None`` means ``default_precision()``)."""
-    bits = default_precision() if precision_bits is None else int(precision_bits)
-    if not MIN_PRECISION_BITS <= bits <= MAX_PRECISION_BITS:
-        raise DomainError(
-            f"need at least {MIN_PRECISION_BITS} and at most {MAX_PRECISION_BITS} "
-            f"bits of precision, got {brief(bits)}"
-        )
+    requested bit count (``None`` means ``default_precision()``), an int
+    from MIN_PRECISION_BITS to MAX_PRECISION_BITS."""
+    bits = default_precision() if precision_bits is None else precision_bits
+    bits = require_int("precision_bits", bits, MIN_PRECISION_BITS, MAX_PRECISION_BITS)
     with mpmath.workprec(bits + GUARD_BITS):
         yield bits
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, List, Tuple, Union
 
-from .errors import DomainError, PreconditionError, brief
+from .errors import DomainError, PreconditionError, require_int
 from .numeric_core import abs_least_residue, check_prime
 from .precision import RealApprox, approx, to_mpf, working_precision
 
@@ -221,9 +221,7 @@ def classify_point(p: int, a: int, b: int) -> PointClass:
     must rescale by a power of p (the graph repeats under x -> px).
     """
     check_prime(p)
-    if a < 1 or b < 1:
-        raise DomainError("need a positive rational a/b")
-    fx = Fraction(a, b)
+    fx = Fraction(require_int("a", a, 1), require_int("b", b, 1))
     if fx.denominator % p == 0:
         raise PreconditionError(
             f"denominator of {fx} shares a factor with p = {p}; rescale by p first"
@@ -246,8 +244,7 @@ def sample_density(
     p: int, x_min, x_max, n: int, eps: float = 1e-9
 ) -> List[Tuple[float, float]]:
     """n uniformly spaced samples of c_p over [x_min, x_max], 2 <= n <= 10^4."""
-    if not 2 <= n <= _MAX_SAMPLES:
-        raise DomainError(f"need 2 to {_MAX_SAMPLES} sample points, got {brief(n)}")
+    require_int("the number of sample points n", n, 2, _MAX_SAMPLES)
     lo = _as_positive_fraction(x_min)
     hi = _as_positive_fraction(x_max)
     if hi <= lo:

@@ -656,6 +656,25 @@ def test_integer_ladder_fails_like_the_oracle_at_a_low_cap(sym, monkeypatch):
     assert got[0] is NoConvergence and got[2] is DomainError
 
 
+def test_limit_failure_names_the_degree_in_15_digits(monkeypatch):
+    # the message printed lambda at the working precision, ~320 digits here
+    monkeypatch.setattr(analytic_moments, "_LADDER_MAX_N", 1 << 6)
+    with pytest.raises(NoConvergence) as info:
+        moment_by_limit(U, Fraction(1, 3), target_digits=300, precision_bits=1024)
+    assert "degree 0.333333333333333 did not" in str(info.value)
+    assert len(str(info.value)) < 200
+
+
+@pytest.mark.parametrize("bits, most", [(64, 19), (128, 38), (256, 77), (8192, 2466)])
+def test_target_digits_stop_at_what_the_precision_carries(bits, most):
+    # refused before any ladder step; moment_by_limit(U, 1, target_digits=10**5000)
+    # ran for 27 s
+    with pytest.raises(DomainError, match=f"at least 1 and at most {most}, got {most + 1}"):
+        moment_by_limit(U, 1, target_digits=most + 1, precision_bits=bits)
+    with pytest.raises(DomainError, match="at least 1"):
+        moment_by_limit(U, 1, target_digits=0, precision_bits=bits)
+
+
 def test_running_product_keeps_the_sign_of_its_terms():
     # the rising factorials (z)_i of z = -3.37 change sign up to i = 4, and
     # the shift of Barnes G multiplies 36 of them: the kernel against the

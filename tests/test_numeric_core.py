@@ -20,7 +20,10 @@ from lfmoments import (
     primes_up_to,
     SymmetryClass,
 )
-from lfmoments.numeric_core import check_prime
+from lfmoments import analytic_moments, exact_moments
+from lfmoments.euler_products import _check_cost
+from lfmoments.numeric_core import _MAX_FACTORIAL_N, _MAX_SIEVE_LIMIT, check_prime
+from lfmoments.precision import working_precision
 
 
 def test_factorial_values():
@@ -57,6 +60,24 @@ def test_primes_up_to():
     assert primes_up_to(1) == []
     assert primes_up_to(2) == [2]
     assert primes_up_to(20) == [2, 3, 5, 7, 11, 13, 17, 19]
+    assert primes_up_to(-10**5000) == []
+
+
+def test_sieve_and_factorial_bounds_cover_every_internal_caller():
+    # B(k) sizes the exact constants' sieve and assemble_mean_value's B(k)!;
+    # the log sums sieve to 2n - 1; the Euler products sieve to their cutoff
+    assert exact_moments._MAX_LOG_POWER <= min(_MAX_SIEVE_LIMIT, _MAX_FACTORIAL_N)
+    assert 2 * analytic_moments._LOG_SUM_MAX_N - 1 <= _MAX_SIEVE_LIMIT
+    # the cost bound admits its largest cutoff at k = 0 and 64 bits (by
+    # bisection); every k with a sieve at 2^25 is refused before it
+    with working_precision(64) as bits:
+        assert _check_cost(0, 28_770_863, bits) == 0
+        for k in (0, 1, Fraction(1, 2), Fraction(-2, 5)):
+            with pytest.raises(DomainError, match="cost bound"):
+                _check_cost(k, _MAX_SIEVE_LIMIT, bits)
+    for call, bound in ((primes_up_to, _MAX_SIEVE_LIMIT), (factorial, _MAX_FACTORIAL_N)):
+        with pytest.raises(DomainError, match=f"at most {bound}, got {bound + 1}"):
+            call(bound + 1)
 
 
 def test_is_prime_agrees_with_sieve():

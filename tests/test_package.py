@@ -1,11 +1,15 @@
 """The package's public surface."""
 
+import math
 import sys
+import time
+from fractions import Fraction
+from functools import partial
 
 import pytest
 
 import lfmoments
-from lfmoments import DomainError, SymmetryClass
+from lfmoments import DomainError, LfmomentsError, SymmetryClass
 from lfmoments.numeric_core import check_prime
 
 U = SymmetryClass.U
@@ -29,27 +33,133 @@ def default_int_str_limit():
     sys.set_int_max_str_digits(before)
 
 
+# one call per integer, class or precision slot of a public callable, the
+# other arguments valid; each takes the hostile value as its last argument
+_FAMILY = lfmoments.FamilyDescriptor(U, 1, "test")
+_INT_SLOTS = {
+    "factorial.n": lfmoments.factorial,
+    "abs_least_residue.n": lambda v: lfmoments.abs_least_residue(v, 7),
+    "abs_least_residue.b": partial(lfmoments.abs_least_residue, 3),
+    "primes_up_to.limit": lfmoments.primes_up_to,
+    "is_prime.n": lfmoments.is_prime,
+    "decimal_string.n": lfmoments.decimal_string,
+    "moment_constant.k": partial(lfmoments.moment_constant, U),
+    "moment_constant_factorial_form.k": partial(lfmoments.moment_constant_factorial_form, U),
+    "moment_factored.k": partial(lfmoments.moment_factored, U),
+    "valuation.p": lambda v: lfmoments.valuation(U, v, 5),
+    "valuation.k": partial(lfmoments.valuation, U, 3),
+    "zero_valuation_window.p": lambda v: lfmoments.zero_valuation_window(U, v, 10),
+    "zero_valuation_window.k": partial(lfmoments.zero_valuation_window, U, 11),
+    "density_exact.p": lambda v: lfmoments.density_exact(v, Fraction(1, 3)),
+    "density_numeric.p": lambda v: lfmoments.density_numeric(v, Fraction(1, 3)),
+    "classify_point.p": lambda v: lfmoments.classify_point(v, 1, 7),
+    "classify_point.a": lambda v: lfmoments.classify_point(3, v, 7),
+    "classify_point.b": partial(lfmoments.classify_point, 3, 1),
+    "sample_density.p": lambda v: lfmoments.sample_density(v, 1, 2, 3),
+    "sample_density.n": partial(lfmoments.sample_density, 3, 1, 2),
+    "moment_by_limit.target_digits": lambda v: lfmoments.moment_by_limit(U, 1, v),
+    "pole_order.k": partial(lfmoments.pole_order, U),
+    "log_moment_asymptotic.k": partial(lfmoments.log_moment_asymptotic, U),
+    "log_sum_asymptotics.n": partial(lfmoments.log_sum_asymptotics, "log_j"),
+    "zeta_arithmetic_factor.prime_cutoff": partial(lfmoments.zeta_arithmetic_factor, 2),
+    "sp_quadratic_arithmetic_factor.k": lfmoments.sp_quadratic_arithmetic_factor,
+    "sp_quadratic_arithmetic_factor.prime_cutoff":
+        partial(lfmoments.sp_quadratic_arithmetic_factor, 2),
+    "assemble_mean_value.k": lambda v: lfmoments.assemble_mean_value(_FAMILY, v, 1),
+    "barnes_g.precision_bits": partial(lfmoments.barnes_g, 1),
+    "moment_ratio_closed_form.precision_bits":
+        partial(lfmoments.moment_ratio_closed_form, U, 1),
+    "moment_closed_form.precision_bits": partial(lfmoments.moment_closed_form, U, 1),
+    "moment_by_limit.precision_bits": partial(lfmoments.moment_by_limit, U, 1, 8),
+    "half_moment_unitary.precision_bits": lfmoments.half_moment_unitary,
+    "pole_order.precision_bits": partial(lfmoments.pole_order, U, 1),
+    "log_moment_asymptotic.precision_bits": partial(lfmoments.log_moment_asymptotic, U, 2),
+    "log_sum_asymptotics.precision_bits": partial(lfmoments.log_sum_asymptotics, "log_j", 2),
+    "zeta_arithmetic_factor.precision_bits":
+        partial(lfmoments.zeta_arithmetic_factor, 2, 100),
+    "sp_quadratic_arithmetic_factor.precision_bits":
+        partial(lfmoments.sp_quadratic_arithmetic_factor, 2, 100),
+}
+_CLASS_SLOTS = {
+    "log_power.sym": lambda v: lfmoments.log_power(v, 3),
+    "moment_constant.sym": lambda v: lfmoments.moment_constant(v, 3),
+    "moment_constant_factorial_form.sym": lambda v: lfmoments.moment_constant_factorial_form(v, 3),
+    "moment_factored.sym": lambda v: lfmoments.moment_factored(v, 3),
+    "valuation.sym": lambda v: lfmoments.valuation(v, 2, 3),
+    "zero_valuation_window.sym": lambda v: lfmoments.zero_valuation_window(v, 11, 10),
+    "moment_ratio_closed_form.sym": lambda v: lfmoments.moment_ratio_closed_form(v, 3),
+    "moment_closed_form.sym": lambda v: lfmoments.moment_closed_form(v, 3),
+    "moment_by_limit.sym": lambda v: lfmoments.moment_by_limit(v, 3),
+    "pole_order.sym": lambda v: lfmoments.pole_order(v, 3),
+    "log_moment_asymptotic.sym": lambda v: lfmoments.log_moment_asymptotic(v, 3),
+    "mean_square.sym": lambda v: lfmoments.mean_square(v, [0, 1], [1]),
+}
+_NOT_INTS = {
+    "True": True, "False": False, "1.5": 1.5, "nan": math.nan, "inf": math.inf,
+    "-inf": -math.inf, "str": "2", "7/2": Fraction(7, 2), "1/huge": Fraction(1, _HUGE),
+}
+_NOT_CLASSES = {"str": "U", "None": None, "0": 0}
+# the slots where a 5000-digit int is a valid input: the call answers, or
+# raises a toolkit error of its own (OutOfRegime, past the window's regime)
+_HUGE_ANSWERS = {
+    ("abs_least_residue.n", _HUGE), ("abs_least_residue.n", -_HUGE),
+    ("abs_least_residue.b", _HUGE), ("primes_up_to.limit", -_HUGE),
+    ("is_prime.n", -_HUGE), ("decimal_string.n", _HUGE), ("decimal_string.n", -_HUGE),
+    ("zero_valuation_window.k", _HUGE), ("classify_point.a", _HUGE),
+    ("pole_order.k", _HUGE), ("log_moment_asymptotic.k", _HUGE),
+}
+
+
+def _hostile_calls():
+    for slot, call in _INT_SLOTS.items():
+        for name, value in _NOT_INTS.items():
+            if slot == "decimal_string.n" and isinstance(value, Fraction):
+                continue  # decimal_string takes Fractions
+            yield pytest.param(partial(call, value), False, id=f"{slot}-{name}")
+        for name, value in (("huge", _HUGE), ("-huge", -_HUGE)):
+            answers = (slot, value) in _HUGE_ANSWERS
+            yield pytest.param(partial(call, value), answers, id=f"{slot}-{name}")
+    for slot, call in _CLASS_SLOTS.items():
+        for name, value in _NOT_CLASSES.items():
+            yield pytest.param(partial(call, value), False, id=f"{slot}-{name}")
+
+
 @pytest.mark.parametrize(
-    "call",
+    "call, answers",
     [
-        pytest.param(lambda: lfmoments.moment_constant(U, -_HUGE), id="moment_constant"),
-        pytest.param(lambda: lfmoments.moment_factored(U, -_HUGE), id="moment_factored"),
-        pytest.param(lambda: lfmoments.valuation(U, 3, -_HUGE), id="valuation"),
-        pytest.param(lambda: lfmoments.valuation(U, 3, _HUGE), id="valuation_cost"),
-        pytest.param(lambda: lfmoments.factorial(-_HUGE), id="factorial"),
-        pytest.param(lambda: lfmoments.sample_density(3, 1, 2, _HUGE), id="sample_density"),
-        pytest.param(lambda: lfmoments.zeta_arithmetic_factor(2, prime_cutoff=-_HUGE),
+        pytest.param(lambda: lfmoments.moment_constant(U, -_HUGE), False, id="moment_constant"),
+        pytest.param(lambda: lfmoments.moment_factored(U, -_HUGE), False, id="moment_factored"),
+        pytest.param(lambda: lfmoments.valuation(U, 3, -_HUGE), False, id="valuation"),
+        pytest.param(lambda: lfmoments.valuation(U, 3, _HUGE), False, id="valuation_cost"),
+        pytest.param(lambda: lfmoments.factorial(-_HUGE), False, id="factorial"),
+        pytest.param(lambda: lfmoments.sample_density(3, 1, 2, _HUGE), False,
+                     id="sample_density"),
+        pytest.param(lambda: lfmoments.zeta_arithmetic_factor(2, prime_cutoff=-_HUGE), False,
                      id="zeta_arithmetic_factor"),
-        pytest.param(lambda: lfmoments.log_sum_asymptotics("log_j", _HUGE), id="log_sum_asymptotics"),
-        pytest.param(lambda: check_prime(-_HUGE), id="check_prime"),
-        pytest.param(lambda: lfmoments.abs_least_residue(3, -_HUGE), id="abs_least_residue"),
-        pytest.param(lambda: lfmoments.moment_constant(U, True), id="moment_constant_bool"),
-        pytest.param(lambda: lfmoments.valuation(U, 3, True), id="valuation_bool"),
+        pytest.param(lambda: lfmoments.log_sum_asymptotics("log_j", _HUGE), False,
+                     id="log_sum_asymptotics"),
+        pytest.param(lambda: check_prime(-_HUGE), False, id="check_prime"),
+        pytest.param(lambda: lfmoments.abs_least_residue(3, -_HUGE), False,
+                     id="abs_least_residue"),
+        pytest.param(lambda: lfmoments.moment_constant(U, True), False,
+                     id="moment_constant_bool"),
+        pytest.param(lambda: lfmoments.valuation(U, 3, True), False, id="valuation_bool"),
+        *_hostile_calls(),
     ],
 )
-def test_huge_or_boolean_arguments_raise_only_domain_error(default_int_str_limit, call):
+def test_huge_or_boolean_arguments_raise_only_domain_error(default_int_str_limit, call, answers):
     # each message states its bound; formatting a 5000-digit argument into
-    # it raised ValueError, and moment_constant(U, True) returned 1
-    with pytest.raises(DomainError) as info:
+    # it raised ValueError, moment_constant(U, True) returned 1 and
+    # moment_constant("U", 3) returned Sp's g_3.  No result is repr'd:
+    # mpmath's repr of barnes_g(10**5000) took minutes
+    start = time.perf_counter()
+    try:
         call()
-    assert len(str(info.value)) < 200
+    except DomainError as exc:
+        assert len(str(exc)) < 200
+    except LfmomentsError as exc:
+        assert answers, exc
+        assert len(str(exc)) < 200
+    else:
+        assert answers, "a hostile argument was accepted"
+    assert time.perf_counter() - start < 2
