@@ -26,7 +26,7 @@ from itertools import count
 import mpmath as mp
 
 from .errors import DomainError, require_int
-from .exact_moments import SymmetryClass, log_power, moment_constant
+from .exact_moments import SymmetryClass, log_power, moment_constant, require_class
 from .numeric_core import factorial, primes_up_to
 from .precision import RealApprox, approx, to_fraction, to_mpf, working_precision
 
@@ -303,6 +303,7 @@ class FamilyDescriptor:
     label: str
 
     def __post_init__(self):
+        require_class(self.sym)
         try:
             exponent = Fraction(self.conductor_exponent)
         except (ValueError, OverflowError) as exc:  # NaN, infinities

@@ -26,6 +26,7 @@ oracle.
 from __future__ import annotations
 
 import enum
+from functools import lru_cache
 
 from .errors import DomainError, IntegralityViolation, brief, require_int
 from .numeric_core import FactoredInteger, _balanced_product, factorial, primes_up_to
@@ -170,6 +171,8 @@ def moment_factored(sym: SymmetryClass, k: int) -> FactoredInteger:
     No prime above max(2, B(k)) divides the constant (2 is the exception
     to B: g_O(2) = 2 while B = 1).  The integer itself is never built.
     B(k) past _MAX_LOG_POWER is a DomainError, raised before the sieve.
+    The most recent constant is kept (see _factored), so a request for the
+    same (sym, k) right after it reuses its exponents and decimal string.
     """
     b = log_power(sym, require_int("k", k, 1))
     if b > _MAX_LOG_POWER:
@@ -177,4 +180,14 @@ def moment_factored(sym: SymmetryClass, k: int) -> FactoredInteger:
             f"k passes the cost bound of the exact constants: "
             f"B(k) > {_MAX_LOG_POWER}"
         )
-    return FactoredInteger(_legendre_exponents(sym, k, primes_up_to(max(2, b))))
+    return _factored(sym, k)
+
+
+# one entry: gk and gk --factor ask for the same constant back to back, and
+# at the cost bound one FactoredInteger holds a ~1.2 * 10**7-digit string.
+# Only moment_factored calls it, after its checks: the cache would take
+# True, 3.0 or Fraction(3) as the key 1 or 3
+@lru_cache(maxsize=1)
+def _factored(sym: SymmetryClass, k: int) -> FactoredInteger:
+    primes = primes_up_to(max(2, log_power(sym, k)))
+    return FactoredInteger(_legendre_exponents(sym, k, primes))

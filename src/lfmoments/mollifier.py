@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import ConstraintError, DomainError
+from .errors import ConstraintError, DomainError, require_int
 from .exact_moments import SymmetryClass, require_class
 from .numeric_core import decimal_string
 
@@ -132,9 +132,10 @@ class LaurentPolynomial:
         coeffs = {}
         if mapping:
             for power, c in dict(mapping).items():
+                power = require_int("a power of theta", power, None)
                 c = Fraction(c)
                 if c != 0:
-                    coeffs[int(power)] = c
+                    coeffs[power] = c
         self.coeffs = dict(sorted(coeffs.items(), reverse=True))
 
     def is_zero(self) -> bool:

@@ -12,10 +12,11 @@ import decimal
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import compress, groupby
 from operator import itemgetter, mul
-from typing import Dict, List, Union
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Union
 
 from .errors import DomainError, brief, require_int
 
@@ -132,18 +133,35 @@ def _balanced_product(factors: list, multiply=mul):
     return factors[0] if factors else 1
 
 
-@dataclass
+@dataclass(frozen=True)
 class FactoredInteger:
-    """A positive integer held as {prime: exponent}; exponents >= 1."""
+    """A positive integer held as {prime: exponent}; exponents >= 1.
 
-    exponents: Dict[int, int] = field(default_factory=dict)
+    Immutable: exponents is a read-only view of a private copy of the
+    mapping it was built from, so a shared instance cannot be changed.
+    """
+
+    exponents: Mapping[int, int] = field(default_factory=dict)
+
+    def __post_init__(self):
+        object.__setattr__(self, "exponents", MappingProxyType(dict(self.exponents)))
+
+    def __reduce__(self):
+        # a mappingproxy cannot be pickled or deep-copied; its dict can
+        return FactoredInteger, (dict(self.exponents),)
 
     def value(self) -> int:
         """The integer, as a balanced product tree over the prime powers."""
         return _balanced_product([p**e for p, e in self.exponents.items()])
 
     def decimal_string(self) -> str:
-        """str(self.value()), built in decimal without the binary integer.
+        """str(self.value()), built in decimal without the binary integer,
+        once per instance."""
+        return self._decimal_text
+
+    @cached_property
+    def _decimal_text(self) -> str:
+        """The text of decimal_string, computed on first use.
 
         The integer is prod_i P_i^(2^i), where P_i is the product of the
         primes whose exponent has bit i set.  The primes are grouped by

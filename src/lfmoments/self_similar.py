@@ -23,7 +23,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, List, Tuple, Union
+from typing import Iterator, List, Optional, Tuple, Union
 
 from .errors import DomainError, PreconditionError, require_int
 from .numeric_core import abs_least_residue, check_prime
@@ -59,22 +59,43 @@ def _as_positive_fraction(x) -> Fraction:
     return fx
 
 
-# cap on a residue walk's work: a step reduces and squares ints of the
-# modulus' width w, charged w (w + 2^14), which overcharges wide moduli;
-# walks at the cap took 0.8-1.4 s (2-vCPU x86-64, CPython 3.11)
+# cap on the residue walks of one request (a density, or a whole sample):
+# a step reduces and squares ints of the modulus' width w, charged
+# w (w + 2^14), which overcharges wide moduli; walks at the cap took
+# 0.8-1.4 s (2-vCPU x86-64, CPython 3.11)
 _WALK_BUDGET = 1 << 43
 
 
+def _walk_charge(steps: int, modulus: int) -> int:
+    width = modulus.bit_length()
+    return steps * width * (width + (1 << 14))
+
+
 def _max_steps(modulus: int) -> int:
-    return _WALK_BUDGET // (modulus.bit_length() * (modulus.bit_length() + (1 << 14)))
+    return _WALK_BUDGET // _walk_charge(1, modulus)
 
 
-def _check_walk(steps: int, modulus: int) -> None:
-    if steps > _max_steps(modulus):
-        raise DomainError(
-            f"a walk of {steps} or more residues modulo a {modulus.bit_length()}"
-            f"-bit number passes the cost bound (steps * w * (w + 2^14) <= 2^43)"
-        )
+class _WalkBudget:
+    """What one request's walks have spent of _WALK_BUDGET: the two walks
+    of a density, or those of every point of a sample."""
+
+    def __init__(self):
+        self.spent = 0
+
+    def check(self, steps: int, modulus: int) -> None:
+        """DomainError once a walk of steps residues modulo modulus passes
+        what the earlier walks left."""
+        if self.spent + _walk_charge(steps, modulus) > _WALK_BUDGET:
+            share = self.spent * 100 // _WALK_BUDGET
+            after = f" after earlier walks spent {share}% of it" if self.spent else ""
+            raise DomainError(
+                f"a walk of {steps} or more residues modulo a {modulus.bit_length()}"
+                f"-bit number passes the cost bound{after} "
+                f"(steps * w * (w + 2^14), summed over the walks, <= 2^43)"
+            )
+
+    def spend(self, steps: int, modulus: int) -> None:
+        self.spent += _walk_charge(steps, modulus)
 
 
 # cap on r * p.bit_length() for an orbit of length r: the period sum in
@@ -134,16 +155,19 @@ def _period_sum(p: int, squares: List[int]) -> Tuple[int, int]:
     return left * p_right + right, p_left * p_right
 
 
-def _negative_side(p: int, a: int, b: int) -> Fraction:
+def _negative_side(p: int, a: int, b: int, budget: Optional[_WalkBudget] = None) -> Fraction:
     """The ell <= -1 part of the sum at x = a/b, exactly: r_m^2 / (b^2 p^m)
     for 1 <= m < M, r_m the absolute least residue of a mod b p^m (taken
     from r_(m+1), largest modulus first) and M the least m with
-    2a <= b p^m, then the geometric tail x^2 p / ((p - 1) p^M)."""
+    2a <= b p^m, then the geometric tail x^2 p / ((p - 1) p^M).  The walk
+    is charged to budget, a fresh one by default."""
+    budget = budget or _WalkBudget()
     steps, modulus = 0, b
     while 2 * a > modulus * p:
         steps += 1
         modulus *= p
-        _check_walk(steps, modulus)
+        budget.check(steps, modulus)
+    budget.spend(steps, modulus)
     squares, r = [], a
     for _ in range(steps):
         r = abs_least_residue(r, modulus)
@@ -186,12 +210,20 @@ def density_numeric(p: int, x, eps: float = 1e-9) -> RealApprox:
     Floating-point x is treated as the exact binary rational it stores.
     The negative side is density_exact's; the positive side is the first
     L terms of the same residue walk, L the least with the worst-case tail
-    (||.|| <= 1/2) below eps/2.
+    (||.|| <= 1/2) below eps/2.  Both walks share one walk budget.
     """
     check_prime(p)
+    _check_eps(eps)
+    return _density_numeric(p, _as_positive_fraction(x), eps, _WalkBudget())
+
+
+def _check_eps(eps: float) -> None:
     if not 0 < eps < math.inf:  # also false for NaN
         raise DomainError(f"eps must be positive and finite, got {eps}")
-    fx = _as_positive_fraction(x)
+
+
+def _density_numeric(p: int, fx: Fraction, eps: float, budget: _WalkBudget) -> RealApprox:
+    """density_numeric at a checked p, x and eps, its walks charged to budget."""
     a, b = fx.numerator, fx.denominator
 
     # L >= 1 with (1/4) sum_{l>=L} p^-l < eps/2 * x, that is
@@ -201,11 +233,12 @@ def density_numeric(p: int, x, eps: float = 1e-9) -> RealApprox:
     while bound <= target:
         steps += 1
         bound *= p
-        _check_walk(steps, b)
+        budget.check(steps, b)
+    budget.spend(steps, b)
     prefix = itertools.islice(_residue_walk(p, a, b), steps)
     num, p_steps = _period_sum(p, [res * res for res in prefix])
 
-    value = (_negative_side(p, a, b) + Fraction(num * p, b * b * p_steps)) / fx
+    value = (_negative_side(p, a, b, budget) + Fraction(num * p, b * b * p_steps)) / fx
     # bits enough that the rounding floor |value| 2^(8 - bits) of approx
     # stays below eps; 2^magnitude > |value|
     magnitude = value.numerator.bit_length() - value.denominator.bit_length() + 1
@@ -243,8 +276,14 @@ _MAX_SAMPLES = 10_000
 def sample_density(
     p: int, x_min, x_max, n: int, eps: float = 1e-9
 ) -> List[Tuple[float, float]]:
-    """n uniformly spaced samples of c_p over [x_min, x_max], 2 <= n <= 10^4."""
+    """n uniformly spaced samples of c_p over [x_min, x_max], 2 <= n <= 10^4.
+
+    The points' walks together share one walk budget, so a sample of wide
+    or far points is refused once they pass it, not after minutes.
+    """
     require_int("the number of sample points n", n, 2, _MAX_SAMPLES)
+    check_prime(p)
+    _check_eps(eps)
     lo = _as_positive_fraction(x_min)
     hi = _as_positive_fraction(x_max)
     if hi <= lo:
@@ -252,5 +291,6 @@ def sample_density(
     if hi >= 2**1023:
         raise DomainError("need x_max < 2^1023: the samples are floats")
     step = (hi - lo) / (n - 1)
+    budget = _WalkBudget()
     points = (lo + i * step for i in range(n))
-    return [(float(xi), float(density_numeric(p, xi, eps).value)) for xi in points]
+    return [(float(xi), float(_density_numeric(p, xi, eps, budget).value)) for xi in points]

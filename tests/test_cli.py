@@ -1,7 +1,9 @@
 """Command-line surface: records, exit codes, files, determinism."""
 
 import json
+import os
 import re
+import subprocess
 import sys
 import time
 from fractions import Fraction
@@ -149,6 +151,7 @@ def test_gk_zero_gets_a_note(capsys):
 
 
 def test_gk_factor_runs_the_engine_once(capsys, monkeypatch):
+    exact_moments._factored.cache_clear()  # an earlier test may have left (U, 30)
     calls = []
     engine = exact_moments._legendre_exponents
 
@@ -161,6 +164,24 @@ def test_gk_factor_runs_the_engine_once(capsys, monkeypatch):
     assert code == 0
     assert calls == [30]
     assert int(rec["result"]) == moment_constant(SymmetryClass.U, 30)
+
+
+def test_warm_gk_records_match_a_fresh_process(capsys):
+    # gk and gk --factor share the most recent g_k in a warm process; each
+    # record must be the bytes a fresh process prints for it
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    calls = [["gk", "U", "227"], ["gk", "U", "227", "--factor"]]
+    fresh = [
+        subprocess.run([sys.executable, "-m", "lfmoments.cli", *argv], env=env,
+                       capture_output=True, check=True).stdout
+        for argv in calls
+    ]
+    exact_moments._factored.cache_clear()
+    warm = [run(capsys, *argv) for argv in calls * 2]
+    assert [(code, out.encode()) for code, out in warm] == [(0, out) for out in fresh * 2]
+    assert exact_moments._factored.cache_info()[:2] == (3, 1)  # hits, misses
 
 
 def test_vp_record(capsys):

@@ -1,5 +1,6 @@
 """Exact integer moment constants and their factored forms."""
 
+from fractions import Fraction
 from math import prod
 
 import pytest
@@ -89,6 +90,27 @@ def test_factored_past_the_cost_bound_is_refused_before_the_sieve(monkeypatch, s
     monkeypatch.setattr(exact_moments, "primes_up_to", no_sieve)
     with pytest.raises(DomainError, match="cost bound"):
         moment_factored(sym, k)
+
+
+@pytest.mark.parametrize("warm, bad", [(1, True), (3, 3.0), (3, Fraction(3))])
+def test_cached_constant_does_not_answer_a_non_integer_k(warm, bad):
+    # lru_cache keys True, 3.0 and Fraction(3) as 1 and 3: the checks of
+    # moment_factored run before its cache is consulted
+    moment_factored(U, warm)
+    with pytest.raises(DomainError):
+        moment_factored(U, bad)
+
+
+def test_factored_cache_keeps_the_most_recent_constant_only():
+    exact_moments._factored.cache_clear()
+    first = moment_factored(U, 40)
+    assert moment_factored(U, 40) is first
+    for sym in SymmetryClass:
+        for k in (5, 40, 5):
+            moment_factored(sym, k)
+            assert exact_moments._factored.cache_info().currsize == 1
+    assert moment_factored(U, 40) is not first
+    assert moment_factored(U, 40) == first
 
 
 def test_factored_examples():

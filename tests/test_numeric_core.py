@@ -1,8 +1,12 @@
 """Integer helpers: factorials, residues, primes, factored integers."""
 
+import copy
+import dataclasses
 import math
+import pickle
 import sys
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 from hypothesis import example, given, settings
@@ -196,6 +200,34 @@ def test_factored_integer_accessors():
     assert f.exponents[7] == 1
     assert 5 not in f.exponents
     assert f == FactoredInteger({13: 1, 11: 1, 7: 1, 3: 1, 2: 3})
+
+
+def test_factored_integer_is_immutable():
+    # moment_factored hands one cached instance to every caller
+    exponents = {2: 3, 3: 1}
+    f = FactoredInteger(exponents)
+    exponents[2] = 5
+    exponents[5] = 1
+    assert f.exponents == {2: 3, 3: 1} and f.value() == 24
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        f.exponents = {2: 5}
+    with pytest.raises(TypeError):
+        f.exponents[2] = 5
+    with pytest.raises(TypeError):
+        del f.exponents[3]
+    assert f.exponents == {2: 3, 3: 1}
+    for twin in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f)):
+        assert twin == f and isinstance(twin.exponents, MappingProxyType)
+
+
+def test_factored_decimal_string_is_built_once():
+    f = moment_factored(SymmetryClass.U, 60)
+    text = f.decimal_string()
+    assert f.decimal_string() is text
+    # the cached text is neither a field nor part of equality or repr
+    assert f == FactoredInteger(dict(f.exponents))
+    assert text not in repr(f)
+    assert [field.name for field in dataclasses.fields(f)] == ["exponents"]
 
 
 @given(st.dictionaries(st.sampled_from(primes_up_to(100)),

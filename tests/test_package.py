@@ -79,6 +79,7 @@ _INT_SLOTS = {
         partial(lfmoments.zeta_arithmetic_factor, 2, 100),
     "sp_quadratic_arithmetic_factor.precision_bits":
         partial(lfmoments.sp_quadratic_arithmetic_factor, 2, 100),
+    "LaurentPolynomial.power": lambda v: lfmoments.LaurentPolynomial({v: 1}),
 }
 _CLASS_SLOTS = {
     "log_power.sym": lambda v: lfmoments.log_power(v, 3),
@@ -93,6 +94,7 @@ _CLASS_SLOTS = {
     "pole_order.sym": lambda v: lfmoments.pole_order(v, 3),
     "log_moment_asymptotic.sym": lambda v: lfmoments.log_moment_asymptotic(v, 3),
     "mean_square.sym": lambda v: lfmoments.mean_square(v, [0, 1], [1]),
+    "FamilyDescriptor.sym": lambda v: lfmoments.FamilyDescriptor(v, 1, "test"),
 }
 _NOT_INTS = {
     "True": True, "False": False, "1.5": 1.5, "nan": math.nan, "inf": math.inf,
@@ -107,6 +109,7 @@ _HUGE_ANSWERS = {
     ("is_prime.n", -_HUGE), ("decimal_string.n", _HUGE), ("decimal_string.n", -_HUGE),
     ("zero_valuation_window.k", _HUGE), ("classify_point.a", _HUGE),
     ("pole_order.k", _HUGE), ("log_moment_asymptotic.k", _HUGE),
+    ("LaurentPolynomial.power", _HUGE), ("LaurentPolynomial.power", -_HUGE),
 }
 
 

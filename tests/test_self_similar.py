@@ -288,6 +288,16 @@ def test_walk_budget_boundary(monkeypatch):
         density_numeric(3, Fraction(1, 21))
 
 
+def test_sample_points_share_one_walk_budget():
+    # each point near 10^307 walks ~1000 residues below a ~1000-bit
+    # modulus, within the budget alone; 10^4 of them took 17 s before the
+    # sample was charged as a whole
+    density_numeric(2, 10**307)
+    with pytest.raises(DomainError, match="cost bound after earlier walks"):
+        sample_density(2, 10**300, 10**307, 10**4)
+    assert len(sample_density(3, 1, 9, 10**4)) == 10**4
+
+
 @pytest.mark.parametrize(
     "route, p, x",
     [
