@@ -57,7 +57,6 @@ from .numeric_core import (
     FactoredInteger,
     abs_least_residue,
     decimal_string,
-    factorial,
     is_prime,
     primes_up_to,
 )
@@ -78,7 +77,6 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # integer utilities
-    "factorial",
     "abs_least_residue",
     "primes_up_to",
     "is_prime",

@@ -2,8 +2,9 @@
 
 Every domain failure raises one of these instead of a bare ValueError so the
 command-line layer can map them to structured error records.  require_int
-checks every integer argument; messages name a caller's value through
-brief(), which never formats a huge integer.
+checks every integer argument and require_rational every exact rational
+one; messages name a caller's value through brief(), which never formats
+a huge integer.
 """
 
 from fractions import Fraction
@@ -35,6 +36,20 @@ def require_int(name: str, value, low, high=None) -> int:
     bounds = " and ".join(f"{word} {end}" for word, end in pairs if end is not None)
     of = f" of {bounds}" if bounds else ""
     raise DomainError(f"{name} must be an integer{of}, got {brief(value)}")
+
+
+def require_rational(name: str, value) -> Fraction:
+    """value as an exact Fraction: an int, a Fraction, a finite float or
+    Decimal, or the text of a number; a DomainError for a bool, NaN, an
+    infinity and anything else."""
+    if isinstance(value, Fraction):
+        return value
+    if not isinstance(value, bool):
+        try:
+            return Fraction(value)
+        except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+            pass
+    raise DomainError(f"{name} must be a finite rational number, got {brief(value)}")
 
 
 class LfmomentsError(Exception):

@@ -9,9 +9,10 @@ series S whose coefficients do not depend on p; one fixed-point kernel,
 _euler_products, evaluates that shape for either family, once _check_cost
 has bounded its work from k, the cutoff and the precision alone.
 
-``assemble_mean_value`` combines an arithmetic factor with the exact
-moment constant into the leading-term shape
-coefficient * (log Q^A)^{B(k)}.
+``assemble_mean_value`` combines an arithmetic factor with the moment
+constant over Gamma(1 + B(k)), read from the Barnes-G closed form
+(``moment_ratio_closed_form``), into the leading-term shape
+coefficient * (log Q^A)^{B(k)}; no huge integer is built.
 """
 
 from __future__ import annotations
@@ -25,9 +26,10 @@ from itertools import count
 
 import mpmath as mp
 
-from .errors import DomainError, require_int
-from .exact_moments import SymmetryClass, log_power, moment_constant, require_class
-from .numeric_core import factorial, primes_up_to
+from .analytic_moments import moment_ratio_closed_form
+from .errors import DomainError, require_int, require_rational
+from .exact_moments import SymmetryClass, _checked_log_power, require_class
+from .numeric_core import primes_up_to
 from .precision import RealApprox, approx, to_fraction, to_mpf, working_precision
 
 __all__ = [
@@ -304,16 +306,10 @@ class FamilyDescriptor:
 
     def __post_init__(self):
         require_class(self.sym)
-        try:
-            exponent = Fraction(self.conductor_exponent)
-        except (ValueError, OverflowError) as exc:  # NaN, infinities
-            raise DomainError(
-                "conductor exponent must be a finite number, "
-                f"got {self.conductor_exponent!r}"
-            ) from exc
-        object.__setattr__(self, "conductor_exponent", exponent)
-        if self.conductor_exponent <= 0:
+        exponent = require_rational("conductor exponent", self.conductor_exponent)
+        if exponent <= 0:
             raise DomainError("conductor exponent must be positive")
+        object.__setattr__(self, "conductor_exponent", exponent)
 
 
 @dataclass(frozen=True)
@@ -328,18 +324,21 @@ class MeanValueShape:
 def assemble_mean_value(family: FamilyDescriptor, k: int, ak) -> MeanValueShape:
     """Leading-term shape of the k-th moment of a family.
 
-    coefficient = g_k * a_k / B(k)! with the exact integer g_k; the
-    caller-provided arithmetic factor may be a RealApprox, a Fraction, or
-    a float.
+    coefficient = a_k * g_k / B(k)!, the ratio g_k / B(k)! read from
+    moment_ratio_closed_form at the working precision; k is an int with
+    B(k) within the exact constants' bound, as for moment_factored.  The
+    caller-provided arithmetic factor may be a RealApprox, an int, a
+    Fraction or a float.  The err_estimate is the ratio times a_k's, never
+    below the working-precision floor, which covers the ratio's own
+    ulp-level rounding (below 1e-10 of the floor for k <= 500).
     """
-    g = moment_constant(family.sym, k)
-    b_exp = log_power(family.sym, k)
+    b_exp = _checked_log_power(family.sym, k)
     given_bits = ak.precision_bits if isinstance(ak, RealApprox) else None
     with working_precision(given_bits) as bits:
         if not isinstance(ak, RealApprox):
             ak = approx(to_mpf(ak), bits)
-        scale = mp.mpf(g) / mp.mpf(factorial(b_exp))
-        coeff = approx(scale * ak.value, bits, err=scale * mp.mpf(ak.err_estimate))
+        ratio = moment_ratio_closed_form(family.sym, k, bits).value
+        coeff = approx(ratio * ak.value, bits, err=ratio * mp.mpf(ak.err_estimate))
     return MeanValueShape(
         coefficient=coeff,
         log_power=b_exp,

@@ -27,9 +27,10 @@ from __future__ import annotations
 
 import enum
 from functools import lru_cache
+from math import factorial
 
 from .errors import DomainError, IntegralityViolation, brief, require_int
-from .numeric_core import FactoredInteger, _balanced_product, factorial, primes_up_to
+from .numeric_core import FactoredInteger, _balanced_product, primes_up_to
 
 
 class SymmetryClass(enum.Enum):
@@ -78,12 +79,13 @@ def moment_constant(sym: SymmetryClass, k: int) -> int:
 
 
 def _factorial_form(sym: SymmetryClass, k: int) -> tuple:
-    """(numerator, denominator) of the all-factorial form of the constant."""
+    """(numerator, denominator) of the all-factorial form of the constant,
+    once _checked_log_power admits k."""
 
     def factorials(js):
         return _balanced_product([factorial(j) for j in js])
 
-    b = log_power(sym, k)
+    b = _checked_log_power(sym, k)
     if sym is SymmetryClass.U:
         numer = factorial(b) * factorials(range(1, k)) ** 2
         denom = factorials(range(1, 2 * k))
@@ -102,7 +104,7 @@ def moment_constant_factorial_form(sym: SymmetryClass, k: int) -> int:
     The independent test oracle for the Legendre engine; tests require it
     to agree with moment_constant everywhere.
     """
-    g, rem = divmod(*_factorial_form(sym, require_int("k", k, 1)))
+    g, rem = divmod(*_factorial_form(sym, k))
     if rem:
         raise IntegralityViolation(
             f"factorial-form moment constant for {sym.value}, k={k} is not integral"
@@ -165,6 +167,19 @@ def _legendre_exponents(sym: SymmetryClass, k: int, primes) -> dict:
 _MAX_LOG_POWER = 4_000_000
 
 
+def _checked_log_power(sym: SymmetryClass, k: int) -> int:
+    """B(k), once sym is a class, k an int >= 1 and B(k) <= _MAX_LOG_POWER;
+    DomainError otherwise.  The one domain of every integer-k moment
+    constant: moment_factored, the factorial form and assemble_mean_value."""
+    b = log_power(sym, require_int("k", k, 1))
+    if b > _MAX_LOG_POWER:
+        raise DomainError(
+            f"k passes the cost bound of the exact constants: "
+            f"B(k) > {_MAX_LOG_POWER}"
+        )
+    return b
+
+
 def moment_factored(sym: SymmetryClass, k: int) -> FactoredInteger:
     """Exact prime factorization of the moment constant, by Legendre's formula.
 
@@ -174,12 +189,7 @@ def moment_factored(sym: SymmetryClass, k: int) -> FactoredInteger:
     The most recent constant is kept (see _factored), so a request for the
     same (sym, k) right after it reuses its exponents and decimal string.
     """
-    b = log_power(sym, require_int("k", k, 1))
-    if b > _MAX_LOG_POWER:
-        raise DomainError(
-            f"k passes the cost bound of the exact constants: "
-            f"B(k) > {_MAX_LOG_POWER}"
-        )
+    _checked_log_power(sym, k)
     return _factored(sym, k)
 
 

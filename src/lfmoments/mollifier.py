@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import ConstraintError, DomainError, require_int
+from .errors import ConstraintError, DomainError, require_int, require_rational
 from .exact_moments import SymmetryClass, require_class
 from .numeric_core import decimal_string
 
@@ -48,7 +48,7 @@ class RationalPolynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coefficients=()):
-        cs = [Fraction(c) for c in coefficients]
+        cs = [require_rational("a coefficient", c) for c in coefficients]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -62,7 +62,7 @@ class RationalPolynomial:
         return not self.coeffs
 
     def __call__(self, x) -> Fraction:
-        x = Fraction(x)
+        x = require_rational("x", x)
         total = Fraction(0)
         for c in reversed(self.coeffs):
             total = total * x + c
@@ -102,7 +102,7 @@ class RationalPolynomial:
                 for j, b in enumerate(other.coeffs):
                     out[i + j] += a * b
             return RationalPolynomial(out)
-        scalar = Fraction(other)
+        scalar = require_rational("a scalar", other)
         return RationalPolynomial(scalar * c for c in self.coeffs)
 
     __rmul__ = __mul__
@@ -133,7 +133,7 @@ class LaurentPolynomial:
         if mapping:
             for power, c in dict(mapping).items():
                 power = require_int("a power of theta", power, None)
-                c = Fraction(c)
+                c = require_rational("a coefficient", c)
                 if c != 0:
                     coeffs[power] = c
         self.coeffs = dict(sorted(coeffs.items(), reverse=True))
@@ -148,7 +148,7 @@ class LaurentPolynomial:
         return self.coeffs.get(power, Fraction(0))
 
     def evaluate(self, theta) -> Fraction:
-        theta = Fraction(theta)
+        theta = require_rational("theta", theta)
         if theta <= 0:
             raise DomainError("theta must be positive")
         return sum(

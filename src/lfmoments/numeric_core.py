@@ -23,15 +23,6 @@ from .errors import DomainError, brief, require_int
 Rational = Union[int, Fraction]
 
 
-# above every internal n, B(k) <= 4 * 10**6 (10**6! alone took ~9 s);
-# math.factorial raises OverflowError past 2^63
-_MAX_FACTORIAL_N = 1 << 22
-
-
-def factorial(n: int) -> int:
-    return math.factorial(require_int("n", n, 0, _MAX_FACTORIAL_N))
-
-
 def abs_least_residue(n: int, b: int) -> int:
     """The representative of n mod b lying in (-b/2, b/2]."""
     r = require_int("n", n, None) % require_int("b", b, 1)
@@ -139,12 +130,24 @@ class FactoredInteger:
 
     Immutable: exponents is a read-only view of a private copy of the
     mapping it was built from, so a shared instance cannot be changed.
+    Keys must be ints >= 2 and exponents ints >= 1 (bool is neither),
+    else DomainError; primality is the caller's to ensure.
     """
 
     exponents: Mapping[int, int] = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "exponents", MappingProxyType(dict(self.exponents)))
+        exponents = dict(self.exponents)
+        # whole-mapping checks: a require_int per item cost more than the
+        # Legendre engine at U k = 250
+        if exponents and not (
+            set(map(type, exponents)) == {int} == set(map(type, exponents.values()))
+            and min(exponents) >= 2 and min(exponents.values()) >= 1
+        ):
+            raise DomainError(
+                "a FactoredInteger maps integers >= 2 to integer exponents >= 1"
+            )
+        object.__setattr__(self, "exponents", MappingProxyType(exponents))
 
     def __reduce__(self):
         # a mappingproxy cannot be pickled or deep-copied; its dict can

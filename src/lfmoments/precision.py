@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import mpmath
 
-from .errors import DomainError, require_int
+from .errors import DomainError, brief, require_int
 
 DEFAULT_PRECISION_BITS = 256
 MIN_PRECISION_BITS = 64
@@ -73,11 +73,19 @@ def working_precision(precision_bits=None):
 
 
 def to_mpf(x) -> mpmath.mpf:
-    """A finite real input as an mpf at the working precision."""
-    # Fractions convert exactly; everything else goes through mpmathify.
-    if isinstance(x, Fraction):
-        return mpmath.mpf(x.numerator) / mpmath.mpf(x.denominator)
-    value = x.value if isinstance(x, RealApprox) else mpmath.mpmathify(x)
+    """A finite real input as an mpf at the working precision.
+
+    An int or Fraction is rounded once; anything else goes through
+    mpmathify.  A bool or a non-numeric input is a DomainError.
+    """
+    if isinstance(x, bool):
+        raise DomainError(f"real parameters must be numbers, got {x!r}")
+    if isinstance(x, (int, Fraction)):
+        return _ratio_to_mpf(x.numerator, x.denominator)
+    try:
+        value = x.value if isinstance(x, RealApprox) else mpmath.mpmathify(x)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"real parameters must be numbers, got {brief(x)}") from exc
     if isinstance(value, mpmath.mpc):
         raise DomainError("complex degree parameters are not supported here")
     if not mpmath.isfinite(value):
@@ -85,10 +93,30 @@ def to_mpf(x) -> mpmath.mpf:
     return value
 
 
+def _ratio_to_mpf(p: int, q: int) -> mpmath.mpf:
+    """p / q (q >= 1) rounded once to the working precision.
+
+    Parts within the precision divide as exact mpfs.  A wider part never
+    reaches mpf whole: mpf(n) first stores n exactly, stripping its
+    trailing zero bits 8 at a time (seconds for 10**500000).  Instead the
+    integer quotient is taken to at least prec + 1 bits, a sticky bit
+    below it records a nonzero remainder, and mpf rounds that to nearest.
+    """
+    prec = mpmath.mp.prec
+    if p.bit_length() <= prec and q.bit_length() <= prec:
+        return mpmath.mpf(p) if q == 1 else mpmath.mpf(p) / mpmath.mpf(q)
+    shift = prec + 2 - p.bit_length() + q.bit_length()
+    n = abs(p)
+    man, rem = divmod(n << shift, q) if shift >= 0 else divmod(n, q << -shift)
+    man = man << 1 | (rem != 0)
+    return mpmath.mpf((-man if p < 0 else man, -shift - 1))
+
+
 def to_fraction(x) -> Fraction:
     """A finite real input exactly: an int or Fraction as given, anything
-    else as the binary value of its mpf at the working precision."""
-    if isinstance(x, (int, Fraction)):
+    else (a bool is refused) as the binary value of its mpf at the working
+    precision."""
+    if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
         return Fraction(x)
     sign, man, exp, _ = to_mpf(x)._mpf_
     return Fraction(-man if sign else man) * Fraction(2) ** exp

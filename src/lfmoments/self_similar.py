@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, List, Optional, Tuple, Union
 
-from .errors import DomainError, PreconditionError, require_int
+from .errors import DomainError, PreconditionError, require_int, require_rational
 from .numeric_core import abs_least_residue, check_prime
 from .precision import RealApprox, approx, to_mpf, working_precision
 
@@ -49,10 +49,7 @@ PointClass = Union[SelfSimilar, Cusp, VerticalTangent]
 
 
 def _as_positive_fraction(x) -> Fraction:
-    try:
-        fx = Fraction(x)
-    except (ValueError, OverflowError) as exc:  # NaN, infinities
-        raise DomainError(f"density needs a finite x, got {x!r}") from exc
+    fx = require_rational("x", x)
     if fx <= 0:
         # the sign, not the value: a huge x has no repr under the int-to-str limit
         raise DomainError(f"density is defined for x > 0, got {'0' if fx == 0 else 'x < 0'}")

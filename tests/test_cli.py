@@ -1,6 +1,7 @@
 """Command-line surface: records, exit codes, files, determinism."""
 
 import json
+import math
 import os
 import re
 import subprocess
@@ -327,6 +328,20 @@ def test_assemble_override(capsys):
     code, rec = run_json(capsys, "assemble", "O", "1", "2", "--ak", "1/2")
     assert code == 0
     assert float(rec["result"]) == pytest.approx(1.0)
+
+
+def test_assemble_at_u_1000_answers_from_the_closed_form_ratio(capsys):
+    # the coefficient no longer multiplies out the 2.6-million-digit g_k
+    # and 10^6!: this request took 77 s cold; its log10 is checked against
+    # the factorization and log Gamma(B + 1) in floats
+    started = time.perf_counter()
+    code, rec = run_json(capsys, "assemble", "U", "1", "1000", "--ak", "1")
+    assert time.perf_counter() - started < 2.0
+    assert code == 0 and rec["log_power"] == "1000000"
+    exponents = exact_moments.moment_factored(SymmetryClass.U, 1000).exponents
+    log_ratio = math.fsum(e * math.log(p) for p, e in exponents.items()) - math.lgamma(10**6 + 1)
+    mantissa, exponent = rec["result"].split("e")
+    assert abs(math.log10(float(mantissa)) + int(exponent) - log_ratio / math.log(10)) < 1e-6
 
 
 def test_poles_record(capsys):

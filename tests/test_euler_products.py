@@ -2,17 +2,20 @@
 
 import math
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 
 import mpmath as mp
 import pytest
 
 from lfmoments import (
     DomainError,
+    FactoredInteger,
     FamilyDescriptor,
     RealApprox,
     SymmetryClass,
     assemble_mean_value,
+    log_power,
+    moment_factored,
     primes_up_to,
     sp_quadratic_arithmetic_factor,
     zeta_arithmetic_factor,
@@ -487,3 +490,44 @@ def test_assemble_rejects_bad_k():
     fam = FamilyDescriptor(sym=U, conductor_exponent=1, label="zeta")
     with pytest.raises(DomainError):
         assemble_mean_value(fam, 0, 1)
+
+
+def _v_factorial(n: int, p: int) -> int:
+    """v_p(n!) by Legendre's formula."""
+    e = 0
+    while n:
+        n //= p
+        e += n
+    return e
+
+
+@lru_cache(maxsize=None)
+def _exact_ratio(sym, k: int):
+    """g_k / B(k)! exactly, as (odd numerator, odd denominator, power of 2):
+    the Legendre engine's exponents of g_k minus v_p(B!), the oracle of the
+    closed-form ratio that assemble_mean_value reads."""
+    b = log_power(sym, k)
+    exps = dict(moment_factored(sym, k).exponents)
+    for p in primes_up_to(b):
+        exps[p] = exps.get(p, 0) - _v_factorial(b, p)
+    two = exps.pop(2, 0)
+    numer = FactoredInteger({p: e for p, e in exps.items() if e > 0}).value()
+    denom = FactoredInteger({p: -e for p, e in exps.items() if e < 0}).value()
+    return numer, denom, two
+
+
+@pytest.mark.parametrize("bits", [64, 128, 256, 1024])
+@pytest.mark.parametrize("k", [*range(1, 13), 30, 60, 120, 250])
+@pytest.mark.parametrize("sym", list(SymmetryClass))
+def test_assemble_coefficient_is_within_its_radius_of_the_exact_ratio(monkeypatch, sym, k, bits):
+    monkeypatch.setenv("LFMOMENTS_PRECISION", str(bits))
+    shape = assemble_mean_value(FamilyDescriptor(sym, 1, "test"), k, Fraction(3, 7))
+    coeff = shape.coefficient
+    assert coeff.precision_bits == bits and shape.log_power == log_power(sym, k)
+    numer, denom, two = _exact_ratio(sym, k)
+    with mp.workprec(2 * bits + 128):
+        want = mp.ldexp(mp.mpf(3 * numer) / (7 * denom), two)
+        # the float err_estimate underflows to 0.0 below ~4.5e-234; the
+        # working-precision floor it stands for is |value| 2^(8 - bits)
+        floor = abs(coeff.value) * mp.ldexp(1, 8 - bits)
+        assert abs(coeff.value - want) <= max(mp.mpf(coeff.err_estimate), floor)

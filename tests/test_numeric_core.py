@@ -1,4 +1,4 @@
-"""Integer helpers: factorials, residues, primes, factored integers."""
+"""Integer helpers: residues, primes, factored integers."""
 
 import copy
 import dataclasses
@@ -6,6 +6,7 @@ import math
 import pickle
 import sys
 from fractions import Fraction
+from functools import partial
 from types import MappingProxyType
 
 import pytest
@@ -17,34 +18,16 @@ from lfmoments import (
     FactoredInteger,
     abs_least_residue,
     decimal_string,
-    factorial,
     is_prime,
     moment_constant_factorial_form,
     moment_factored,
     primes_up_to,
     SymmetryClass,
 )
-from lfmoments import analytic_moments, exact_moments
+from lfmoments import FamilyDescriptor, analytic_moments, assemble_mean_value, exact_moments
 from lfmoments.euler_products import _check_cost
-from lfmoments.numeric_core import _MAX_FACTORIAL_N, _MAX_SIEVE_LIMIT, check_prime
+from lfmoments.numeric_core import _MAX_SIEVE_LIMIT, check_prime
 from lfmoments.precision import working_precision
-
-
-def test_factorial_values():
-    assert factorial(0) == 1
-    assert factorial(5) == 120
-    assert factorial(10) == 3628800
-
-
-def test_factorial_rejects_negative():
-    with pytest.raises(DomainError):
-        factorial(-1)
-
-
-@pytest.mark.parametrize("j", range(1, 201))
-def test_double_factorial_splits_factorial(j):
-    # (2j-1)!! * 2^j * j! = (2j)!
-    assert math.prod(range(1, 2 * j, 2)) * 2**j * factorial(j) == factorial(2 * j)
 
 
 def test_abs_least_residue_values():
@@ -67,10 +50,14 @@ def test_primes_up_to():
     assert primes_up_to(-10**5000) == []
 
 
-def test_sieve_and_factorial_bounds_cover_every_internal_caller():
-    # B(k) sizes the exact constants' sieve and assemble_mean_value's B(k)!;
-    # the log sums sieve to 2n - 1; the Euler products sieve to their cutoff
-    assert exact_moments._MAX_LOG_POWER <= min(_MAX_SIEVE_LIMIT, _MAX_FACTORIAL_N)
+# the last k whose B(k) is within _MAX_LOG_POWER, per class
+_LOG_POWER_EDGE = {SymmetryClass.U: 2000, SymmetryClass.O: 2828, SymmetryClass.Sp: 2827}
+
+
+def test_sieve_and_log_power_bounds_cover_every_internal_caller():
+    # B(k) sizes the exact constants' sieve; the log sums sieve to 2n - 1;
+    # the Euler products sieve to their cutoff
+    assert exact_moments._MAX_LOG_POWER <= _MAX_SIEVE_LIMIT
     assert 2 * analytic_moments._LOG_SUM_MAX_N - 1 <= _MAX_SIEVE_LIMIT
     # the cost bound admits its largest cutoff at k = 0 and 64 bits (by
     # bisection); every k with a sieve at 2^25 is refused before it
@@ -79,9 +66,28 @@ def test_sieve_and_factorial_bounds_cover_every_internal_caller():
         for k in (0, 1, Fraction(1, 2), Fraction(-2, 5)):
             with pytest.raises(DomainError, match="cost bound"):
                 _check_cost(k, _MAX_SIEVE_LIMIT, bits)
-    for call, bound in ((primes_up_to, _MAX_SIEVE_LIMIT), (factorial, _MAX_FACTORIAL_N)):
-        with pytest.raises(DomainError, match=f"at most {bound}, got {bound + 1}"):
-            call(bound + 1)
+    with pytest.raises(DomainError, match=f"at most {_MAX_SIEVE_LIMIT}, got {_MAX_SIEVE_LIMIT + 1}"):
+        primes_up_to(_MAX_SIEVE_LIMIT + 1)
+
+
+@pytest.mark.parametrize("sym", list(SymmetryClass))
+def test_one_log_power_bound_serves_every_integer_k_constant(sym):
+    # _checked_log_power is the one domain of the factorization, the
+    # factorial-form oracle and the mean-value shape: each admits the edge
+    # k and refuses the next one before any sieve or factorial
+    edge = _LOG_POWER_EDGE[sym]
+    bound = exact_moments._MAX_LOG_POWER
+    assert exact_moments._checked_log_power(sym, edge) == exact_moments.log_power(sym, edge)
+    assert exact_moments.log_power(sym, edge) <= bound < exact_moments.log_power(sym, edge + 1)
+    family = FamilyDescriptor(sym, 1, "test")
+    for call in (
+        partial(exact_moments._checked_log_power, sym),
+        partial(moment_factored, sym),
+        partial(moment_constant_factorial_form, sym),
+        lambda k: assemble_mean_value(family, k, 1),
+    ):
+        with pytest.raises(DomainError, match=f"B\\(k\\) > {bound}"):
+            call(edge + 1)
 
 
 def test_is_prime_agrees_with_sieve():
@@ -218,6 +224,23 @@ def test_factored_integer_is_immutable():
     assert f.exponents == {2: 3, 3: 1}
     for twin in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f)):
         assert twin == f and isinstance(twin.exponents, MappingProxyType)
+
+
+@pytest.mark.parametrize("exponents", [
+    {4: 1, 2: -1}, {2: 0}, {2: 1.5}, {"a": 1}, {1: 1}, {0: 2}, {-3: 1},
+    {True: 1}, {2: True}, {2.0: 1}, {2: Fraction(2)}, {3: 1, 2: None},
+], ids=repr)
+def test_factored_integer_refuses_a_bad_mapping(exponents):
+    # {4: 1, 2: -1} gave value() 2.0 but decimal_string() "8", and
+    # {2: 1.5} and {"a": 1} ended in AttributeError or TypeError
+    with pytest.raises(DomainError, match="integers >= 2 to integer exponents >= 1"):
+        FactoredInteger(exponents)
+
+
+def test_factored_integer_leaves_primality_to_its_caller():
+    f = FactoredInteger({4: 1, 2: 1})
+    assert f.value() == 8 and f.decimal_string() == "8"
+    assert FactoredInteger({}).value() == 1
 
 
 def test_factored_decimal_string_is_built_once():

@@ -37,7 +37,6 @@ def default_int_str_limit():
 # other arguments valid; each takes the hostile value as its last argument
 _FAMILY = lfmoments.FamilyDescriptor(U, 1, "test")
 _INT_SLOTS = {
-    "factorial.n": lfmoments.factorial,
     "abs_least_residue.n": lambda v: lfmoments.abs_least_residue(v, 7),
     "abs_least_residue.b": partial(lfmoments.abs_least_residue, 3),
     "primes_up_to.limit": lfmoments.primes_up_to,
@@ -96,6 +95,28 @@ _CLASS_SLOTS = {
     "mean_square.sym": lambda v: lfmoments.mean_square(v, [0, 1], [1]),
     "FamilyDescriptor.sym": lambda v: lfmoments.FamilyDescriptor(v, 1, "test"),
 }
+# one call per exact-rational slot (require_rational) and per slot that
+# to_mpf reads, the other arguments valid
+_POLY = lfmoments.RationalPolynomial([0, 1])
+_RATIONAL_SLOTS = {
+    "FamilyDescriptor.conductor_exponent": lambda v: lfmoments.FamilyDescriptor(U, v, "test"),
+    "RationalPolynomial.coefficient": lambda v: lfmoments.RationalPolynomial([0, v]),
+    "RationalPolynomial.x": _POLY,
+    "RationalPolynomial.scalar": lambda v: _POLY * v,
+    "LaurentPolynomial.coefficient": lambda v: lfmoments.LaurentPolynomial({1: v}),
+    "LaurentPolynomial.theta": lfmoments.LaurentPolynomial({1: 1}).evaluate,
+    "mean_square.P": lambda v: lfmoments.mean_square(U, [0, v], [1]),
+    "mean_square.Q": lambda v: lfmoments.mean_square(U, [0, 1], [v]),
+    "density_exact.x": partial(lfmoments.density_exact, 3),
+    "density_numeric.x": partial(lfmoments.density_numeric, 3),
+    "assemble_mean_value.ak": partial(lfmoments.assemble_mean_value, _FAMILY, 2),
+    "barnes_g.z": lfmoments.barnes_g,
+    "zeta_arithmetic_factor.k": lambda v: lfmoments.zeta_arithmetic_factor(v, 100),
+}
+_NOT_RATIONALS = {
+    "True": True, "False": False, "nan": math.nan, "inf": math.inf, "-inf": -math.inf,
+    "text": "x", "None": None,
+}
 _NOT_INTS = {
     "True": True, "False": False, "1.5": 1.5, "nan": math.nan, "inf": math.inf,
     "-inf": -math.inf, "str": "2", "7/2": Fraction(7, 2), "1/huge": Fraction(1, _HUGE),
@@ -122,6 +143,9 @@ def _hostile_calls():
         for name, value in (("huge", _HUGE), ("-huge", -_HUGE)):
             answers = (slot, value) in _HUGE_ANSWERS
             yield pytest.param(partial(call, value), answers, id=f"{slot}-{name}")
+    for slot, call in _RATIONAL_SLOTS.items():
+        for name, value in _NOT_RATIONALS.items():
+            yield pytest.param(partial(call, value), False, id=f"{slot}-{name}")
     for slot, call in _CLASS_SLOTS.items():
         for name, value in _NOT_CLASSES.items():
             yield pytest.param(partial(call, value), False, id=f"{slot}-{name}")
@@ -134,7 +158,6 @@ def _hostile_calls():
         pytest.param(lambda: lfmoments.moment_factored(U, -_HUGE), False, id="moment_factored"),
         pytest.param(lambda: lfmoments.valuation(U, 3, -_HUGE), False, id="valuation"),
         pytest.param(lambda: lfmoments.valuation(U, 3, _HUGE), False, id="valuation_cost"),
-        pytest.param(lambda: lfmoments.factorial(-_HUGE), False, id="factorial"),
         pytest.param(lambda: lfmoments.sample_density(3, 1, 2, _HUGE), False,
                      id="sample_density"),
         pytest.param(lambda: lfmoments.zeta_arithmetic_factor(2, prime_cutoff=-_HUGE), False,

@@ -1,6 +1,7 @@
 """Precision policy: defaults, env override, the 64-bit floor, RealApprox."""
 
 import math
+import time
 from fractions import Fraction
 
 import mpmath as mp
@@ -107,9 +108,48 @@ def test_to_mpf_rejects_non_finite_values():
         for x in (math.nan, math.inf, mp.ninf, "inf"):
             with pytest.raises(DomainError):
                 to_mpf(x)
+        # non-numeric input raised TypeError from mpmathify
+        for x in ("x", "", None, [1], True, False, object()):
+            with pytest.raises(DomainError, match="must be numbers"):
+                to_mpf(x)
         with pytest.raises(DomainError):
             to_mpf(RealApprox(value=mp.nan, precision_bits=128, err_estimate=0.0))
         assert to_mpf(Fraction(10**400)) == mp.mpf(10) ** 400
+
+
+def _correctly_rounded(value: mp.mpf, x: Fraction, prec: int) -> bool:
+    """value has at most prec bits and lies within half an ulp of x: in
+    ints, |man 2^exp - a/b| <= 2^half for x = a/b, scaled by b 2^-low."""
+    sign, man, exp, bc = value._mpf_
+    a, b = x.numerator, x.denominator
+    half = exp + bc - prec - 1
+    low = min(half, 0)
+    gap = ((-man if sign else man) * b << (exp - low)) - (a << -low)
+    return bc <= prec and abs(gap) <= b << (half - low)
+
+
+@pytest.mark.parametrize("bits", [64, 256, 1024])
+def test_to_mpf_rounds_wide_parts_once_from_their_top_bits(bits):
+    # mpf(10**500000) stores the int exactly first and strips its 500000
+    # trailing zero bits 8 at a time: to_mpf(1/10**500000) took 4.3 s
+    with working_precision(bits):
+        prec = mp.mp.prec
+        cases = [
+            10**500000, -(10**5000) - 1, Fraction(1, 10**500000),
+            Fraction(-(3**7000), 2**9000 + 1), Fraction(2**4000 + 1, 2**4000),
+            Fraction(1, 3 << 5000), Fraction(10**400, 3), Fraction(7, 10**400),
+            # ties and near-ties one and two bits past the precision
+            (1 << prec) + 1, (1 << (prec + 1)) + 3, -((1 << (prec + 1)) - 1),
+            Fraction((1 << prec) + 1, 1 << 700), Fraction(1, (1 << prec) + 1),
+        ]
+        for x in cases:
+            start = time.perf_counter()
+            value = to_mpf(x)
+            assert time.perf_counter() - start < 0.5
+            assert _correctly_rounded(value, Fraction(x), prec), x
+        # parts within the precision divide as exact mpfs, as before
+        assert to_mpf(Fraction(3, 7)) == mp.mpf(3) / mp.mpf(7)
+        assert to_mpf(-(2**prec - 1)) == -(2**prec - 1)
 
 
 def test_to_fraction_keeps_the_sign_and_every_bit():
@@ -120,6 +160,9 @@ def test_to_fraction_keeps_the_sign_and_every_bit():
         assert to_fraction(0.0) == 0
         assert to_fraction(2.0**70) == 2**70
         assert to_fraction(Fraction(-1, 3)) == Fraction(-1, 3)
+        # to_mpf refuses a bool; zeta_arithmetic_factor(True) read k = 1
+        with pytest.raises(DomainError, match="must be numbers"):
+            to_fraction(True)
         third = to_fraction(mp.mpf(1) / 3)
         assert third.denominator == 2 ** (128 + GUARD_BITS + 1)
         assert abs(third - Fraction(1, 3)) < Fraction(1, 2 ** (128 + GUARD_BITS))
