@@ -330,7 +330,7 @@ def assemble_mean_value(family: FamilyDescriptor, k: int, ak) -> MeanValueShape:
     caller-provided arithmetic factor may be a RealApprox, an int, a
     Fraction or a float.  The err_estimate is the ratio times a_k's, never
     below the working-precision floor, which covers the ratio's own
-    ulp-level rounding (below 1e-10 of the floor for k <= 500).
+    ulp-level rounding (below 1e-9 of the floor up to the B(k) edge).
     """
     b_exp = _checked_log_power(family.sym, k)
     given_bits = ak.precision_bits if isinstance(ak, RealApprox) else None

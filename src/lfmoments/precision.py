@@ -96,20 +96,19 @@ def to_mpf(x) -> mpmath.mpf:
 def _ratio_to_mpf(p: int, q: int) -> mpmath.mpf:
     """p / q (q >= 1) rounded once to the working precision.
 
-    Parts within the precision divide as exact mpfs.  A wider part never
-    reaches mpf whole: mpf(n) first stores n exactly, stripping its
+    No part reaches mpf whole: mpf(n) stores n exactly, stripping its
     trailing zero bits 8 at a time (seconds for 10**500000).  Instead the
     integer quotient is taken to at least prec + 1 bits, a sticky bit
-    below it records a nonzero remainder, and mpf rounds that to nearest.
+    below it records a nonzero remainder, an exact quotient sheds its
+    trailing zero bits in one shift, and mpf rounds that to nearest.
     """
-    prec = mpmath.mp.prec
-    if p.bit_length() <= prec and q.bit_length() <= prec:
-        return mpmath.mpf(p) if q == 1 else mpmath.mpf(p) / mpmath.mpf(q)
-    shift = prec + 2 - p.bit_length() + q.bit_length()
+    shift = mpmath.mp.prec + 2 - p.bit_length() + q.bit_length()
     n = abs(p)
     man, rem = divmod(n << shift, q) if shift >= 0 else divmod(n, q << -shift)
     man = man << 1 | (rem != 0)
-    return mpmath.mpf((-man if p < 0 else man, -shift - 1))
+    zeros = max(0, (man & -man).bit_length() - 1)
+    man >>= zeros
+    return mpmath.mpf((-man if p < 0 else man, zeros - shift - 1))
 
 
 def to_fraction(x) -> Fraction:

@@ -501,15 +501,21 @@ def _v_factorial(n: int, p: int) -> int:
     return e
 
 
-@lru_cache(maxsize=None)
-def _exact_ratio(sym, k: int):
-    """g_k / B(k)! exactly, as (odd numerator, odd denominator, power of 2):
-    the Legendre engine's exponents of g_k minus v_p(B!), the oracle of the
-    closed-form ratio that assemble_mean_value reads."""
+def _ratio_exponents(sym, k: int) -> dict:
+    """g_k / B(k)! as {p: e}: the Legendre engine's exponents of g_k minus
+    v_p(B!), the oracle of the closed-form ratio that assemble_mean_value
+    reads."""
     b = log_power(sym, k)
     exps = dict(moment_factored(sym, k).exponents)
     for p in primes_up_to(b):
         exps[p] = exps.get(p, 0) - _v_factorial(b, p)
+    return exps
+
+
+@lru_cache(maxsize=None)
+def _exact_ratio(sym, k: int):
+    """g_k / B(k)! exactly, as (odd numerator, odd denominator, power of 2)."""
+    exps = _ratio_exponents(sym, k)
     two = exps.pop(2, 0)
     numer = FactoredInteger({p: e for p, e in exps.items() if e > 0}).value()
     denom = FactoredInteger({p: -e for p, e in exps.items() if e < 0}).value()
@@ -531,3 +537,30 @@ def test_assemble_coefficient_is_within_its_radius_of_the_exact_ratio(monkeypatc
         # working-precision floor it stands for is |value| 2^(8 - bits)
         floor = abs(coeff.value) * mp.ldexp(1, 8 - bits)
         assert abs(coeff.value - want) <= max(mp.mpf(coeff.err_estimate), floor)
+
+
+_ORACLE_BITS = 2 * 1024 + 64
+
+
+@lru_cache(maxsize=None)
+def _log_exact_ratio(sym, k: int) -> mp.mpf:
+    """log(g_k / B(k)!) as the sum of e log p over its exponents, for k
+    where the exact ratio's parts run to millions of bits."""
+    with mp.workprec(_ORACLE_BITS):
+        return mp.fsum(e * mp.log(p) for p, e in _ratio_exponents(sym, k).items() if e)
+
+
+@pytest.mark.parametrize("bits", [64, 256, 1024])
+@pytest.mark.parametrize("sym, k", [(U, 2000), (O, 2828), (SP, 2827)])
+def test_assemble_coefficient_at_the_log_power_edge(monkeypatch, sym, k, bits):
+    # B(k) ~ 4e6: log_pref and log G(k + 1/2) are ~2^24, so exp() spends
+    # ~24 of the guard bits; the ratio is ~e^-3e7, below every float
+    monkeypatch.setenv("LFMOMENTS_PRECISION", str(bits))
+    coeff = assemble_mean_value(FamilyDescriptor(sym, 1, "test"), k, Fraction(3, 7)).coefficient
+    assert coeff.precision_bits == bits and coeff.value > 0
+    with mp.workprec(_ORACLE_BITS):
+        log_want = _log_exact_ratio(sym, k) + mp.log(mp.mpf(3) / 7)
+        # |want - value| = |value| |exp(log want - log value) - 1|
+        gap = coeff.value * abs(mp.expm1(log_want - mp.log(coeff.value)))
+        floor = coeff.value * mp.ldexp(1, 8 - bits)
+        assert gap <= max(mp.mpf(coeff.err_estimate), floor)

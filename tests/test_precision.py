@@ -147,9 +147,13 @@ def test_to_mpf_rounds_wide_parts_once_from_their_top_bits(bits):
             value = to_mpf(x)
             assert time.perf_counter() - start < 0.5
             assert _correctly_rounded(value, Fraction(x), prec), x
-        # parts within the precision divide as exact mpfs, as before
+        # narrow parts give the bits of mpf's own correctly rounded division
         assert to_mpf(Fraction(3, 7)) == mp.mpf(3) / mp.mpf(7)
         assert to_mpf(-(2**prec - 1)) == -(2**prec - 1)
+        assert to_mpf(0) == 0 and to_mpf(Fraction(0, 7)) == 0
+        for p, q in [(1, 3), (-5, 11), (2**prec - 1, 3**40), (12, 1), (96, 64)]:
+            exact = mp.mpf(p) / mp.mpf(q)
+            assert to_mpf(Fraction(p, q))._mpf_ == exact._mpf_, (p, q)
 
 
 def test_to_fraction_keeps_the_sign_and_every_bit():
