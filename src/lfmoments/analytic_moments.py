@@ -73,10 +73,10 @@ _KERNEL_GUARD = 64
 
 
 @functools.lru_cache(maxsize=None)
-def _constants(bits: int):
+def _constants(prec: int):
     """(log 2, zeta'(0), zeta'(-1)) for the closed forms and asymptotics,
-    at the working precision of ``working_precision(bits)``."""
-    with working_precision(bits):
+    at the mpmath working precision prec."""
+    with mp.workprec(prec):
         log_2 = mp.log(2)
         zp0 = -mp.log(2 * mp.pi) / 2
         # zeta'(-1) = log G(n + 1) minus the log-G series at z = n + 1 (past
@@ -224,7 +224,7 @@ def barnes_g(z, precision_bits=None) -> RealApprox:
         zv = to_mpf(z)
         if zv <= 0 and mp.isint(zv):
             raise PoleError(f"1/G has a pole at the nonpositive integer {zv}")
-        return approx(_barnes_g_raw(zv, _constants(bits)[2]), bits)
+        return approx(_barnes_g_raw(zv, _constants(mp.mp.prec)[2]), bits)
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +262,7 @@ def _ratio_closed_raw(sym: SymmetryClass, lam: mp.mpf, c: tuple) -> mp.mpf:
     g_Sp(lambda) = 2^-lambda g_O(lambda + 1), whose log power B_O(lambda + 1)
     equals B_Sp(lambda).  U needs G(lambda + 1/2) G(lambda + 3/2), and
     G(z + 1) = Gamma(z) G(z) turns that into Gamma(lambda + 1/2) G(lambda + 1/2)^2.
-    ``c`` is ``_constants(bits)``.
+    ``c`` is ``_constants(mp.mp.prec)``.
     """
     if sym is SymmetryClass.Sp:
         return _ratio_closed_raw(SymmetryClass.O, lam + 1, c) / mp.power(2, lam)
@@ -283,17 +283,35 @@ def _ratio_closed_raw(sym: SymmetryClass, lam: mp.mpf, c: tuple) -> mp.mpf:
     return mp.exp(log_pref) / g
 
 
+def _degree_guard(lam: mp.mpf) -> int:
+    """Bits the closed forms add at degree lam, whose exp(log_pref), log G
+    and Gamma(1 + B) have size about lam^2 log|lam|: its bits past 32, in
+    multiples of 32 to keep the per-precision caches few."""
+    if mp.mag(lam) <= 14:  # |lam| <= 2^14: lam^2 log|lam| < 2^32
+        return 0
+    with mp.workprec(53):
+        return max(0, -(-mp.mag(lam * lam * mp.log(abs(lam))) // 32) - 1) * 32
+
+
+def _closed_form(sym: SymmetryClass, lam, precision_bits, with_gamma: bool) -> RealApprox:
+    """The ratio closed form, times Gamma(1 + B) with_gamma, at _degree_guard more bits."""
+    with working_precision(precision_bits) as bits:
+        with mp.workprec(mp.mp.prec + _degree_guard(to_mpf(lam))):
+            lam_v = to_mpf(lam)
+            _check_pole(sym, lam_v)
+            value = _ratio_closed_raw(sym, lam_v, _constants(mp.mp.prec))
+            if with_gamma:
+                value = mp.gamma(1 + log_power(sym, lam_v)) * value
+        return approx(+value, bits)
+
+
 def moment_ratio_closed_form(sym: SymmetryClass, lam, precision_bits=None) -> RealApprox:
     """Closed form for the moment constant divided by Gamma(1 + B(lambda)).
 
     This is the analytic object whose poles sit at half-integers below
     1/2, of the orders ``pole_order`` gives.
     """
-    with working_precision(precision_bits) as bits:
-        lam_v = to_mpf(lam)
-        _check_pole(sym, lam_v)
-        value = _ratio_closed_raw(sym, lam_v, _constants(bits))
-        return approx(value, bits)
+    return _closed_form(sym, lam, precision_bits, with_gamma=False)
 
 
 def moment_closed_form(sym: SymmetryClass, lam, precision_bits=None) -> RealApprox:
@@ -302,10 +320,7 @@ def moment_closed_form(sym: SymmetryClass, lam, precision_bits=None) -> RealAppr
     Includes the Gamma(1 + B(lambda)) factor, so integer degrees
     reproduce the exact integer constants.
     """
-    with working_precision(precision_bits) as bits:
-        ratio = moment_ratio_closed_form(sym, lam, bits).value
-        value = mp.gamma(1 + log_power(sym, to_mpf(lam))) * ratio
-        return approx(value, bits)
+    return _closed_form(sym, lam, precision_bits, with_gamma=True)
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +503,7 @@ def log_moment_asymptotic(sym: SymmetryClass, k: int, precision_bits=None) -> Re
     """
     require_int("k", k, 2)
     with working_precision(precision_bits) as bits:
-        ln2, zp0, zpm1 = _constants(bits)
+        ln2, zp0, zpm1 = _constants(mp.mp.prec)
         kk = mp.mpf(k)
         log_k = mp.log(kk)
         if require_class(sym) is SymmetryClass.U:
@@ -590,7 +605,7 @@ def log_sum_asymptotics(kind: str, n: int, precision_bits=None):
             f"n is above the log-sum cost bound {_LOG_SUM_MAX_N}, got {brief(n)}"
         )
     with working_precision(precision_bits) as bits:
-        ln2, zp0, zpm1 = _constants(bits)
+        ln2, zp0, zpm1 = _constants(mp.mp.prec)
         nn = mp.mpf(n)
         log_n = mp.log(nn)
         log_2n = log_n + ln2

@@ -4,7 +4,7 @@ Every domain failure raises one of these instead of a bare ValueError so the
 command-line layer can map them to structured error records.  require_int
 checks every integer argument and require_rational every exact rational
 one; messages name a caller's value through brief(), which never formats
-a huge integer.
+a huge integer.  WorkBudget is the one cost bound charged as work runs.
 """
 
 from fractions import Fraction
@@ -86,3 +86,19 @@ class NoConvergence(LfmomentsError):
 
 class ConstraintError(LfmomentsError):
     """Polynomial inputs violate a structural constraint (parity, nonzero...)."""
+
+
+class WorkBudget:
+    """The work one request may do, in its caller's unit, checked before it runs."""
+
+    def __init__(self, limit: int):
+        self.limit, self.spent = limit, 0
+
+    def check(self, amount: int, refusal, *args) -> None:
+        """DomainError(refusal(*args)) once amount passes what is left."""
+        if self.spent + amount > self.limit:
+            raise DomainError(refusal(*args))
+
+    def spend(self, amount: int, refusal, *args) -> None:
+        self.check(amount, refusal, *args)
+        self.spent += amount

@@ -6,8 +6,8 @@ and the one attached to the quadratic-character symplectic family.  Both
 are truncated at a prime cutoff with an observable error estimate, and
 both take the shape (prod_p (1 - 1/p))^alpha * prod_p S(1/p) with a power
 series S whose coefficients do not depend on p; one fixed-point kernel,
-_euler_products, evaluates that shape for either family, once _check_cost
-has bounded its work from k, the cutoff and the precision alone.
+_euler_products, evaluates that shape for either family, and each request
+charges the steps it takes to one WorkBudget.
 
 ``assemble_mean_value`` combines an arithmetic factor with the moment
 constant over Gamma(1 + B(k)), read from the Barnes-G closed form
@@ -27,7 +27,7 @@ from itertools import count
 import mpmath as mp
 
 from .analytic_moments import moment_ratio_closed_form
-from .errors import DomainError, require_int, require_rational
+from .errors import DomainError, WorkBudget, require_int, require_rational
 from .exact_moments import SymmetryClass, _checked_log_power, require_class
 from .numeric_core import primes_up_to
 from .precision import RealApprox, approx, to_fraction, to_mpf, working_precision
@@ -41,67 +41,37 @@ __all__ = [
 ]
 
 _MIN_CUTOFF = 100
-# estimated nanoseconds the products may take, from the steps and widths
-# _series_steps bounds.  On a 2-vCPU x86-64, CPython 3.11, no gmpy2:
-#   input                             estimate  time
-#   zeta 1/2, cutoff 10^6, 256 bits   2.8 s     0.8-1.1 s  accepted
-#   zeta 1, cutoff 10^7, 64 bits      1.4 s     1.3 s      accepted
-#   spquad 1000, cutoff 10^3          2.2 s     0.25 s     accepted
-#   zeta 1/2, cutoff 10^6, 512 bits   10 s      3.5-4.1 s  refused
-#   zeta 1/2, cutoff 10^4, 4096 bits  29 s      15 s       refused
-#   spquad 3000, cutoff 10^4          240 s     4.5 s      refused
-#   zeta 20001/2, cutoff 10^5         1.5e4 s   16.6 s     refused
+# The products charge one WorkBudget of _MAX_WORK_NS for the steps they
+# take, each at a charge in ns set by timing it (2-vCPU x86-64, CPython
+# 3.11.7, no gmpy2; the README has inputs charged, then timed):
+#   the sieve to x                                      16 x
+#   a zeta term or running-product step, w by r bits    _step_ns(w, r)
+#   a zeta series ratio of r bits                        r (r + 2048) / 1024
+#   an Sp binomial C(k, j)                               k^2 / 32
+#   an Sp Horner step, one single-limb division, w bits  9 (w + 512) / 32
 _MAX_WORK_NS = 3 * 10**9
+_REFUSAL = ("k, prime_cutoff and {} bits pass the cost bound of the Euler products: "
+            "over 3 s of estimated work").format
 
 
-def _series_steps(k: Fraction, prime_cutoff: int, bits: int):
-    """Upper bounds on the kernel's steps over the primes up to prime_cutoff
-    (two a prime for the running products, the rest in the series), on the
-    bit width of their ints and on the series ratios, computed once.
-
-    Primes <= x number below 1.25506 x / ln x (Rosser and Schoenfeld, 1962),
-    so below 2x / (b - 1) for the bit length b of x.  At integer k >= 0 the
-    series takes at most k + 2 steps a prime: Sp's Horner over k + 2
-    coefficients of at most k bits, or zeta's polynomial of at most k terms.
-    Otherwise zeta's series at a = min(k, 1 - k) has |(a)_j / j!| <= 2^A,
-    A = ceil(max(0, -a)), so its terms at p fall below 2^-(bits + 16) once
-    j log2 p > T = 2A + bits + 16: within T / log2 p + 1 steps, counted as
-    at p = 2 up to 2^h <= sqrt(prime_cutoff) and as at p = 2^h above.  k
-    and A are capped at _MAX_WORK_NS, where one prime alone passes the bound.
-    """
-    def primes(x):
-        return 2 * x // (x.bit_length() - 1)
-
-    big = min(max(0, math.ceil(-min(k, 1 - k))), _MAX_WORK_NS)
-    if k.denominator == 1:
-        ratios = min(k.numerator, _MAX_WORK_NS) + 2
-        steps = primes(prime_cutoff) * (ratios + 2)
-    else:
-        ratios = 2 * big + bits + 17
-        h = (prime_cutoff.bit_length() - 1) // 2
-        steps = primes(1 << h) * ratios + primes(prime_cutoff) * (ratios // h + 3)
-    return steps, mp.mp.prec + 32 + 2 * big + 2, ratios
+def _step_ns(width: int, other: int) -> int:
+    return (width + 256) * (other + 256) >> 8
 
 
-def _check_cost(k, prime_cutoff, bits: int) -> Fraction:
-    """k as an exact rational (``to_fraction``), once k > -1/2, the cutoff
-    is an int >= _MIN_CUTOFF and the products' work at these bits is within
-    _MAX_WORK_NS; DomainError otherwise.  Runs before any sieve or table."""
+def _check_cost(k, prime_cutoff, bits: int):
+    """(k as an exact rational, the request's WorkBudget charged the sieve
+    and two running-product steps a prime) once k > -1/2 and the cutoff is
+    an int >= _MIN_CUTOFF.  Primes <= x number below 1.25506 x / ln x
+    (Rosser and Schoenfeld, 1962), so below 2x / (b - 1), b = x.bit_length()."""
     require_int("prime_cutoff", prime_cutoff, _MIN_CUTOFF)
     k = to_fraction(k)
     if k <= Fraction(-1, 2):
         raise DomainError("the product is defined only for k > -1/2")
-    steps, width, ratios = _series_steps(k, prime_cutoff, bits)
-    # a step multiplies and divides w-bit ints in about w (w + 2048) / 1024
-    # ns; each ratio squares ints the size of k's numerator or denominator
-    table = width + 2 * max(k.numerator.bit_length(), k.denominator.bit_length())
-    work = steps * width * (width + 2048) + ratios * table * (table + 2048)
-    if work >> 10 > _MAX_WORK_NS:
-        raise DomainError(
-            f"k, prime_cutoff and {bits} bits pass the cost bound of the Euler "
-            f"products: over {_MAX_WORK_NS // 10**9} s of estimated work"
-        )
-    return k
+    width = mp.mp.prec + 32
+    primes = 2 * prime_cutoff // (prime_cutoff.bit_length() - 1)
+    budget = WorkBudget(_MAX_WORK_NS)
+    budget.spend(16 * prime_cutoff + 2 * primes * _step_ns(width, width), _REFUSAL, bits)
+    return k, budget
 
 
 def _euler_products(primes, alpha, make_local, ends) -> list:
@@ -138,7 +108,7 @@ def _euler_products(primes, alpha, make_local, ends) -> list:
     return [+value for value in values]
 
 
-def _zeta_local(a: Fraction, bits: int, width: int):
+def _zeta_local(a: Fraction, bits: int, budget: WorkBudget, width: int):
     """p -> 2F1(a, a; 1; 1/p) * 2^width, the series sum_j ((a)_j / j!)^2 p^-j.
 
     Each term comes from the previous one by the ratio ((a + j - 1) / j)^2,
@@ -148,23 +118,41 @@ def _zeta_local(a: Fraction, bits: int, width: int):
     (a fixed-width table of the coefficients would not: they span 2^193 at
     k = 100).  The sum stops at its first term below 2^-(bits + 16), past
     the peak since the terms are unimodal.  Only the smallest prime extends
-    the ratios: a larger p stops no later.
+    the ratios: a larger p stops no later.  A new ratio and its term are
+    charged to budget before they are computed, a prime's shared-ratio terms
+    after, at the width of its sum, which bounds theirs (they are positive).
     """
     num, den = a.numerator, a.denominator
-    eps = 1 << (width - bits - 16)
+    one, eps = 1 << width, 1 << (width - bits - 16)
     ratios = []
+    # ratios square ints of k's width into table bits; a term of a w-bit sum
+    # costs _step_ns(w, table), and a sum below wide has width + 1 bits
+    table = width + 2 * max(num.bit_length(), den.bit_length())
+    ratio_ns = table * (table + 2048) >> 10
+    wide, narrow = 1 << (width + 1), _step_ns(width + 1, table)
+    n = 0
 
     def local(p: int) -> int:
-        total = term = 1 << width
+        nonlocal n
+        total = term = one
         scale = p << width
-        for ratio in ratios:
+        shared = iter(ratios)
+        for ratio in shared:
             term = term * ratio // scale
             total += term
             if term < eps:
-                return total
-        for j in count(len(ratios) + 1):
+                break
+        budget.spent += (n - shared.__length_hint__()) * (
+            narrow if total < wide else _step_ns(total.bit_length(), table))
+        if budget.spent > budget.limit:
+            raise DomainError(_REFUSAL(bits))
+        if term < eps:
+            return total
+        for j in count(n + 1):
+            budget.spend(ratio_ns + _step_ns(total.bit_length(), table), _REFUSAL, bits)
             ratio = ((num + (j - 1) * den) ** 2 << width) // (j * den) ** 2
             ratios.append(ratio)
+            n = j
             term = term * ratio // scale
             total += term
             if term < eps:
@@ -173,7 +161,7 @@ def _zeta_local(a: Fraction, bits: int, width: int):
     return local
 
 
-def _zeta_product(k: Fraction, primes, bits: int) -> mp.mpf:
+def _zeta_product(k: Fraction, primes, bits: int, budget: WorkBudget) -> mp.mpf:
     """prod over primes of (1 - 1/p)^{k^2} 2F1(k, k; 1; 1/p) at working precision.
 
     Euler's transformation (1-x)^{k^2} 2F1(k,k;1;x) = (1-x)^{(k-1)^2}
@@ -182,8 +170,8 @@ def _zeta_product(k: Fraction, primes, bits: int) -> mp.mpf:
     not depend on p and vanish from j = k on for integer k >= 1.  That is
     the kernel's shape with alpha = a^2 and S = 2F1(a, a; 1; x).
     """
-    a = min(k, 1 - k)
-    make_local = partial(_zeta_local, a, bits)
+    a = k if 2 * k <= 1 else 1 - k  # min(k, 1 - k), forming 1 - k only if needed
+    make_local = partial(_zeta_local, a, bits, budget)
     return _euler_products(primes, a * a, make_local, [len(primes)])[0]
 
 
@@ -209,21 +197,17 @@ def zeta_arithmetic_factor(
     """Arithmetic constant of the zeta family, truncated over p <= cutoff.
 
     The local factor at p is (1 - 1/p)^{k^2} sum_j d_k(p^j)^2 p^{-j}
-    = (1 - 1/p)^{k^2} 2F1(k, k; 1; 1/p).  By Euler's transformation it
-    equals (1 - 1/p)^{a^2} 2F1(a, a; 1; 1/p) with a = min(k, 1-k): the
-    common shape (prod (1 - 1/p))^alpha prod S(1/p) with alpha = a^2 and
-    S = 2F1(a, a; 1; x).  The fixed-point kernel evaluates it at W = working
-    precision + 32 bits, the series by ratios shared by every prime, the
-    power once; for n primes the rounding stays within
-    (1 + a^2) n log(cutoff) 2^-W relative, far below the working-precision
-    floor.  The reported err_estimate is the truncated-tail bound (the
-    local-factor logs decay like k^2(k-1)^2/(4p^2), summed with the exact
-    prime zeta tail), never less than the working-precision floor.
+    = (1 - 1/p)^{k^2} 2F1(k, k; 1; 1/p), evaluated as _zeta_product says
+    within the kernel's rounding bound, far below the working-precision
+    floor; a series that runs long is a DomainError once its terms pass
+    the cost bound.  The reported err_estimate is the truncated-tail bound
+    (the local-factor logs decay like k^2(k-1)^2/(4p^2), summed with the
+    exact prime zeta tail), never less than the working-precision floor.
     """
     with working_precision(precision_bits) as bits:
-        k = _check_cost(k, prime_cutoff, bits)
+        k, budget = _check_cost(k, prime_cutoff, bits)
         primes = primes_up_to(prime_cutoff)
-        product = _zeta_product(k, primes, bits)
+        product = _zeta_product(k, primes, bits, budget)
         # each p^-2 rounded down by < 2^-_TAIL_BITS; the tail P(2) - sum,
         # about 1/(cutoff log cutoff), keeps ~100 bits for cutoffs below
         # 10^8, far more than the float err_estimate it feeds
@@ -270,18 +254,20 @@ def sp_quadratic_arithmetic_factor(
 
     Product over p <= cutoff of
     (1-1/p)^{k(k+1)/2} * (((1+p^{-1/2})^{-k} + (1-p^{-1/2})^{-k})/2 + 1/p)
-    / (1 + 1/p): the common shape (prod (1 - 1/p))^alpha prod S(1/p),
+    / (1 + 1/p): the kernel's shape (prod (1 - 1/p))^alpha prod S(1/p),
     times prod p/(p+1), with alpha = k(k-1)/2 and the integer polynomial S
-    of _sp_shape.  The fixed-point kernel evaluates it at W = working
-    precision + 32 bits, S by Horner (under 3 ulps of 2^-W per prime), the
-    power once; for n primes the rounding stays within
-    (1 + alpha) n log(cutoff) 2^-W relative.  The err_estimate is the gap
-    to the partial product over p <= cutoff/2, the same scale a
+    of _sp_shape, by Horner (_sp_local).  The err_estimate is the gap to
+    the partial product over p <= cutoff/2, the same scale a
     cutoff-doubling test would see.
     """
     with working_precision(precision_bits) as bits:
-        _check_cost(require_int("k", k, 1), prime_cutoff, bits)
+        _, budget = _check_cost(require_int("k", k, 1), prime_cutoff, bits)
+        # the shape's k + 2 binomials before they are built, then k + 2
+        # Horner steps a prime on ints below 2^width
+        budget.spend((k + 2) * k * k >> 5, _REFUSAL, bits)
         primes = primes_up_to(prime_cutoff)
+        width = mp.mp.prec + 32 + k + 2
+        budget.spend(len(primes) * (k + 2) * (9 * (width + 512) >> 5), _REFUSAL, bits)
         alpha, coeffs = _sp_shape(k)
         half = bisect_right(primes, prime_cutoff // 2)
         partial_product, product = _euler_products(

@@ -46,7 +46,7 @@ def _odd_sieve(limit: int) -> bytearray:
 
 
 # above every internal limit: B(k) <= 4 * 10**6, the log sums' 2n - 1 and
-# the largest cutoff the Euler cost bound admits, 28770863
+# the largest cutoff the Euler products admit before the sieve, 24965327
 _MAX_SIEVE_LIMIT = 1 << 25
 
 

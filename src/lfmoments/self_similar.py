@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, List, Optional, Tuple, Union
 
-from .errors import DomainError, PreconditionError, require_int, require_rational
+from .errors import DomainError, PreconditionError, WorkBudget, require_int, require_rational
 from .numeric_core import abs_least_residue, check_prime
 from .precision import RealApprox, approx, to_mpf, working_precision
 
@@ -68,31 +68,14 @@ def _walk_charge(steps: int, modulus: int) -> int:
     return steps * width * (width + (1 << 14))
 
 
-def _max_steps(modulus: int) -> int:
-    return _WALK_BUDGET // _walk_charge(1, modulus)
-
-
-class _WalkBudget:
-    """What one request's walks have spent of _WALK_BUDGET: the two walks
-    of a density, or those of every point of a sample."""
-
-    def __init__(self):
-        self.spent = 0
-
-    def check(self, steps: int, modulus: int) -> None:
-        """DomainError once a walk of steps residues modulo modulus passes
-        what the earlier walks left."""
-        if self.spent + _walk_charge(steps, modulus) > _WALK_BUDGET:
-            share = self.spent * 100 // _WALK_BUDGET
-            after = f" after earlier walks spent {share}% of it" if self.spent else ""
-            raise DomainError(
-                f"a walk of {steps} or more residues modulo a {modulus.bit_length()}"
-                f"-bit number passes the cost bound{after} "
-                f"(steps * w * (w + 2^14), summed over the walks, <= 2^43)"
-            )
-
-    def spend(self, steps: int, modulus: int) -> None:
-        self.spent += _walk_charge(steps, modulus)
+def _walk_refusal(budget: WorkBudget, steps: int, modulus: int) -> str:
+    share = budget.spent * 100 // budget.limit
+    after = f" after earlier walks spent {share}% of it" if budget.spent else ""
+    return (
+        f"a walk of {steps} or more residues modulo a {modulus.bit_length()}"
+        f"-bit number passes the cost bound{after} "
+        f"(steps * w * (w + 2^14), summed over the walks, <= 2^43)"
+    )
 
 
 # cap on r * p.bit_length() for an orbit of length r: the period sum in
@@ -119,7 +102,7 @@ def _orbit_residues(p: int, a: int, b: int) -> List[int]:
     r of p mod b.  Raises DomainError, during the walk, once r would pass
     _ORBIT_BIT_BUDGET // p.bit_length() or the walk bound at b's width.
     """
-    max_len = min(_ORBIT_BIT_BUDGET // p.bit_length(), _max_steps(b))
+    max_len = min(_ORBIT_BIT_BUDGET // p.bit_length(), _WALK_BUDGET // _walk_charge(1, b))
     residues = []
     for res in _residue_walk(p, a, b):
         if residues and res == residues[0]:
@@ -152,19 +135,19 @@ def _period_sum(p: int, squares: List[int]) -> Tuple[int, int]:
     return left * p_right + right, p_left * p_right
 
 
-def _negative_side(p: int, a: int, b: int, budget: Optional[_WalkBudget] = None) -> Fraction:
+def _negative_side(p: int, a: int, b: int, budget: Optional[WorkBudget] = None) -> Fraction:
     """The ell <= -1 part of the sum at x = a/b, exactly: r_m^2 / (b^2 p^m)
     for 1 <= m < M, r_m the absolute least residue of a mod b p^m (taken
     from r_(m+1), largest modulus first) and M the least m with
     2a <= b p^m, then the geometric tail x^2 p / ((p - 1) p^M).  The walk
     is charged to budget, a fresh one by default."""
-    budget = budget or _WalkBudget()
+    budget = budget or WorkBudget(_WALK_BUDGET)
     steps, modulus = 0, b
     while 2 * a > modulus * p:
         steps += 1
         modulus *= p
-        budget.check(steps, modulus)
-    budget.spend(steps, modulus)
+        budget.check(_walk_charge(steps, modulus), _walk_refusal, budget, steps, modulus)
+    budget.spend(_walk_charge(steps, modulus), _walk_refusal, budget, steps, modulus)
     squares, r = [], a
     for _ in range(steps):
         r = abs_least_residue(r, modulus)
@@ -211,7 +194,7 @@ def density_numeric(p: int, x, eps: float = 1e-9) -> RealApprox:
     """
     check_prime(p)
     _check_eps(eps)
-    return _density_numeric(p, _as_positive_fraction(x), eps, _WalkBudget())
+    return _density_numeric(p, _as_positive_fraction(x), eps, WorkBudget(_WALK_BUDGET))
 
 
 def _check_eps(eps: float) -> None:
@@ -219,7 +202,7 @@ def _check_eps(eps: float) -> None:
         raise DomainError(f"eps must be positive and finite, got {eps}")
 
 
-def _density_numeric(p: int, fx: Fraction, eps: float, budget: _WalkBudget) -> RealApprox:
+def _density_numeric(p: int, fx: Fraction, eps: float, budget: WorkBudget) -> RealApprox:
     """density_numeric at a checked p, x and eps, its walks charged to budget."""
     a, b = fx.numerator, fx.denominator
 
@@ -230,8 +213,8 @@ def _density_numeric(p: int, fx: Fraction, eps: float, budget: _WalkBudget) -> R
     while bound <= target:
         steps += 1
         bound *= p
-        budget.check(steps, b)
-    budget.spend(steps, b)
+        budget.check(_walk_charge(steps, b), _walk_refusal, budget, steps, b)
+    budget.spend(_walk_charge(steps, b), _walk_refusal, budget, steps, b)
     prefix = itertools.islice(_residue_walk(p, a, b), steps)
     num, p_steps = _period_sum(p, [res * res for res in prefix])
 
@@ -268,6 +251,9 @@ def classify_point(p: int, a: int, b: int) -> PointClass:
 # 0.08 ms for p = 2, 3, 5 or 101, so n = 10^4 took 0.7-0.8 s (2-vCPU
 # x86-64, CPython 3.11)
 _MAX_SAMPLES = 10_000
+# walk units w (w + 2^14) charged for a point's exact arithmetic, quadratic in
+# its denominator's width w: 25 units' time at w = 1000-3300, 53 at 16600
+_POINT_WALKS = 32
 
 
 def sample_density(
@@ -275,8 +261,9 @@ def sample_density(
 ) -> List[Tuple[float, float]]:
     """n uniformly spaced samples of c_p over [x_min, x_max], 2 <= n <= 10^4.
 
-    The points' walks together share one walk budget, so a sample of wide
-    or far points is refused once they pass it, not after minutes.
+    The points share one walk budget: their exact arithmetic is charged
+    before the first point, their walks as they run, so a sample of wide or
+    far points is refused once it passes the budget, not after minutes.
     """
     require_int("the number of sample points n", n, 2, _MAX_SAMPLES)
     check_prime(p)
@@ -288,6 +275,11 @@ def sample_density(
     if hi >= 2**1023:
         raise DomainError("need x_max < 2^1023: the samples are floats")
     step = (hi - lo) / (n - 1)
-    budget = _WalkBudget()
+    budget = WorkBudget(_WALK_BUDGET)
+    # every point's denominator divides den(lo) den(step)
+    width = lo.denominator.bit_length() + step.denominator.bit_length()
+    arithmetic = _POINT_WALKS * n * width * (width + (1 << 14))
+    budget.spend(arithmetic, str, f"the exact arithmetic of {n} points with denominators of up "
+                 f"to {width} bits passes the cost bound ({_POINT_WALKS} n w (w + 2^14) <= 2^43)")
     points = (lo + i * step for i in range(n))
     return [(float(xi), float(_density_numeric(p, xi, eps, budget).value)) for xi in points]

@@ -48,7 +48,7 @@ def rel_gap(got, expect) -> float:
 
 def _zeta_prime_minus1(bits: int) -> mp.mpf:
     with working_precision(bits):
-        return analytic_moments._constants(bits)[2]
+        return analytic_moments._constants(mp.mp.prec)[2]
 
 
 def test_glaisher_identity_ties_the_bundle_together():
@@ -336,8 +336,12 @@ FAR_SHIFTS = {
 @pytest.mark.parametrize("route", sorted(FAR_SHIFTS))
 def test_barnes_shift_beyond_the_cost_bound_is_an_error(monkeypatch, route):
     # the shift costs time linear in its length (barnes_g(-100000.33) took
-    # 0.3 s); past _LADDER_MAX_N steps it is refused before the kernel starts
-    _zeta_prime_minus1(256)
+    # 0.3 s); past _LADDER_MAX_N steps it is refused before the kernel starts.
+    # The constants are warmed at barnes_g's precision and at the closed
+    # forms', which add bits at this degree
+    with working_precision(256):
+        for guard in (0, analytic_moments._degree_guard(mp.mpf(-(10**9)))):
+            analytic_moments._constants(mp.mp.prec + guard)
 
     def no_kernel(*args):
         raise AssertionError("shift kernel started")
@@ -351,7 +355,7 @@ def test_barnes_shift_bound_admits_exactly_ladder_max_n_steps(monkeypatch):
     z = Fraction(-119, 2)
     with working_precision(256):
         n = int(mp.ceil(analytic_moments._series_threshold() - to_mpf(z)))
-        want = _per_step_barnes_g(to_mpf(z), analytic_moments._constants(256)[2])
+        want = _per_step_barnes_g(to_mpf(z), analytic_moments._constants(mp.mp.prec)[2])
     monkeypatch.setattr(analytic_moments, "_LADDER_MAX_N", n)
     got = barnes_g(z, 256)
     assert abs(got.value - want) <= got.err_estimate
@@ -468,6 +472,21 @@ def test_closed_form_err_estimate_covers_twice_the_precision(sym, bits, cases):
         want = moment_closed_form(sym, lam, precision_bits=2 * bits)
         with mp.workprec(2 * bits):
             assert abs(got.value - want.value) <= got.err_estimate, (sym, lam)
+
+
+@pytest.mark.parametrize("bits", [64, 256, 1024])
+@pytest.mark.parametrize("sym", list(SymmetryClass))
+@pytest.mark.parametrize("degree", [10**8, 10**9, 10**12], ids=["1e8+1/3", "1e9+1/3", "1e12+1/3"])
+def test_closed_forms_keep_their_floor_at_huge_degree(degree, sym, bits):
+    # exp(log_pref), log G and Gamma(1 + B) have size about lam^2 log lam:
+    # without bits added for it the gap to a recomputation passed the floor
+    # 2^(8 - bits) by 2.3 times at 10^8 and 6 * 10^8 times at 10^12
+    lam = degree + Fraction(1, 3)
+    for closed_form in (moment_ratio_closed_form, moment_closed_form):
+        got = closed_form(sym, lam, bits).value
+        ref = closed_form(sym, lam, 2 * bits + 64).value
+        with mp.workprec(2 * bits + 64):
+            assert abs(got - ref) <= abs(got) * mp.mpf(2) ** (8 - bits), closed_form
 
 
 def test_closed_form_pole_guards():
@@ -737,7 +756,7 @@ def _probed_pole_order(sym, k: int) -> int:
     """The pole order at 1/2 - k read off the closed form: the negated
     least-squares slope of log|ratio| against log(radius)."""
     with working_precision(None) as bits:
-        c = analytic_moments._constants(bits)
+        c = analytic_moments._constants(mp.mp.prec)
         lam0 = mp.mpf("0.5") - k
         xs = [mp.log(mp.mpf(r)) for r in _PROBE_RADII]
         ys = [

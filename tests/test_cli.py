@@ -22,7 +22,7 @@ from lfmoments import (
     SymmetryClass,
     zeta_arithmetic_factor,
 )
-from lfmoments import cli, exact_moments
+from lfmoments import cli, euler_products, exact_moments
 from lfmoments.cli import main
 from lfmoments.precision import working_precision
 
@@ -310,7 +310,9 @@ def test_ak_zeta_fractional_order_matches_library(capsys):
     assert rec["result"] == want.digits(25)
 
 
-def test_ak_zeta_huge_order_is_an_error_record(capsys):
+def test_ak_zeta_huge_order_is_an_error_record(monkeypatch, capsys):
+    # its series runs until it has spent the budget: a tenth of it is enough
+    monkeypatch.setattr(euler_products, "_MAX_WORK_NS", 3 * 10**8)
     code, rec = run_json(capsys, "ak", "zeta", "1e400", "--cutoff", "100")
     assert code == 1
     assert rec["error"]["type"] == "DomainError"
@@ -572,8 +574,12 @@ def test_cp_plot_requires_a_destination(capsys):
         ("vp", "U", "2", str(10**4298)),
     ],
 )
-def test_cost_bounds_are_error_records(capsys, argv):
-    # each of these used to run for seconds to hours or to exhaust memory
+def test_cost_bounds_are_error_records(monkeypatch, capsys, argv):
+    # each of these used to run for seconds to hours or to exhaust memory;
+    # a long zeta series is refused once it has spent the Euler budget, so
+    # a tenth of it (the real one is run in test_euler_products) keeps these
+    # refusals short
+    monkeypatch.setattr(euler_products, "_MAX_WORK_NS", 3 * 10**8)
     code, rec = run_json(capsys, *argv)
     assert code == 1
     assert rec["error"]["type"] == "DomainError"
@@ -588,7 +594,9 @@ def test_precision_from_the_environment_beyond_a_bound_is_an_error_record(
     monkeypatch, capsys, bits, argv
 ):
     # past the precision ceiling, and past the Euler cost bound at 1024 bits
+    # (a tenth of it: the series runs until it has spent the budget)
     monkeypatch.setenv("LFMOMENTS_PRECISION", bits)
+    monkeypatch.setattr(euler_products, "_MAX_WORK_NS", 3 * 10**8)
     code, rec = run_json(capsys, *argv)
     assert code == 1
     assert rec["error"]["type"] == "DomainError"

@@ -22,17 +22,17 @@ from lfmoments import (
 )
 from lfmoments import euler_products
 from lfmoments.euler_products import (
-    _MAX_WORK_NS,
     _MIN_CUTOFF,
     _check_cost,
     _euler_products,
-    _series_steps,
     _sp_local,
     _sp_shape,
+    _step_ns,
     _zeta_product,
 )
+from lfmoments.errors import brief
 from lfmoments.numeric_core import check_prime
-from lfmoments.precision import approx, working_precision
+from lfmoments.precision import GUARD_BITS, approx, working_precision
 
 U, O, SP = SymmetryClass.U, SymmetryClass.O, SymmetryClass.Sp
 
@@ -45,8 +45,8 @@ def zeta_local_factor(k, p: int, precision_bits=None):
     product over the single prime p, with k checked as for the primes up to
     the least cutoff."""
     with working_precision(precision_bits) as bits:
-        k = _check_cost(k, _MIN_CUTOFF, bits)
-        return approx(_zeta_product(k, [p], bits), bits)
+        k, budget = _check_cost(k, _MIN_CUTOFF, bits)
+        return approx(_zeta_product(k, [p], bits, budget), bits)
 
 
 def sp_local_factor(k: int, p: int) -> Fraction:
@@ -193,8 +193,11 @@ def test_zeta_ak_matches_term_by_term_product():
             assert abs(got.value - want) < mp.mpf(2) ** -110 * want, k
 
 
-def test_zeta_huge_order_is_beyond_the_cost_bound():
-    # about 10^400 series steps a prime, refused before any sieve
+def test_zeta_huge_order_is_beyond_the_cost_bound(monkeypatch):
+    # about 10^400 series steps a prime, each wider than the last: refused
+    # once they have spent the budget, a tenth of it here (the calibration
+    # rows run the real one)
+    monkeypatch.setattr(euler_products, "_MAX_WORK_NS", 3 * 10**8)
     with pytest.raises(DomainError, match="cost bound"):
         zeta_arithmetic_factor(Fraction(10**400), prime_cutoff=100)
 
@@ -217,70 +220,99 @@ def test_prime_cutoff_beyond_the_cost_bound_is_an_error(monkeypatch, product, cu
         product(2, prime_cutoff=cutoff)
 
 
+# the rows of the README's table, run against the real budget (the zeta
+# rows refused after 1-2 s of work run in CI's console step instead), and
+# a k whose first series ratio alone passes it: the last five accepted rows
+# were refused by the up-front estimate the charges replaced
 @pytest.mark.parametrize(
-    "k, cutoff, bits, accepted",
+    "product, k, cutoff, bits, accepted",
     [
-        (Fraction(1, 2), 10**6, 256, True),
-        (1, 10**7, 64, True),
-        (1000, 1000, 256, True),
-        (Fraction(1, 2), 10**6, 512, False),
-        (Fraction(1, 2), 10**4, 4096, False),
-        (3000, 10**4, 256, False),
-        (Fraction(20001, 2), 10**5, 256, False),
+        (zeta_arithmetic_factor, Fraction(1, 2), 10**6, 256, True),
+        (zeta_arithmetic_factor, 1, 10**7, 64, True),
+        (sp_quadratic_arithmetic_factor, 1000, 1000, 256, True),
+        (zeta_arithmetic_factor, 1000, 10**4, 256, True),
+        (zeta_arithmetic_factor, 2000, 10**4, 256, True),
+        (zeta_arithmetic_factor, 200, 10**5, 256, True),
+        (sp_quadratic_arithmetic_factor, 1000, 10**4, 256, True),
+        (sp_quadratic_arithmetic_factor, 2000, 1000, 256, True),
+        (sp_quadratic_arithmetic_factor, 3000, 10**4, 256, False),
+        (zeta_arithmetic_factor, Fraction(1, 10**300000), 100, 256, False),
     ],
-    ids=str,
+    ids=lambda v: getattr(v, "__name__", brief(v)),
 )
-def test_cost_bound_keeps_its_calibration_rows(k, cutoff, bits, accepted):
-    # the rows timed in the comment above _MAX_WORK_NS, without running them
-    with working_precision(bits) as bits:
-        if accepted:
-            assert _check_cost(k, cutoff, bits) == k
-        else:
-            with pytest.raises(DomainError, match="cost bound"):
-                _check_cost(k, cutoff, bits)
+def test_cost_bound_keeps_its_calibration_rows(product, k, cutoff, bits, accepted):
+    if accepted:
+        product(k, prime_cutoff=cutoff, precision_bits=bits)
+    else:
+        with pytest.raises(DomainError, match="cost bound"):
+            product(k, prime_cutoff=cutoff, precision_bits=bits)
 
 
-# accepted inputs near the cost bound, one per regime of _series_steps: a
-# large A at the least cutoff, integer k for either family, many primes
+# wide sums at the least cutoff, integer k for either family, a long
+# series over many primes
 @pytest.mark.parametrize(
     "product, k, cutoff, bits",
     [
         (zeta_arithmetic_factor, Fraction(4601, 2), 100, 128),
         (zeta_arithmetic_factor, 1000, 1000, 256),
         (sp_quadratic_arithmetic_factor, 1000, 1000, 256),
-        (zeta_arithmetic_factor, Fraction(1, 3), 10**5, 512),
+        (zeta_arithmetic_factor, Fraction(1, 3), 10**4, 512),
     ],
     ids=lambda v: getattr(v, "__name__", str(v)),
 )
-def test_series_steps_bound_the_steps_the_kernel_takes(monkeypatch, product, k, cutoff, bits):
-    # every kernel step, a series term or a running product, floor-divides
-    # an int of at most 2 * width bits by a prime p or by p << width: primes
-    # that count those divisions see each step
-    steps = widest = 0
+def test_charged_steps_are_the_steps_the_kernel_takes(monkeypatch, product, k, cutoff, bits):
+    # every kernel step floor-divides by a prime p (a running product or an
+    # Sp Horner step) or by p << W (a zeta term): ints that record those
+    # divisions see each step, and the budget holds the charges of exactly
+    # those steps on top of what _check_cost charged before the sieve
+    divisions, terms, budgets = [0], [], []
+
+    class Shifted(int):
+        def __rfloordiv__(self, other):
+            terms[-1].append(other // int(self))
+            return terms[-1][-1]
 
     class Prime(int):
         def __lshift__(self, shift):
-            return Prime(int(self) << shift)
+            terms.append([])
+            return Shifted(int(self) << shift)
 
         def __rfloordiv__(self, other):
-            nonlocal steps, widest
-            steps += 1
-            widest = max(widest, other.bit_length())
+            divisions[0] += 1
             return other // int(self)
 
-    with working_precision(bits) as bits:
-        bound, width, _ = _series_steps(Fraction(k), cutoff, bits)
-        # accepted, but refused by a bound four times smaller
-        assert _check_cost(k, cutoff, bits) == k
-        monkeypatch.setattr(euler_products, "_MAX_WORK_NS", _MAX_WORK_NS // 4)
-        with pytest.raises(DomainError, match="cost bound"):
-            _check_cost(k, cutoff, bits)
-    monkeypatch.setattr(euler_products, "_MAX_WORK_NS", _MAX_WORK_NS)
+    def recording(*args):
+        k, budget = check_cost(*args)
+        budgets.append((budget, budget.spent))
+        return k, budget
+
+    check_cost = euler_products._check_cost
+    monkeypatch.setattr(euler_products, "_check_cost", recording)
     primes = [Prime(p) for p in primes_up_to(cutoff)]
     monkeypatch.setattr(euler_products, "primes_up_to", lambda limit: primes)
     product(k, prime_cutoff=cutoff, precision_bits=bits)
-    assert 0 < steps <= bound
-    assert widest <= 2 * width
+    [(budget, before_sieve)] = budgets
+    width = bits + GUARD_BITS + 32
+    if product is sp_quadratic_arithmetic_factor:
+        horner = divisions[0] - len(primes)
+        assert horner == len(primes) * (k + 2)
+        step = 9 * (width + k + 2 + 512) >> 5
+        assert budget.spent - before_sieve == ((k + 2) * k * k >> 5) + horner * step
+        return
+    # zeta: a prime's terms from the shared ratios at the width of its sum,
+    # each new ratio and its term at the width of the sum so far
+    assert divisions[0] == len(primes) == len(terms)
+    a = min(Fraction(k), 1 - Fraction(k))
+    table = width + 2 * max(a.numerator.bit_length(), a.denominator.bit_length())
+    charged = shared = 0
+    for quotients in terms:
+        total = (1 << width) + sum(quotients[:shared])
+        charged += len(quotients[:shared]) * _step_ns(total.bit_length(), table)
+        for quotient in quotients[shared:]:
+            charged += (table * (table + 2048) >> 10) + _step_ns(total.bit_length(), table)
+            total += quotient
+        shared = max(shared, len(quotients))
+    assert budget.spent - before_sieve == charged > 0
 
 
 # ------------------------------------------------------- Sp quadratic family

@@ -59,10 +59,12 @@ def test_sieve_and_log_power_bounds_cover_every_internal_caller():
     # the Euler products sieve to their cutoff
     assert exact_moments._MAX_LOG_POWER <= _MAX_SIEVE_LIMIT
     assert 2 * analytic_moments._LOG_SUM_MAX_N - 1 <= _MAX_SIEVE_LIMIT
-    # the cost bound admits its largest cutoff at k = 0 and 64 bits (by
+    # the charge before the sieve admits its largest cutoff at 64 bits (by
     # bisection); every k with a sieve at 2^25 is refused before it
     with working_precision(64) as bits:
-        assert _check_cost(0, 28_770_863, bits) == 0
+        assert _check_cost(0, 24_965_327, bits)[0] == 0
+        with pytest.raises(DomainError, match="cost bound"):
+            _check_cost(0, 24_965_328, bits)
         for k in (0, 1, Fraction(1, 2), Fraction(-2, 5)):
             with pytest.raises(DomainError, match="cost bound"):
                 _check_cost(k, _MAX_SIEVE_LIMIT, bits)

@@ -288,6 +288,22 @@ def test_walk_budget_boundary(monkeypatch):
         density_numeric(3, Fraction(1, 21))
 
 
+def test_sample_points_charge_their_exact_arithmetic(monkeypatch):
+    # 10^4 points whose denominators divide a 33220-bit one charge
+    # 32 * 10^4 * w * (w + 2^14) before the first: refused at once (their
+    # walks alone took 1.8-2.7 s to pass the budget)
+    with pytest.raises(DomainError, match="exact arithmetic of 10000 points.*cost bound"):
+        sample_density(3, Fraction(1, 10**5000), 1, 10**4)
+    # lo = 1/3 and step = 1/3 (2 bits each): w = 4 for each of 3 points, on
+    # top of which come the walks
+    charge = 32 * 3 * 4 * (4 + 2**14)
+    monkeypatch.setattr(self_similar, "_WALK_BUDGET", charge - 1)
+    with pytest.raises(DomainError, match="exact arithmetic"):
+        sample_density(3, Fraction(1, 3), 1, 3)
+    monkeypatch.setattr(self_similar, "_WALK_BUDGET", 2 * charge)
+    assert len(sample_density(3, Fraction(1, 3), 1, 3)) == 3
+
+
 def test_sample_points_share_one_walk_budget():
     # each point near 10^307 walks ~1000 residues below a ~1000-bit
     # modulus, within the budget alone; 10^4 of them took 17 s before the
