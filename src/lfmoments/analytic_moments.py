@@ -283,6 +283,12 @@ def _ratio_closed_raw(sym: SymmetryClass, lam: mp.mpf, c: tuple) -> mp.mpf:
     return mp.exp(log_pref) / g
 
 
+# the most bits _degree_guard adds, reached near |lambda| = 10^38: past it
+# the closed forms lose bits again rather than run at ever higher precision
+# (without the cap, U at 10^1000 took 2.3 s and at 10^2000 17 s)
+_MAX_DEGREE_GUARD = 256
+
+
 def _degree_guard(lam: mp.mpf) -> int:
     """Bits the closed forms add at degree lam, whose exp(log_pref), log G
     and Gamma(1 + B) have size about lam^2 log|lam|: its bits past 32, in
@@ -290,7 +296,8 @@ def _degree_guard(lam: mp.mpf) -> int:
     if mp.mag(lam) <= 14:  # |lam| <= 2^14: lam^2 log|lam| < 2^32
         return 0
     with mp.workprec(53):
-        return max(0, -(-mp.mag(lam * lam * mp.log(abs(lam))) // 32) - 1) * 32
+        extra = max(0, -(-mp.mag(lam * lam * mp.log(abs(lam))) // 32) - 1) * 32
+    return min(extra, _MAX_DEGREE_GUARD)
 
 
 def _closed_form(sym: SymmetryClass, lam, precision_bits, with_gamma: bool) -> RealApprox:

@@ -489,6 +489,14 @@ def test_closed_forms_keep_their_floor_at_huge_degree(degree, sym, bits):
             assert abs(got - ref) <= abs(got) * mp.mpf(2) ** (8 - bits), closed_form
 
 
+def test_closed_form_degree_guard_is_capped():
+    # uncapped, U at 10^2000 would run at about 13000 more bits (17 s)
+    for degree in (10**38, 10**2000):
+        guard = analytic_moments._degree_guard(mp.mpf(degree))
+        assert guard == analytic_moments._MAX_DEGREE_GUARD
+    moment_closed_form(U, 10**2000)
+
+
 def test_closed_form_pole_guards():
     with pytest.raises(PoleError):
         moment_closed_form(U, Fraction(-1, 2))
