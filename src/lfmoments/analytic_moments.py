@@ -283,9 +283,9 @@ def _ratio_closed_raw(sym: SymmetryClass, lam: mp.mpf, c: tuple) -> mp.mpf:
     return mp.exp(log_pref) / g
 
 
-# the most bits _degree_guard adds, reached near |lambda| = 10^38: past it
-# the closed forms lose bits again rather than run at ever higher precision
-# (without the cap, U at 10^1000 took 2.3 s and at 10^2000 17 s)
+# the most bits _degree_guard adds, so lambda^2 log|lambda| < 2^288 and
+# |lambda| < 2.2 * 10^42; a larger degree is refused, as its guard would grow
+# without bound (uncapped, U at 10^1000 took 2.3 s and at 10^2000 17 s)
 _MAX_DEGREE_GUARD = 256
 
 
@@ -296,8 +296,13 @@ def _degree_guard(lam: mp.mpf) -> int:
     if mp.mag(lam) <= 14:  # |lam| <= 2^14: lam^2 log|lam| < 2^32
         return 0
     with mp.workprec(53):
-        extra = max(0, -(-mp.mag(lam * lam * mp.log(abs(lam))) // 32) - 1) * 32
-    return min(extra, _MAX_DEGREE_GUARD)
+        size = mp.mag(lam * lam * mp.log(abs(lam)))
+    if size > _MAX_DEGREE_GUARD + 32:
+        raise DomainError(
+            f"a degree near 2^{mp.mag(lam)} passes the closed forms' cost bound "
+            f"(lambda^2 log|lambda| < 2^288, so |lambda| < 2.2 * 10^42)"
+        )
+    return max(0, -(-size // 32) - 1) * 32
 
 
 def _closed_form(sym: SymmetryClass, lam, precision_bits, with_gamma: bool) -> RealApprox:

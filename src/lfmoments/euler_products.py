@@ -130,10 +130,8 @@ def _zeta_local(a: Fraction, bits: int, budget: WorkBudget, width: int):
     table = width + 2 * max(num.bit_length(), den.bit_length())
     ratio_ns = table * (table + 2048) >> 10
     wide, narrow = 1 << (width + 1), _step_ns(width + 1, table)
-    n = 0
 
     def local(p: int) -> int:
-        nonlocal n
         total = term = one
         scale = p << width
         shared = iter(ratios)
@@ -142,17 +140,17 @@ def _zeta_local(a: Fraction, bits: int, budget: WorkBudget, width: int):
             total += term
             if term < eps:
                 break
-        budget.spent += (n - shared.__length_hint__()) * (
+        # budget.spend, inlined: the call took k = 1 from 0.3 to 0.7 us a prime
+        budget.spent += (len(ratios) - shared.__length_hint__()) * (
             narrow if total < wide else _step_ns(total.bit_length(), table))
         if budget.spent > budget.limit:
             raise DomainError(_REFUSAL(bits))
         if term < eps:
             return total
-        for j in count(n + 1):
+        for j in count(len(ratios) + 1):
             budget.spend(ratio_ns + _step_ns(total.bit_length(), table), _REFUSAL, bits)
             ratio = ((num + (j - 1) * den) ** 2 << width) // (j * den) ** 2
             ratios.append(ratio)
-            n = j
             term = term * ratio // scale
             total += term
             if term < eps:

@@ -252,8 +252,14 @@ def classify_point(p: int, a: int, b: int) -> PointClass:
 # x86-64, CPython 3.11)
 _MAX_SAMPLES = 10_000
 # walk units w (w + 2^14) charged for a point's exact arithmetic, quadratic in
-# its denominator's width w: 25 units' time at w = 1000-3300, 53 at 16600
-_POINT_WALKS = 32
+# its denominator's width w: it took 25 units' time at w = 1000-3300 and 53 at
+# 16600, where a sample passes the budget within a few hundred points
+_POINT_WALKS = 25
+
+
+def _point_refusal(n: int, width: int) -> str:
+    return (f"the exact arithmetic of {n} points with denominators of up to {width} bits "
+            f"passes the cost bound ({_POINT_WALKS} n w (w + 2^14) <= 2^43)")
 
 
 def sample_density(
@@ -276,10 +282,8 @@ def sample_density(
         raise DomainError("need x_max < 2^1023: the samples are floats")
     step = (hi - lo) / (n - 1)
     budget = WorkBudget(_WALK_BUDGET)
-    # every point's denominator divides den(lo) den(step)
-    width = lo.denominator.bit_length() + step.denominator.bit_length()
-    arithmetic = _POINT_WALKS * n * width * (width + (1 << 14))
-    budget.spend(arithmetic, str, f"the exact arithmetic of {n} points with denominators of up "
-                 f"to {width} bits passes the cost bound ({_POINT_WALKS} n w (w + 2^14) <= 2^43)")
+    # every point's denominator divides lcm(den(lo), den(step))
+    width = math.lcm(lo.denominator, step.denominator).bit_length()
+    budget.spend(_POINT_WALKS * n * width * (width + (1 << 14)), _point_refusal, n, width)
     points = (lo + i * step for i in range(n))
     return [(float(xi), float(_density_numeric(p, xi, eps, budget).value)) for xi in points]

@@ -490,11 +490,19 @@ def test_closed_forms_keep_their_floor_at_huge_degree(degree, sym, bits):
 
 
 def test_closed_form_degree_guard_is_capped():
-    # uncapped, U at 10^2000 would run at about 13000 more bits (17 s)
-    for degree in (10**38, 10**2000):
-        guard = analytic_moments._degree_guard(mp.mpf(degree))
-        assert guard == analytic_moments._MAX_DEGREE_GUARD
-    moment_closed_form(U, 10**2000)
+    # the guard reaches its cap at 10^38 and answers up to 2.2 * 10^42; past
+    # that the closed forms are refused, since U at 10^2000 would run at
+    # about 13000 more bits (17 s) and capped it would keep no correct bit
+    assert analytic_moments._degree_guard(mp.mpf(10**38)) == analytic_moments._MAX_DEGREE_GUARD
+    for closed_form in (moment_ratio_closed_form, moment_closed_form):
+        for sym in SymmetryClass:
+            got = closed_form(sym, 2 * 10**42, 64).value
+            ref = closed_form(sym, 2 * 10**42, 192).value
+            with mp.workprec(192):
+                assert abs(got - ref) <= abs(got) * mp.mpf(2) ** (8 - 64), (closed_form, sym)
+            for degree in (3 * 10**42, 10**2000, -(10**2000) - Fraction(1, 3)):
+                with pytest.raises(DomainError, match="cost bound"):
+                    closed_form(sym, degree)
 
 
 def test_closed_form_pole_guards():

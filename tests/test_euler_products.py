@@ -220,10 +220,9 @@ def test_prime_cutoff_beyond_the_cost_bound_is_an_error(monkeypatch, product, cu
         product(2, prime_cutoff=cutoff)
 
 
-# the rows of the README's table, run against the real budget (the zeta
-# rows refused after 1-2 s of work run in CI's console step instead), and
-# a k whose first series ratio alone passes it: the last five accepted rows
-# were refused by the up-front estimate the charges replaced
+# the rows of the README's table, run against the real budget, and a k
+# whose first series ratio alone passes it: the last five accepted rows were
+# refused by the up-front estimate the charges replaced
 @pytest.mark.parametrize(
     "product, k, cutoff, bits, accepted",
     [
@@ -236,6 +235,9 @@ def test_prime_cutoff_beyond_the_cost_bound_is_an_error(monkeypatch, product, cu
         (sp_quadratic_arithmetic_factor, 1000, 10**4, 256, True),
         (sp_quadratic_arithmetic_factor, 2000, 1000, 256, True),
         (sp_quadratic_arithmetic_factor, 3000, 10**4, 256, False),
+        (zeta_arithmetic_factor, Fraction(1, 2), 10**6, 512, False),
+        (zeta_arithmetic_factor, Fraction(1, 2), 10**4, 4096, False),
+        (zeta_arithmetic_factor, Fraction(20001, 2), 10**5, 256, False),
         (zeta_arithmetic_factor, Fraction(1, 10**300000), 100, 256, False),
     ],
     ids=lambda v: getattr(v, "__name__", brief(v)),
@@ -256,7 +258,7 @@ def test_cost_bound_keeps_its_calibration_rows(product, k, cutoff, bits, accepte
         (zeta_arithmetic_factor, Fraction(4601, 2), 100, 128),
         (zeta_arithmetic_factor, 1000, 1000, 256),
         (sp_quadratic_arithmetic_factor, 1000, 1000, 256),
-        (zeta_arithmetic_factor, Fraction(1, 3), 10**4, 512),
+        (zeta_arithmetic_factor, Fraction(1, 3), 10**5, 512),
     ],
     ids=lambda v: getattr(v, "__name__", str(v)),
 )

@@ -289,14 +289,17 @@ def test_walk_budget_boundary(monkeypatch):
 
 
 def test_sample_points_charge_their_exact_arithmetic(monkeypatch):
-    # 10^4 points whose denominators divide a 33220-bit one charge
-    # 32 * 10^4 * w * (w + 2^14) before the first: refused at once (their
-    # walks alone took 1.8-2.7 s to pass the budget)
-    with pytest.raises(DomainError, match="exact arithmetic of 10000 points.*cost bound"):
+    # 10^4 points whose denominators divide lcm(10^5000, den(step)), 16610
+    # bits, charge 25 * 10^4 * w * (w + 2^14) before the first: refused at
+    # once (their walks alone took 1.8-2.7 s to pass the budget)
+    with pytest.raises(DomainError, match="of 10000 points .* to 16610 bits passes the cost bound"):
         sample_density(3, Fraction(1, 10**5000), 1, 10**4)
-    # lo = 1/3 and step = 1/3 (2 bits each): w = 4 for each of 3 points, on
-    # top of which come the walks
-    charge = 32 * 3 * 4 * (4 + 2**14)
+    # at 10^-300 the bound is 997 bits, den(step)'s, and the charge and the
+    # walks fit; adding both denominators' widths (1994) refused it
+    assert len(sample_density(3, Fraction(1, 10**300), 1, 10**4)) == 10**4
+    # lo = 1/3 and step = 1/3: w = 2 for each of 3 points, on top of which
+    # come the walks
+    charge = self_similar._POINT_WALKS * 3 * 2 * (2 + 2**14)
     monkeypatch.setattr(self_similar, "_WALK_BUDGET", charge - 1)
     with pytest.raises(DomainError, match="exact arithmetic"):
         sample_density(3, Fraction(1, 3), 1, 3)
