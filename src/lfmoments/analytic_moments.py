@@ -321,7 +321,8 @@ def moment_ratio_closed_form(sym: SymmetryClass, lam, precision_bits=None) -> Re
     """Closed form for the moment constant divided by Gamma(1 + B(lambda)).
 
     This is the analytic object whose poles sit at half-integers below
-    1/2, of the orders ``pole_order`` gives.
+    1/2, of the orders ``pole_order`` gives.  DomainError past
+    |lambda| = 2.2e42, where _degree_guard would pass its cap.
     """
     return _closed_form(sym, lam, precision_bits, with_gamma=False)
 
@@ -330,7 +331,8 @@ def moment_closed_form(sym: SymmetryClass, lam, precision_bits=None) -> RealAppr
     """Moment constant at real degree, Barnes-G closed form.
 
     Includes the Gamma(1 + B(lambda)) factor, so integer degrees
-    reproduce the exact integer constants.
+    reproduce the exact integer constants.  DomainError past
+    |lambda| = 2.2e42, as for the ratio.
     """
     return _closed_form(sym, lam, precision_bits, with_gamma=True)
 
