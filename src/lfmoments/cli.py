@@ -20,15 +20,24 @@ import re
 import sys
 import time
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-import mpmath as mp
-
-from . import analytic_moments, euler_products, mollifier, self_similar
 from .errors import DomainError, LfmomentsError
 from .exact_moments import SymmetryClass, log_power, moment_factored
 from .numeric_core import decimal_string, is_prime
-from .padic_valuation import valuation, zero_valuation_window
-from .precision import RealApprox, working_precision
+
+if __name__ != "__main__":
+    # Imported as the module lfmoments.cli (the lfmoments script, tests,
+    # long-lived callers): load every layer now, so that no call pays an
+    # import.  A one-shot ``python -m lfmoments.cli`` run skips this and
+    # each handler imports the layers its command calls, so the exact
+    # commands start without mpmath.
+    from . import (  # noqa: F401
+        analytic_moments, euler_products, mollifier, padic_valuation, self_similar,
+    )
+
+if TYPE_CHECKING:
+    from .precision import RealApprox
 
 _DISPLAY_DIGITS = 25
 
@@ -103,6 +112,8 @@ _FAMILIES = {SymmetryClass.U: ("zeta", "zeta-family"),
 
 
 def _arithmetic_factor(family: str, k, cutoff: int) -> RealApprox:
+    from . import euler_products
+
     if family == "zeta":
         return euler_products.zeta_arithmetic_factor(k, prime_cutoff=cutoff)
     if k.denominator != 1:
@@ -131,10 +142,14 @@ def _cmd_gk(args) -> dict:
 
 
 def _cmd_vp(args) -> dict:
-    return {"result": decimal_string(valuation(args.sym, args.p, args.k))}
+    from . import padic_valuation
+
+    return {"result": decimal_string(padic_valuation.valuation(args.sym, args.p, args.k))}
 
 
 def _cmd_cp(args) -> dict:
+    from . import self_similar
+
     if args.eps is not None:
         approx = self_similar.density_numeric(args.p, args.x, eps=args.eps)
         return _approx_record({}, approx)
@@ -144,6 +159,8 @@ def _cmd_cp(args) -> dict:
 def _cmd_cp_plot(args) -> dict:
     if not (args.csv_path or args.svg_path):
         raise DomainError("nothing to write: pass --svg PATH and/or --csv PATH")
+    from . import self_similar
+
     points = self_similar.sample_density(
         args.p, args.x_min, args.x_max, args.n, eps=args.eps
     )
@@ -163,6 +180,8 @@ def _cmd_cp_plot(args) -> dict:
 
 
 def _cmd_classify(args) -> dict:
+    from . import self_similar
+
     point_class = self_similar.classify_point(args.p, args.a, args.b)
     if isinstance(point_class, self_similar.SelfSimilar):
         return {"result": "self-similar", "period": str(point_class.period)}
@@ -172,6 +191,8 @@ def _cmd_classify(args) -> dict:
 
 
 def _cmd_glambda(args) -> dict:
+    from . import analytic_moments
+
     lam = getattr(args, "lambda")
     if args.limit:
         approx = analytic_moments.moment_by_limit(
@@ -184,6 +205,8 @@ def _cmd_glambda(args) -> dict:
 
 
 def _cmd_ghalf(args) -> dict:
+    from . import analytic_moments
+
     return _approx_record({}, analytic_moments.half_moment_unitary())
 
 
@@ -192,6 +215,8 @@ def _cmd_ak(args) -> dict:
 
 
 def _cmd_assemble(args) -> dict:
+    from . import euler_products
+
     family = euler_products.FamilyDescriptor(
         sym=args.sym, conductor_exponent=args.A, label="cli"
     )
@@ -217,6 +242,8 @@ def _cmd_assemble(args) -> dict:
 
 
 def _cmd_mollify(args) -> dict:
+    from . import mollifier
+
     poly = mollifier.mean_square(args.sym, args.P, args.Q)
     record = {
         "result": poly.format(),
@@ -228,8 +255,12 @@ def _cmd_mollify(args) -> dict:
 
 
 def _cmd_asym(args) -> dict:
+    import mpmath as mp
+
+    from . import analytic_moments, precision
+
     approx = analytic_moments.log_moment_asymptotic(args.sym, args.k)
-    with working_precision(approx.precision_bits) as bits:
+    with precision.working_precision(approx.precision_bits) as bits:
         exact = mp.log(analytic_moments.moment_closed_form(args.sym, args.k, bits).value)
         return {
             "result": approx.digits(_DISPLAY_DIGITS),
@@ -240,6 +271,8 @@ def _cmd_asym(args) -> dict:
 
 
 def _cmd_poles(args) -> dict:
+    from . import analytic_moments
+
     order = analytic_moments.pole_order(args.sym, args.k)
     return {
         "inputs": {"at": decimal_string(Fraction(1, 2) - args.k)},
@@ -248,7 +281,9 @@ def _cmd_poles(args) -> dict:
 
 
 def _cmd_window(args) -> dict:
-    return {"result": zero_valuation_window(args.sym, args.p, args.k)}
+    from . import padic_valuation
+
+    return {"result": padic_valuation.zero_valuation_window(args.sym, args.p, args.k)}
 
 
 # --- plumbing ----------------------------------------------------------------

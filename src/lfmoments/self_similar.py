@@ -23,11 +23,13 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Iterator, List, Optional, Tuple, Union
 
 from .errors import DomainError, PreconditionError, WorkBudget, require_int, require_rational
 from .numeric_core import abs_least_residue, check_prime
-from .precision import RealApprox, approx, to_mpf, working_precision
+
+if TYPE_CHECKING:
+    from .precision import RealApprox
 
 
 @dataclass(frozen=True)
@@ -223,6 +225,9 @@ def _density_numeric(p: int, fx: Fraction, eps: float, budget: WorkBudget) -> Re
     # stays below eps; 2^magnitude > |value|
     magnitude = value.numerator.bit_length() - value.denominator.bit_length() + 1
     bits = max(128, math.ceil(-math.log2(eps)) + max(magnitude, 0) + 9)
+    # the one user of precision, imported here so the exact densities load no mpmath
+    from .precision import approx, to_mpf, working_precision
+
     with working_precision(bits):
         return approx(to_mpf(value), bits, err=eps)
 

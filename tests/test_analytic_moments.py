@@ -364,6 +364,49 @@ def test_barnes_shift_bound_admits_exactly_ladder_max_n_steps(monkeypatch):
         barnes_g(z, 256)
 
 
+@pytest.mark.parametrize("bits", [64, 128])
+def test_barnes_g_keeps_its_floor_at_large_z(bits):
+    # log G(z) has size z^2 log(z) / 2, so G runs at the closed forms' degree
+    # guard; without it barnes_g(10^8 + 1/3, 64) was off by 2.3 times this
+    # floor and barnes_g(10^12 + 1/3, 64) by 1.5 * 10^8 times
+    for z in (10**4 + Fraction(1, 3), 10**8 + Fraction(1, 3), 10**12 + Fraction(1, 3)):
+        got = barnes_g(z, bits).value
+        ref = barnes_g(z, 256).value
+        with mp.workprec(256):
+            assert abs(got - ref) <= abs(got) * mp.mpf(2) ** (8 - bits), z
+    for z in (10**43, -(10**43) - Fraction(1, 3)):
+        with pytest.raises(DomainError, match="cost bound"):
+            barnes_g(z, bits)
+
+
+def test_barnes_shift_runs_on_the_exact_ratio_where_it_is_narrow(monkeypatch):
+    # an exact argument's small ints, not the rounded mpf's 2^prec-wide
+    # denominator; but the rounding where the exact one is wider still
+    cases = [
+        (partial(moment_closed_form, U, Fraction(1, 3), 1024), (11, 6)),  # z = 5/6
+        (partial(barnes_g, Fraction(-7, 3), 1024), (-4, 3)),
+        (partial(barnes_g, Fraction(10**400 + 1, 3 * 10**400), 256), None),
+    ]
+    for call, _ in cases:
+        call()  # warms the constants, whose superfactorial also runs the kernel
+    ratios = []
+    kernel = analytic_moments._RunningProduct
+
+    def recording_kernel(first, ratio):
+        ratios.append(ratio(1))
+        return kernel(first, ratio)
+
+    monkeypatch.setattr(analytic_moments, "_RunningProduct", recording_kernel)
+    for call, want in cases:
+        ratios.clear()
+        call()
+        if want:
+            assert ratios == [want]
+        else:
+            (num, den), = ratios
+            assert den.bit_length() < 400 < (3 * 10**400).bit_length()
+
+
 # ------------------------------------------------------------- closed forms
 
 

@@ -167,22 +167,71 @@ def test_gk_factor_runs_the_engine_once(capsys, monkeypatch):
     assert int(rec["result"]) == moment_constant(SymmetryClass.U, 30)
 
 
-def test_warm_gk_records_match_a_fresh_process(capsys):
-    # gk and gk --factor share the most recent g_k in a warm process; each
-    # record must be the bytes a fresh process prints for it
+def _fresh(*args) -> subprocess.CompletedProcess:
+    """``python ARGS`` in a new process that imports this checkout's lfmoments."""
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
+def test_warm_gk_records_match_a_fresh_process(capsys):
+    # gk and gk --factor share the most recent g_k in a warm process; each
+    # record must be the bytes a fresh process prints for it
     calls = [["gk", "U", "227"], ["gk", "U", "227", "--factor"]]
-    fresh = [
-        subprocess.run([sys.executable, "-m", "lfmoments.cli", *argv], env=env,
-                       capture_output=True, check=True).stdout
-        for argv in calls
-    ]
+    fresh = [_fresh("-m", "lfmoments.cli", *argv).stdout.encode() for argv in calls]
     exact_moments._factored.cache_clear()
     warm = [run(capsys, *argv) for argv in calls * 2]
     assert [(code, out.encode()) for code, out in warm] == [(0, out) for out in fresh * 2]
     assert exact_moments._factored.cache_info()[:2] == (3, 1)  # hits, misses
+
+
+# what a one-shot exact command must not import
+_APPROXIMATE_LAYERS = {
+    "mpmath", "lfmoments.precision", "lfmoments.analytic_moments", "lfmoments.euler_products",
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gk", "U", "5"],
+        ["vp", "Sp", "3", "40"],
+        ["window", "O", "29", "20"],
+        ["cp", "5", "3/13"],
+        ["classify", "5", "3", "13"],
+        ["mollify", "O", "--P", "0,1/2,1/2", "--Q", "1,0,-1", "--theta", "3/4"],
+        ["gk", "X", "3"],  # usage error, exit 2
+        ["window", "U", "101", "5"],  # domain error, exit 1
+    ],
+)
+def test_exact_commands_run_as_a_script_import_no_approximate_layer(capsys, argv):
+    # python -m lfmoments.cli imports each command's layers in its handler;
+    # -X importtime lists every module the process imports on stderr
+    proc = _fresh("-X", "importtime", "-m", "lfmoments.cli", *argv)
+    imported = {
+        line.rsplit("|", 1)[1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+    assert "lfmoments.exact_moments" in imported
+    assert not imported & _APPROXIMATE_LAYERS
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert (proc.returncode, proc.stdout) == (code, capsys.readouterr().out)
+
+
+def test_importing_the_cli_module_loads_every_layer():
+    # long-lived callers import lfmoments.cli once and pay no import per call
+    proc = _fresh("-c", "import sys, lfmoments.cli; print(' '.join(sorted(sys.modules)))")
+    loaded = set(proc.stdout.split())
+    layers = {f"lfmoments.{name}" for name in (
+        "numeric_core", "exact_moments", "padic_valuation", "self_similar",
+        "analytic_moments", "euler_products", "mollifier", "errors",
+    )}
+    assert layers | _APPROXIMATE_LAYERS <= loaded
 
 
 def test_vp_record(capsys):

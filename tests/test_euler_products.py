@@ -320,6 +320,16 @@ def test_charged_steps_are_the_steps_the_kernel_takes(monkeypatch, product, k, c
 # ------------------------------------------------------- Sp quadratic family
 
 
+@pytest.mark.parametrize("k", [*range(1, 12), 500])
+def test_sp_shape_is_the_binomial_formula(k):
+    # the row is built by C(k, j + 1) = C(k, j)(k - j)/(j + 1)
+    coeffs = [math.comb(k, 2 * m) for m in range(k // 2 + 1)]
+    coeffs += [0] * (k + 2 - len(coeffs))
+    for j in range(k + 1):
+        coeffs[j + 1] += (-1) ** j * math.comb(k, j)
+    assert _sp_shape(k) == (k * (k - 1) // 2, coeffs)
+
+
 def test_sp_local_factor_k_one_closed_form():
     for p in (3, 5, 7):
         assert sp_local_factor(1, p) == 1 - Fraction(1, p * p + p)

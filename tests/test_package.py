@@ -1,6 +1,8 @@
 """The package's public surface."""
 
 import math
+import os
+import subprocess
 import sys
 import time
 from fractions import Fraction
@@ -20,6 +22,24 @@ def test_star_import_resolves_every_public_name():
     exec("from lfmoments import *", namespace)  # a stale name raises here
     assert set(lfmoments.__all__) <= namespace.keys()
     assert len(set(lfmoments.__all__)) == len(lfmoments.__all__)
+
+
+def test_bare_import_loads_no_layer():
+    code = ("import sys, lfmoments; "
+            "print(sorted(m for m in sys.modules if m.startswith('lfmoments.') or m == 'mpmath'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": os.path.dirname(lfmoments.__path__[0])})
+    assert proc.stdout.strip() == "[]", proc.stderr
+
+
+def test_lazy_namespace_resolves_every_public_name():
+    listed = dir(lfmoments)
+    for name in lfmoments.__all__:
+        assert getattr(lfmoments, name) is not None
+        assert name in listed
+    assert lfmoments.moment_closed_form.__module__ == "lfmoments.analytic_moments"
+    with pytest.raises(AttributeError, match="no_such_name"):
+        lfmoments.no_such_name
 
 
 _HUGE = 10**5000  # past CPython's default 4300-digit int-to-str limit
