@@ -259,8 +259,8 @@ def _pole_order(sym: SymmetryClass, k: int) -> int:
 
 def _check_pole(sym: SymmetryClass, lam: mp.mpf) -> None:
     """Reject lam within 1e-8 of a pole 1/2 - k."""
-    k = int(mp.nint(mp.mpf("0.5") - lam))
-    location = mp.mpf("0.5") - k
+    k = int(mp.nint(0.5 - lam))
+    location = mp.mpf(0.5) - k
     if _pole_order(sym, k) > 0 and abs(lam - location) < _POLE_RADIUS:
         raise PoleError(
             f"{sym.value} moment has a pole at degree {mp.nstr(location, 8)}; "
@@ -283,14 +283,13 @@ def _ratio_closed_raw(sym: SymmetryClass, lam, c: tuple) -> mp.mpf:
     ln2, zp0, zpm1 = c
     g = _barnes_g_raw(lam + Fraction(1, 2), zpm1)
     lam = to_mpf(lam)
-    half = mp.mpf("0.5")
     if sym is SymmetryClass.U:
         log_pref = ln2 / 12 + 3 * zpm1 - 2 * lam * zp0 - 2 * lam * lam * ln2
-        return mp.exp(log_pref) / (mp.gamma(lam + half) * g * g)
+        return mp.exp(log_pref) / (mp.gamma(lam + 0.5) * g * g)
     log_pref = (
         -mp.mpf(17) / 24 * ln2
         + mp.mpf(3) / 2 * zpm1
-        + half * zp0
+        + zp0 / 2
         - lam * zp0
         + lam * ln2
         - lam * lam / 2 * ln2
@@ -413,7 +412,7 @@ def _limit_state(sym: SymmetryClass, lam: mp.mpf, exact: Fraction):
         )
         return lambda n: mp.power(n, -b_exp) * prod.advance(n)
     orthogonal = sym is SymmetryClass.O
-    h = mp.mpf("-0.5") if orthogonal else mp.mpf("0.5")
+    h = mp.mpf(-0.5 if orthogonal else 0.5)
     shift = -1 if orthogonal else 1  # 2h
     q = _RunningProduct(1 / mp.gamma(1 + lam), lambda m: (m * b, m * b + a))
     r = _RunningProduct(
@@ -466,7 +465,7 @@ def moment_by_limit(
         require_int("target_digits", target_digits, 1, int(bits * math.log10(2)))
         lam_v = to_mpf(lam)
         _check_pole(sym, lam_v)
-        if lam_v < mp.mpf("-0.5"):
+        if lam_v < -0.5:
             raise DomainError(
                 "the limit products are used only for degree >= -1/2; "
                 "use moment_closed_form below that"
@@ -539,7 +538,7 @@ def log_moment_asymptotic(sym: SymmetryClass, k: int, precision_bits=None) -> Re
         if require_class(sym) is SymmetryClass.U:
             value = (
                 kk * kk * log_k
-                + (mp.mpf("0.5") - 2 * ln2) * kk * kk
+                + (0.5 - 2 * ln2) * kk * kk
                 + mp.mpf(11) / 12 * log_k
                 + ln2 / 12
                 - zp0
@@ -549,12 +548,12 @@ def log_moment_asymptotic(sym: SymmetryClass, k: int, precision_bits=None) -> Re
             s = 1 if sym is SymmetryClass.O else -1
             value = (
                 kk * kk * log_k / 2
-                + (mp.mpf("0.25") - ln2) * kk * kk
+                + (0.25 - ln2) * kk * kk
                 - s * kk * log_k / 2
-                + s * (mp.mpf(3) / 2 * ln2 - mp.mpf("0.5")) * kk
+                + s * (mp.mpf(3) / 2 * ln2 - 0.5) * kk
                 + mp.mpf(23) / 24 * log_k
                 - mp.mpf(23 + 6 * s) / 24 * ln2
-                + mp.mpf("0.25")
+                + 0.25
                 - zp0
                 + zpm1 / 2
             )

@@ -22,7 +22,7 @@ import time
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .errors import DomainError, LfmomentsError
+from .errors import DomainError, LfmomentsError, brief
 from .exact_moments import SymmetryClass, log_power, moment_factored
 from .numeric_core import decimal_string, is_prime
 
@@ -53,6 +53,9 @@ def _sym(label: str) -> SymmetryClass:
 # check can run, so a literal's decimal exponent is bounded first
 _MAX_DECIMAL_EXPONENT = 500_000
 _EXPONENT = re.compile(r"e([-+]?[\d_]+)\s*\Z", re.IGNORECASE)
+# an echoed rational whose numerator or denominator passes CPython's default
+# int-to-str limit of 4300 digits is named by its width instead
+_ECHO_MAX = 10**4300
 
 
 def _fraction(text: str) -> Fraction:
@@ -87,6 +90,8 @@ def _echo(value):
     if isinstance(value, SymmetryClass):
         return value.value
     if isinstance(value, Fraction):
+        if abs(value.numerator) >= _ECHO_MAX or value.denominator >= _ECHO_MAX:
+            return brief(value)
         return decimal_string(value)
     if isinstance(value, float):
         return repr(value)
@@ -104,21 +109,6 @@ def _approx_record(record: dict, result: RealApprox, digits: int = _DISPLAY_DIGI
     record["err_estimate"] = _err_text(result)
     record["precision_bits"] = result.precision_bits
     return record
-
-
-# the built-in arithmetic factor of a class: ak family name, ak_source label
-_FAMILIES = {SymmetryClass.U: ("zeta", "zeta-family"),
-             SymmetryClass.Sp: ("spquad", "quadratic-family")}
-
-
-def _arithmetic_factor(family: str, k, cutoff: int) -> RealApprox:
-    from . import euler_products
-
-    if family == "zeta":
-        return euler_products.zeta_arithmetic_factor(k, prime_cutoff=cutoff)
-    if k.denominator != 1:
-        raise LfmomentsError("the quadratic-family product needs integer k")
-    return euler_products.sp_quadratic_arithmetic_factor(int(k), prime_cutoff=cutoff)
 
 
 # --- subcommand handlers ----------------------------------------------------
@@ -211,7 +201,10 @@ def _cmd_ghalf(args) -> dict:
 
 
 def _cmd_ak(args) -> dict:
-    return _approx_record({}, _arithmetic_factor(args.family, args.k, args.cutoff))
+    from . import euler_products
+
+    ak, _ = euler_products._family_factor(args.family, args.k, args.cutoff)
+    return _approx_record({}, ak)
 
 
 def _cmd_assemble(args) -> dict:
@@ -223,16 +216,15 @@ def _cmd_assemble(args) -> dict:
     record = {}
     if args.ak is not None:
         ak = args.ak
-    elif args.sym in _FAMILIES:
-        name, label = _FAMILIES[args.sym]
-        ak = _arithmetic_factor(name, args.k, args.cutoff)
-        record["ak_source"] = f"{label} product, cutoff {args.cutoff}"
     else:
-        ak = Fraction(1)
-        record["note"] = (
-            "no built-in arithmetic factor for the orthogonal family; "
-            "used a_k = 1 (override with --ak)"
-        )
+        ak, label = euler_products._family_factor(args.sym, args.k, args.cutoff)
+        if label is None:
+            record["note"] = (
+                "no built-in arithmetic factor for the orthogonal family; "
+                "used a_k = 1 (override with --ak)"
+            )
+        else:
+            record["ak_source"] = f"{label} product, cutoff {args.cutoff}"
     shape = euler_products.assemble_mean_value(family, args.k, ak)
     record["result"] = shape.coefficient.digits(_DISPLAY_DIGITS)
     record["err_estimate"] = _err_text(shape.coefficient)

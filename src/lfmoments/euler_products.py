@@ -1,13 +1,13 @@
 """Arithmetic factors: Euler products over primes.
 
-Two products are implemented: the one attached to the zeta family (whose
-local factors are built from the generalized divisor coefficients d_k)
-and the one attached to the quadratic-character symplectic family.  Both
-are truncated at a prime cutoff with an observable error estimate, and
-both take the shape (prod_p (1 - 1/p))^alpha * prod_p S(1/p) with a power
-series S whose coefficients do not depend on p; one fixed-point kernel,
-_euler_products, evaluates that shape for either family, and each request
-charges the steps it takes to one WorkBudget.
+Each built-in family is one row of _FAMILIES: the zeta family (local
+factors from the generalized divisor coefficients d_k) and the
+quadratic-character symplectic family.  Both products are truncated at a
+prime cutoff with an observable error estimate and take the shape
+(prod_p (1 - 1/p))^alpha * prod_p S(1/p), with a power series S whose
+coefficients do not depend on p: _arithmetic_factor runs the shared setup,
+the row's body builds S, the fixed-point kernel _euler_products evaluates
+the shape, and each request charges its steps to one WorkBudget.
 
 ``assemble_mean_value`` combines an arithmetic factor with the moment
 constant over Gamma(1 + B(k)), read from the Barnes-G closed form
@@ -18,6 +18,7 @@ coefficient * (log Q^A)^{B(k)}; no huge integer is built.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -26,7 +27,7 @@ from itertools import count
 import mpmath as mp
 
 from .analytic_moments import moment_ratio_closed_form
-from .errors import DomainError, WorkBudget, require_int, require_rational
+from .errors import DomainError, LfmomentsError, WorkBudget, require_int, require_rational
 from .exact_moments import SymmetryClass, _checked_log_power, require_class
 from .numeric_core import primes_up_to
 from .precision import RealApprox, approx, to_fraction, to_mpf, working_precision
@@ -46,11 +47,10 @@ _MIN_CUTOFF = 100
 #   the sieve to x                                      16 x
 #   a zeta term or running-product step, w by r bits    _step_ns(w, r)
 #   a zeta series ratio of r bits                        r (r + 2048) / 1024
-#   an Sp binomial C(k, j)                               k^2 / 32
-#     (timed on math.comb; the row's recurrence takes 1/100 of it at
-#     k = 2000 and 1/240 at 5000, and the charge stays so that the
-#     admitted set does not move)
 #   an Sp Horner step, one single-limb division, w bits  9 (w + 512) / 32
+# Sp's binomial row, built by recurrence, is not charged: it costs about
+# one prime's Horner pass (0.5 against 0.6 ms at k = 1000, 150 against
+# 120 ms at 20000), and every request has at least 25 primes.
 _MAX_WORK_NS = 3 * 10**9
 _REFUSAL = ("k, prime_cutoff and {} bits pass the cost bound of the Euler products: "
             "over 3 s of estimated work").format
@@ -161,20 +161,6 @@ def _zeta_local(a: Fraction, bits: int, budget: WorkBudget, width: int):
     return local
 
 
-def _zeta_product(k: Fraction, primes, bits: int, budget: WorkBudget) -> mp.mpf:
-    """prod over primes of (1 - 1/p)^{k^2} 2F1(k, k; 1; 1/p) at working precision.
-
-    Euler's transformation (1-x)^{k^2} 2F1(k,k;1;x) = (1-x)^{(k-1)^2}
-    2F1(1-k,1-k;1;x) makes each factor symmetric under k -> 1-k; it is
-    summed at a = min(k, 1-k) <= 1/2, whose coefficients ((a)_j / j!)^2 do
-    not depend on p and vanish from j = k on for integer k >= 1.  That is
-    the kernel's shape with alpha = a^2 and S = 2F1(a, a; 1; x).
-    """
-    a = k if 2 * k <= 1 else 1 - k  # min(k, 1 - k), forming 1 - k only if needed
-    make_local = partial(_zeta_local, a, bits, budget)
-    return _euler_products(primes, a * a, make_local, [len(primes)])[0]
-
-
 # precision of P(2) and of the partial sums of p^-2 in the tail bound
 _TAIL_BITS = 128
 
@@ -186,9 +172,22 @@ def _prime_zeta_2() -> mp.mpf:
         return mp.primezeta(2)
 
 
-def _tail_coefficient(k_mp: mp.mpf) -> mp.mpf:
-    # log of a local factor is -k^2 (k-1)^2 / (4 p^2) + O(p^-3).
-    return abs(k_mp * k_mp * (k_mp - 1) ** 2 / 4)
+def _zeta_factor(k: Fraction, primes, bits: int, budget: WorkBudget, cutoff: int):
+    """The zeta product and its tail bound.  Euler's transformation
+    (1-x)^{k^2} 2F1(k,k;1;x) = (1-x)^{(k-1)^2} 2F1(1-k,1-k;1;x) makes each
+    factor symmetric under k -> 1-k; it is summed at a = min(k, 1-k) <= 1/2,
+    whose coefficients ((a)_j / j!)^2 do not depend on p and vanish from
+    j = k on for integer k >= 1: the kernel's shape with alpha = a^2 and
+    S = 2F1(a, a; 1; x)."""
+    a = k if 2 * k <= 1 else 1 - k  # min(k, 1 - k), forming 1 - k only if needed
+    make_local = partial(_zeta_local, a, bits, budget)
+    product = _euler_products(primes, a * a, make_local, [len(primes)])[0]
+    # each p^-2 rounded down by < 2^-_TAIL_BITS; the tail P(2) - sum, about
+    # 1/(cutoff log cutoff), keeps ~100 bits below 10^8, past the float it feeds
+    inv_square_sum = sum((1 << _TAIL_BITS) // (p * p) for p in primes)
+    tail = _prime_zeta_2() - mp.ldexp(inv_square_sum, -_TAIL_BITS)
+    k = to_mpf(k)
+    return product, abs(product) * abs(k * k * (k - 1) ** 2 / 4) * tail
 
 
 def zeta_arithmetic_factor(
@@ -197,24 +196,14 @@ def zeta_arithmetic_factor(
     """Arithmetic constant of the zeta family, truncated over p <= cutoff.
 
     The local factor at p is (1 - 1/p)^{k^2} sum_j d_k(p^j)^2 p^{-j}
-    = (1 - 1/p)^{k^2} 2F1(k, k; 1; 1/p), evaluated as _zeta_product says
+    = (1 - 1/p)^{k^2} 2F1(k, k; 1; 1/p), evaluated as _zeta_factor says
     within the kernel's rounding bound, far below the working-precision
     floor; a series that runs long is a DomainError once its terms pass
     the cost bound.  The reported err_estimate is the truncated-tail bound
     (the local-factor logs decay like k^2(k-1)^2/(4p^2), summed with the
     exact prime zeta tail), never less than the working-precision floor.
     """
-    with working_precision(precision_bits) as bits:
-        k, budget = _check_cost(k, prime_cutoff, bits)
-        primes = primes_up_to(prime_cutoff)
-        product = _zeta_product(k, primes, bits, budget)
-        # each p^-2 rounded down by < 2^-_TAIL_BITS; the tail P(2) - sum,
-        # about 1/(cutoff log cutoff), keeps ~100 bits for cutoffs below
-        # 10^8, far more than the float err_estimate it feeds
-        inv_square_sum = sum((1 << _TAIL_BITS) // (p * p) for p in primes)
-        tail = _prime_zeta_2() - mp.ldexp(inv_square_sum, -_TAIL_BITS)
-        err = abs(product) * _tail_coefficient(to_mpf(k)) * tail
-        return approx(product, bits, err=err)
+    return _arithmetic_factor("zeta", k, prime_cutoff, precision_bits)
 
 
 def _sp_shape(k: int):
@@ -250,6 +239,17 @@ def _sp_local(coeffs, width: int):
     return local
 
 
+def _sp_factor(k: Fraction, primes, bits: int, budget: WorkBudget, cutoff: int):
+    """The Sp product and its gap to the partial product over p <= cutoff/2."""
+    k = int(k)
+    width = mp.mp.prec + 32 + k + 2
+    budget.spend(len(primes) * (k + 2) * (9 * (width + 512) >> 5), _REFUSAL, bits)
+    alpha, coeffs = _sp_shape(k)
+    ends = [bisect_right(primes, cutoff // 2), len(primes)]
+    half, full = _euler_products(primes, alpha, partial(_sp_local, coeffs), ends)
+    return full, abs(full - half)
+
+
 def sp_quadratic_arithmetic_factor(
     k: int, prime_cutoff: int = 100_000, precision_bits=None
 ) -> RealApprox:
@@ -263,20 +263,42 @@ def sp_quadratic_arithmetic_factor(
     the partial product over p <= cutoff/2, the same scale a
     cutoff-doubling test would see.
     """
+    return _arithmetic_factor("spquad", k, prime_cutoff, precision_bits)
+
+
+# The built-in families by ak name: the symmetry class, the ak_source label
+# of assemble records, whether k must be a positive integer, and the body
+# taking (k, primes, bits, budget, cutoff) to the product and its error.
+_Family = namedtuple("_Family", "sym source integer_k body")
+_FAMILIES = {
+    "zeta": _Family(SymmetryClass.U, "zeta-family", False, _zeta_factor),
+    "spquad": _Family(SymmetryClass.Sp, "quadratic-family", True, _sp_factor),
+}
+
+
+def _arithmetic_factor(name: str, k, prime_cutoff, precision_bits) -> RealApprox:
+    """The family's a_k: the setup every row shares (the working precision,
+    k and the cutoff checked, the sieve charged and built), then its body."""
+    family = _FAMILIES[name]
     with working_precision(precision_bits) as bits:
-        _, budget = _check_cost(require_int("k", k, 1), prime_cutoff, bits)
-        # the shape's k + 2 binomials before they are built, then k + 2
-        # Horner steps a prime on ints below 2^width
-        budget.spend((k + 2) * k * k >> 5, _REFUSAL, bits)
+        if family.integer_k:
+            require_int("k", k, 1)
+        k, budget = _check_cost(k, prime_cutoff, bits)
         primes = primes_up_to(prime_cutoff)
-        width = mp.mp.prec + 32 + k + 2
-        budget.spend(len(primes) * (k + 2) * (9 * (width + 512) >> 5), _REFUSAL, bits)
-        alpha, coeffs = _sp_shape(k)
-        half = bisect_right(primes, prime_cutoff // 2)
-        partial_product, product = _euler_products(
-            primes, alpha, partial(_sp_local, coeffs), [half, len(primes)]
-        )
-        return approx(product, bits, err=abs(product - partial_product))
+        product, err = family.body(k, primes, bits, budget, prime_cutoff)
+        return approx(product, bits, err=err)
+
+
+def _family_factor(key, k, prime_cutoff: int):
+    """(a_k, its ak_source label) from the family named key, or from the
+    family of the SymmetryClass key; (1, None) for a class with no family."""
+    for name, family in _FAMILIES.items():
+        if key in (name, family.sym):
+            if family.integer_k and k.denominator != 1:
+                raise LfmomentsError(f"the {family.source} product needs integer k")
+            k = k.numerator if family.integer_k else k
+            return _arithmetic_factor(name, k, prime_cutoff, None), family.source
+    return Fraction(1), None
 
 
 @dataclass(frozen=True)

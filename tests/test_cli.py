@@ -1,5 +1,8 @@
 """Command-line surface: records, exit codes, files, determinism."""
 
+import argparse
+import contextlib
+import io
 import json
 import math
 import os
@@ -11,6 +14,8 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lfmoments import (
     density_exact,
@@ -112,7 +117,58 @@ def test_domain_error_record_exits_one(capsys):
 def test_spquad_requires_integer_order(capsys):
     code, rec = run_json(capsys, "ak", "spquad", "3/2", "--cutoff", "500")
     assert code == 1
-    assert "error" in rec
+    assert rec["error"] == {
+        "type": "LfmomentsError",
+        "message": "the quadratic-family product needs integer k",
+    }
+
+
+def test_ak_family_choices_are_the_family_table():
+    # the parser names the families as a literal, so that building it
+    # imports no mpmath; the literal is the table's keys, in its order
+    [sub] = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    [family] = [a for a in sub.choices["ak"]._actions if a.dest == "family"]
+    assert tuple(family.choices) == tuple(euler_products._FAMILIES)
+
+
+_RATIONAL = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 6))
+
+
+@st.composite
+def family_argv(draw):
+    """ak or assemble argv with options first, then -- and the positionals,
+    so that a negative k or A reads as a number."""
+    options = [f"--cutoff={draw(st.integers(100, 2000))}"]
+    if draw(st.booleans()):
+        head = ["ak"]
+        positionals = [draw(st.sampled_from(["zeta", "spquad"])), draw(_RATIONAL)]
+    else:
+        head = ["assemble"]
+        k = draw(st.one_of(st.integers(-3, 30), _RATIONAL))
+        positionals = [draw(st.sampled_from(["U", "O", "Sp"])), draw(_RATIONAL), k]
+        ak = draw(st.one_of(st.none(), _RATIONAL))
+        options += [] if ak is None else [f"--ak={ak}"]
+    return head + options + ["--"] + [str(item) for item in positionals]
+
+
+@given(argv=family_argv())
+@settings(max_examples=50, deadline=None)
+def test_family_commands_give_a_record_or_a_usage_error(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    if code == 2:  # argparse: assemble's k is an int
+        assert out.getvalue() == "" and "usage:" in err.getvalue()
+        return
+    rec = json.loads(out.getvalue())
+    assert rec["command"] == argv[0]
+    if code == 0:
+        assert {"result", "err_estimate"} <= set(rec)
+    else:
+        assert code == 1 and set(rec) == {"command", "error"}
 
 
 # ------------------------------------------------------------------ records
@@ -373,6 +429,17 @@ def test_assemble_orthogonal_notes_missing_factor(capsys):
     assert code == 0
     assert "a_k = 1" in rec["note"]
     assert rec["log_power"] == "1"
+
+
+def test_a_rational_past_the_int_to_str_limit_is_echoed_by_its_width(capsys):
+    # a 500001-digit denominator is named by its width, not written out
+    code, rec = run_json(capsys, "assemble", "U", "1", "2", "--ak", "1e-500000")
+    assert code == 0
+    assert rec["inputs"]["ak"] == "a fraction of 1660965 bits"
+    # 4300 digits, CPython's default limit, are echoed in decimal
+    assert cli._echo(Fraction(-(10**4300 - 1), 7)) == "-" + "9" * 4300 + "/7"
+    assert cli._echo(Fraction(1, 10**4300)) == "a fraction of 14285 bits"
+    assert cli._echo(Fraction(-(10**4300))) == "a negative fraction of 14285 bits"
 
 
 def test_assemble_override(capsys):

@@ -25,10 +25,11 @@ from lfmoments.euler_products import (
     _MIN_CUTOFF,
     _check_cost,
     _euler_products,
+    _family_factor,
     _sp_local,
     _sp_shape,
     _step_ns,
-    _zeta_product,
+    _zeta_factor,
 )
 from lfmoments.errors import brief
 from lfmoments.numeric_core import check_prime
@@ -46,7 +47,7 @@ def zeta_local_factor(k, p: int, precision_bits=None):
     the least cutoff."""
     with working_precision(precision_bits) as bits:
         k, budget = _check_cost(k, _MIN_CUTOFF, bits)
-        return approx(_zeta_product(k, [p], bits, budget), bits)
+        return approx(_zeta_factor(k, [p], bits, budget, _MIN_CUTOFF)[0], bits)
 
 
 def sp_local_factor(k: int, p: int) -> Fraction:
@@ -299,7 +300,7 @@ def test_charged_steps_are_the_steps_the_kernel_takes(monkeypatch, product, k, c
         horner = divisions[0] - len(primes)
         assert horner == len(primes) * (k + 2)
         step = 9 * (width + k + 2 + 512) >> 5
-        assert budget.spent - before_sieve == ((k + 2) * k * k >> 5) + horner * step
+        assert budget.spent - before_sieve == horner * step
         return
     # zeta: a prime's terms from the shared ratios at the width of its sum,
     # each new ratio and its term at the width of the sum so far
@@ -482,6 +483,24 @@ def test_kernel_prefix_past_the_last_prime_is_the_full_product():
         assert half == full
         want = math.prod(sp_local_factor(3, p) for p in primes)
         assert abs(full - mp.mpf(want.numerator) / want.denominator) < mp.ldexp(full, -144)
+
+
+# ------------------------------------------------------------ family table
+
+
+@pytest.mark.parametrize(
+    "name, sym, k, product",
+    [("zeta", U, Fraction(1, 3), zeta_arithmetic_factor),
+     ("spquad", SP, Fraction(3), sp_quadratic_arithmetic_factor)],
+)
+def test_a_family_row_is_found_by_name_and_by_class(name, sym, k, product):
+    want = product(k.numerator if k.denominator == 1 else k, prime_cutoff=500)
+    for key in (name, sym):
+        got, source = _family_factor(key, k, 500)
+        assert got == want
+        assert source == euler_products._FAMILIES[name].source
+    # a class with no row reads a_k = 1
+    assert _family_factor(O, k, 500) == (1, None)
 
 
 # ------------------------------------------------------------------ assembly
