@@ -16,7 +16,8 @@ import importlib
 
 __version__ = "0.1.0"
 
-# each module and the public names it defines, in the order of __all__
+# each module and the public names it defines, in the order of __all__: the
+# one map from a public name to its module, which the CLI reaches through too
 _MODULES = {
     "numeric_core": (
         "abs_least_residue", "primes_up_to", "is_prime", "FactoredInteger", "decimal_string",

@@ -47,18 +47,6 @@ from .exact_moments import SymmetryClass, log_power, require_class
 from .numeric_core import _balanced_product, primes_up_to
 from .precision import RealApprox, approx, to_fraction, to_mpf, working_precision
 
-__all__ = [
-    "barnes_g",
-    "moment_ratio_closed_form",
-    "moment_closed_form",
-    "moment_by_limit",
-    "half_moment_unitary",
-    "pole_order",
-    "log_moment_asymptotic",
-    "log_sum_asymptotics",
-    "SUM_KINDS",
-]
-
 _POLE_RADIUS = mp.mpf("1e-8")
 _LADDER_START = 32
 # the largest N of the limit ladder and the longest shift of Barnes G
@@ -528,7 +516,7 @@ def log_moment_asymptotic(sym: SymmetryClass, k: int, precision_bits=None) -> Re
     + 23/24 log k - (23 + 6s)/24 log 2 + 1/4 - zeta'(0) + zeta'(-1)/2.
     The remainder log g_k - value is 73/(960 k^2) + O(1/k^4) for U,
     -7/(16k) + O(1/k^2) for O and +7/(16k) + O(1/k^2) for Sp;
-    err_estimate is 1/k for every class.
+    err_estimate is 1/k^2 for U and 1/k for O and Sp.
     """
     require_int("k", k, 2)
     with working_precision(precision_bits) as bits:
@@ -544,6 +532,7 @@ def log_moment_asymptotic(sym: SymmetryClass, k: int, precision_bits=None) -> Re
                 - zp0
                 + zpm1
             )
+            err = 1 / (kk * kk)
         else:
             s = 1 if sym is SymmetryClass.O else -1
             value = (
@@ -557,7 +546,8 @@ def log_moment_asymptotic(sym: SymmetryClass, k: int, precision_bits=None) -> Re
                 - zp0
                 + zpm1 / 2
             )
-        return approx(value, bits, err=mp.mpf(1) / k)
+            err = 1 / kk
+        return approx(value, bits, err=err)
 
 
 SUM_KINDS = ("log_j", "log_odd", "j_log_j", "j_log_odd")

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import importlib
 import io
 import json
 import re
@@ -22,19 +23,20 @@ import time
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
+import lfmoments
+
 from .errors import DomainError, LfmomentsError, brief
-from .exact_moments import SymmetryClass, log_power, moment_factored
+from .exact_moments import SymmetryClass
 from .numeric_core import decimal_string, is_prime
 
 if __name__ != "__main__":
     # Imported as the module lfmoments.cli (the lfmoments script, tests,
     # long-lived callers): load every layer now, so that no call pays an
-    # import.  A one-shot ``python -m lfmoments.cli`` run skips this and
-    # each handler imports the layers its command calls, so the exact
-    # commands start without mpmath.
-    from . import (  # noqa: F401
-        analytic_moments, euler_products, mollifier, padic_valuation, self_similar,
-    )
+    # import.  A one-shot ``python -m lfmoments.cli`` run skips this, and
+    # the lazy package namespace loads the layers its command calls, so
+    # the exact commands start without mpmath.
+    for _module in lfmoments._MODULES:
+        importlib.import_module(f".{_module}", __package__)
 
 if TYPE_CHECKING:
     from .precision import RealApprox
@@ -119,10 +121,10 @@ def _cmd_gk(args) -> dict:
     if args.k == 0:
         return {"result": "1",
                 "note": "k = 0 is the empty product; every class gives 1"}
-    factored = moment_factored(args.sym, args.k)
+    factored = lfmoments.moment_factored(args.sym, args.k)
     record = {
         "result": factored.decimal_string(),
-        "log_power": decimal_string(log_power(args.sym, args.k)),
+        "log_power": decimal_string(lfmoments.log_power(args.sym, args.k)),
     }
     if args.factor:
         record["factorization"] = {
@@ -132,26 +134,20 @@ def _cmd_gk(args) -> dict:
 
 
 def _cmd_vp(args) -> dict:
-    from . import padic_valuation
-
-    return {"result": decimal_string(padic_valuation.valuation(args.sym, args.p, args.k))}
+    return {"result": decimal_string(lfmoments.valuation(args.sym, args.p, args.k))}
 
 
 def _cmd_cp(args) -> dict:
-    from . import self_similar
-
     if args.eps is not None:
-        approx = self_similar.density_numeric(args.p, args.x, eps=args.eps)
+        approx = lfmoments.density_numeric(args.p, args.x, eps=args.eps)
         return _approx_record({}, approx)
-    return {"result": decimal_string(self_similar.density_exact(args.p, args.x))}
+    return {"result": decimal_string(lfmoments.density_exact(args.p, args.x))}
 
 
 def _cmd_cp_plot(args) -> dict:
     if not (args.csv_path or args.svg_path):
         raise DomainError("nothing to write: pass --svg PATH and/or --csv PATH")
-    from . import self_similar
-
-    points = self_similar.sample_density(
+    points = lfmoments.sample_density(
         args.p, args.x_min, args.x_max, args.n, eps=args.eps
     )
     written = []
@@ -170,34 +166,28 @@ def _cmd_cp_plot(args) -> dict:
 
 
 def _cmd_classify(args) -> dict:
-    from . import self_similar
-
-    point_class = self_similar.classify_point(args.p, args.a, args.b)
-    if isinstance(point_class, self_similar.SelfSimilar):
+    point_class = lfmoments.classify_point(args.p, args.a, args.b)
+    if isinstance(point_class, lfmoments.SelfSimilar):
         return {"result": "self-similar", "period": str(point_class.period)}
-    if isinstance(point_class, self_similar.Cusp):
+    if isinstance(point_class, lfmoments.Cusp):
         return {"result": "cusp"}
     return {"result": "vertical-tangent"}
 
 
 def _cmd_glambda(args) -> dict:
-    from . import analytic_moments
-
     lam = getattr(args, "lambda")
     if args.limit:
-        approx = analytic_moments.moment_by_limit(
+        approx = lfmoments.moment_by_limit(
             args.sym, lam, target_digits=args.digits
         )
     else:
-        approx = analytic_moments.moment_closed_form(args.sym, lam)
+        approx = lfmoments.moment_closed_form(args.sym, lam)
     record = {"inputs": {"route": "limit" if args.limit else "closed"}}
     return _approx_record(record, approx, digits=args.digits + 2)
 
 
 def _cmd_ghalf(args) -> dict:
-    from . import analytic_moments
-
-    return _approx_record({}, analytic_moments.half_moment_unitary())
+    return _approx_record({}, lfmoments.half_moment_unitary())
 
 
 def _cmd_ak(args) -> dict:
@@ -210,7 +200,7 @@ def _cmd_ak(args) -> dict:
 def _cmd_assemble(args) -> dict:
     from . import euler_products
 
-    family = euler_products.FamilyDescriptor(
+    family = lfmoments.FamilyDescriptor(
         sym=args.sym, conductor_exponent=args.A, label="cli"
     )
     record = {}
@@ -225,21 +215,19 @@ def _cmd_assemble(args) -> dict:
             )
         else:
             record["ak_source"] = f"{label} product, cutoff {args.cutoff}"
-    shape = euler_products.assemble_mean_value(family, args.k, ak)
+    shape = lfmoments.assemble_mean_value(family, args.k, ak)
     record["result"] = shape.coefficient.digits(_DISPLAY_DIGITS)
     record["err_estimate"] = _err_text(shape.coefficient)
     record["log_power"] = str(shape.log_power)
-    record["log_argument_exponent"] = decimal_string(shape.log_argument_exponent)
+    record["log_argument_exponent"] = _echo(shape.log_argument_exponent)
     return record
 
 
 def _cmd_mollify(args) -> dict:
-    from . import mollifier
-
-    poly = mollifier.mean_square(args.sym, args.P, args.Q)
+    poly = lfmoments.mean_square(args.sym, args.P, args.Q)
     record = {
         "result": poly.format(),
-        "theta_validity": decimal_string(mollifier.THETA_VALIDITY[args.sym]),
+        "theta_validity": decimal_string(lfmoments.THETA_VALIDITY[args.sym]),
     }
     if args.theta is not None:
         record["value_at_theta"] = decimal_string(poly.evaluate(args.theta))
@@ -249,11 +237,11 @@ def _cmd_mollify(args) -> dict:
 def _cmd_asym(args) -> dict:
     import mpmath as mp
 
-    from . import analytic_moments, precision
+    from . import precision
 
-    approx = analytic_moments.log_moment_asymptotic(args.sym, args.k)
+    approx = lfmoments.log_moment_asymptotic(args.sym, args.k)
     with precision.working_precision(approx.precision_bits) as bits:
-        exact = mp.log(analytic_moments.moment_closed_form(args.sym, args.k, bits).value)
+        exact = mp.log(lfmoments.moment_closed_form(args.sym, args.k, bits).value)
         return {
             "result": approx.digits(_DISPLAY_DIGITS),
             "err_estimate": _err_text(approx),
@@ -263,9 +251,7 @@ def _cmd_asym(args) -> dict:
 
 
 def _cmd_poles(args) -> dict:
-    from . import analytic_moments
-
-    order = analytic_moments.pole_order(args.sym, args.k)
+    order = lfmoments.pole_order(args.sym, args.k)
     return {
         "inputs": {"at": decimal_string(Fraction(1, 2) - args.k)},
         "result": decimal_string(order),
@@ -273,9 +259,7 @@ def _cmd_poles(args) -> dict:
 
 
 def _cmd_window(args) -> dict:
-    from . import padic_valuation
-
-    return {"result": padic_valuation.zero_valuation_window(args.sym, args.p, args.k)}
+    return {"result": lfmoments.zero_valuation_window(args.sym, args.p, args.k)}
 
 
 # --- plumbing ----------------------------------------------------------------

@@ -32,14 +32,6 @@ from .exact_moments import SymmetryClass, _checked_log_power, require_class
 from .numeric_core import primes_up_to
 from .precision import RealApprox, approx, to_fraction, to_mpf, working_precision
 
-__all__ = [
-    "zeta_arithmetic_factor",
-    "sp_quadratic_arithmetic_factor",
-    "FamilyDescriptor",
-    "MeanValueShape",
-    "assemble_mean_value",
-]
-
 _MIN_CUTOFF = 100
 # The products charge one WorkBudget of _MAX_WORK_NS for the steps they
 # take, each at a charge in ns set by timing it (2-vCPU x86-64, CPython

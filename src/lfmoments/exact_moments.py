@@ -47,11 +47,6 @@ class SymmetryClass(enum.Enum):
         return table[key]
 
 
-U = SymmetryClass.U
-O = SymmetryClass.O
-Sp = SymmetryClass.Sp
-
-
 def require_class(sym) -> SymmetryClass:
     """sym, once it is a SymmetryClass member (by isinstance: on Python 3.12
     "U" in SymmetryClass is true); DomainError otherwise."""

@@ -23,16 +23,6 @@ from .errors import ConstraintError, DomainError, require_int, require_rational
 from .exact_moments import SymmetryClass, require_class
 from .numeric_core import decimal_string
 
-__all__ = [
-    "RationalPolynomial",
-    "LaurentPolynomial",
-    "m_unitary",
-    "m_orthogonal",
-    "m_symplectic",
-    "mean_square",
-    "THETA_VALIDITY",
-]
-
 # Advisory validity windows for the length parameter; results are exact
 # identities on the displayed main terms and are not clipped to these.
 THETA_VALIDITY = {

@@ -196,7 +196,16 @@ def density_numeric(p: int, x, eps: float = 1e-9) -> RealApprox:
     """
     check_prime(p)
     _check_eps(eps)
-    return _density_numeric(p, _as_positive_fraction(x), eps, WorkBudget(_WALK_BUDGET))
+    value = _density_numeric(p, _as_positive_fraction(x), eps, WorkBudget(_WALK_BUDGET))
+    # bits enough that the rounding floor |value| 2^(8 - bits) of approx
+    # stays below eps; 2^magnitude > |value|
+    magnitude = value.numerator.bit_length() - value.denominator.bit_length() + 1
+    bits = max(128, math.ceil(-math.log2(eps)) + max(magnitude, 0) + 9)
+    # the one user of precision, imported here so the exact densities load no mpmath
+    from .precision import approx, to_mpf, working_precision
+
+    with working_precision(bits):
+        return approx(to_mpf(value), bits, err=eps)
 
 
 def _check_eps(eps: float) -> None:
@@ -204,8 +213,9 @@ def _check_eps(eps: float) -> None:
         raise DomainError(f"eps must be positive and finite, got {eps}")
 
 
-def _density_numeric(p: int, fx: Fraction, eps: float, budget: WorkBudget) -> RealApprox:
-    """density_numeric at a checked p, x and eps, its walks charged to budget."""
+def _density_numeric(p: int, fx: Fraction, eps: float, budget: WorkBudget) -> Fraction:
+    """density_numeric's truncated sum, exactly, at a checked p, x and eps,
+    its walks charged to budget."""
     a, b = fx.numerator, fx.denominator
 
     # L >= 1 with (1/4) sum_{l>=L} p^-l < eps/2 * x, that is
@@ -219,17 +229,7 @@ def _density_numeric(p: int, fx: Fraction, eps: float, budget: WorkBudget) -> Re
     budget.spend(_walk_charge(steps, b), _walk_refusal, budget, steps, b)
     prefix = itertools.islice(_residue_walk(p, a, b), steps)
     num, p_steps = _period_sum(p, [res * res for res in prefix])
-
-    value = (_negative_side(p, a, b, budget) + Fraction(num * p, b * b * p_steps)) / fx
-    # bits enough that the rounding floor |value| 2^(8 - bits) of approx
-    # stays below eps; 2^magnitude > |value|
-    magnitude = value.numerator.bit_length() - value.denominator.bit_length() + 1
-    bits = max(128, math.ceil(-math.log2(eps)) + max(magnitude, 0) + 9)
-    # the one user of precision, imported here so the exact densities load no mpmath
-    from .precision import approx, to_mpf, working_precision
-
-    with working_precision(bits):
-        return approx(to_mpf(value), bits, err=eps)
+    return (_negative_side(p, a, b, budget) + Fraction(num * p, b * b * p_steps)) / fx
 
 
 def classify_point(p: int, a: int, b: int) -> PointClass:
@@ -252,8 +252,8 @@ def classify_point(p: int, a: int, b: int) -> PointClass:
     return VerticalTangent()
 
 
-# sample_density answers up to this n; a point at eps = 1e-9 costs about
-# 0.08 ms for p = 2, 3, 5 or 101, so n = 10^4 took 0.7-0.8 s (2-vCPU
+# sample_density answers up to this n; a point at eps = 1e-9 costs
+# 0.02-0.05 ms for p = 2, 3, 5 or 101, so n = 10^4 took 0.16-0.46 s (2-vCPU
 # x86-64, CPython 3.11)
 _MAX_SAMPLES = 10_000
 # walk units w (w + 2^14) charged for a point's exact arithmetic, quadratic in
@@ -291,4 +291,4 @@ def sample_density(
     width = math.lcm(lo.denominator, step.denominator).bit_length()
     budget.spend(_POINT_WALKS * n * width * (width + (1 << 14)), _point_refusal, n, width)
     points = (lo + i * step for i in range(n))
-    return [(float(xi), float(_density_numeric(p, xi, eps, budget).value)) for xi in points]
+    return [(float(xi), float(_density_numeric(p, xi, eps, budget))) for xi in points]

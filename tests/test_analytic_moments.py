@@ -29,6 +29,7 @@ from lfmoments import (
     moment_by_limit,
     moment_closed_form,
     moment_constant,
+    moment_factored,
     moment_ratio_closed_form,
     pole_order,
 )
@@ -889,6 +890,19 @@ def test_asymptotic_error_decay_rates():
 @pytest.mark.parametrize("sym", list(SymmetryClass))
 def test_asymptotic_absolute_error_at_80(sym):
     assert _asym_abs_err(sym, 80) < 0.01
+
+
+def test_asymptotic_err_estimate_fits_the_remainder():
+    # the largest |remainder| k^2 for U is 0.076 (k = 2), |remainder| k for
+    # O and Sp 0.446 (O, k = 3): err_estimate, 1/k^2 for U and 1/k for O
+    # and Sp, covers the remainder and is within a factor of 20 of it
+    for sym in SymmetryClass:
+        for k in range(2, 301):
+            exponents = moment_factored(sym, k).exponents.items()
+            exact = math.fsum(e * math.log(p) for p, e in exponents)
+            approx = log_moment_asymptotic(sym, k)
+            remainder = abs(exact - float(approx.value))
+            assert remainder < approx.err_estimate < 20 * remainder, (sym, k)
 
 
 def test_asymptotic_rejects_small_k():

@@ -242,36 +242,59 @@ def test_warm_gk_records_match_a_fresh_process(capsys):
     assert exact_moments._factored.cache_info()[:2] == (3, 1)  # hits, misses
 
 
-# what a one-shot exact command must not import
-_APPROXIMATE_LAYERS = {
-    "mpmath", "lfmoments.precision", "lfmoments.analytic_moments", "lfmoments.euler_products",
+# a one-shot python -m lfmoments.cli run, which prints the lfmoments and
+# mpmath entries of sys.modules at exit on its last line of stderr.
+# -X importtime would miss a layer that the lazy namespace loads through
+# importlib.import_module: it logs no line for the module so loaded
+_SCRIPT_RUN = (
+    "import atexit, runpy, sys\n"
+    "atexit.register(lambda: print(*sorted(m for m in sys.modules if m == 'mpmath'"
+    " or m.split('.')[0] == 'lfmoments'), file=sys.stderr))\n"
+    "runpy.run_module('lfmoments.cli', run_name='__main__', alter_sys=True)\n"
+)
+# what every script run loads: the package and the parser's layers
+_PARSER_LAYERS = {
+    "lfmoments", "lfmoments.errors", "lfmoments.exact_moments", "lfmoments.numeric_core",
 }
+# what the approximate commands load beyond them
+_ANALYTIC = {"mpmath", "lfmoments.precision", "lfmoments.analytic_moments"}
+_EULER = _ANALYTIC | {"lfmoments.euler_products"}
+
+
+# each command, a usage error and a domain error, and the layers it loads
+_SCRIPT_RUNS = [
+    (["gk", "U", "5"], set()),
+    (["vp", "Sp", "3", "40"], {"lfmoments.padic_valuation"}),
+    (["window", "O", "29", "20"], {"lfmoments.padic_valuation"}),
+    (["cp", "5", "3/13"], {"lfmoments.self_similar"}),
+    (["cp-plot", "3", "1", "2", "11", "--csv", "{tmp}/cp.csv"], {"lfmoments.self_similar"}),
+    (["classify", "5", "3", "13"], {"lfmoments.self_similar"}),
+    (["mollify", "O", "--P", "0,1/2,1/2", "--Q", "1,0,-1", "--theta", "3/4"],
+     {"lfmoments.mollifier"}),
+    (["gk", "X", "3"], set()),  # usage error, exit 2
+    (["ak", "foo", "2"], set()),  # usage error, exit 2
+    (["window", "U", "101", "5"], {"lfmoments.padic_valuation"}),  # domain error, exit 1
+    (["cp", "5", "3/13", "--eps", "1e-6"],
+     {"lfmoments.self_similar", "lfmoments.precision", "mpmath"}),
+    (["glambda", "U", "7/3"], _ANALYTIC),
+    (["ghalf"], _ANALYTIC),
+    (["asym", "U", "10"], _ANALYTIC),
+    (["poles", "U", "10"], _ANALYTIC),
+    (["ak", "zeta", "2", "--cutoff", "200"], _EULER),
+    (["assemble", "U", "1", "2", "--ak", "1"], _EULER),
+]
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [
-        ["gk", "U", "5"],
-        ["vp", "Sp", "3", "40"],
-        ["window", "O", "29", "20"],
-        ["cp", "5", "3/13"],
-        ["classify", "5", "3", "13"],
-        ["mollify", "O", "--P", "0,1/2,1/2", "--Q", "1,0,-1", "--theta", "3/4"],
-        ["gk", "X", "3"],  # usage error, exit 2
-        ["window", "U", "101", "5"],  # domain error, exit 1
-    ],
+    "argv, layers", _SCRIPT_RUNS, ids=[" ".join(argv) for argv, _ in _SCRIPT_RUNS]
 )
-def test_exact_commands_run_as_a_script_import_no_approximate_layer(capsys, argv):
-    # python -m lfmoments.cli imports each command's layers in its handler;
-    # -X importtime lists every module the process imports on stderr
-    proc = _fresh("-X", "importtime", "-m", "lfmoments.cli", *argv)
-    imported = {
-        line.rsplit("|", 1)[1].strip()
-        for line in proc.stderr.splitlines()
-        if line.startswith("import time:")
-    }
-    assert "lfmoments.exact_moments" in imported
-    assert not imported & _APPROXIMATE_LAYERS
+def test_a_script_run_loads_only_its_command_layers(capsys, tmp_path, argv, layers):
+    # python -m lfmoments.cli preloads no layer: a command loads the layers
+    # it calls, so the exact commands and the usage errors load no mpmath
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    proc = _fresh("-c", _SCRIPT_RUN, *argv)
+    loaded = set(proc.stderr.splitlines()[-1].split())
+    assert loaded == _PARSER_LAYERS | layers
     try:
         code = main(argv)
     except SystemExit as exc:
@@ -287,7 +310,7 @@ def test_importing_the_cli_module_loads_every_layer():
         "numeric_core", "exact_moments", "padic_valuation", "self_similar",
         "analytic_moments", "euler_products", "mollifier", "errors",
     )}
-    assert layers | _APPROXIMATE_LAYERS <= loaded
+    assert layers | _EULER <= loaded
 
 
 def test_vp_record(capsys):
@@ -440,6 +463,12 @@ def test_a_rational_past_the_int_to_str_limit_is_echoed_by_its_width(capsys):
     assert cli._echo(Fraction(-(10**4300 - 1), 7)) == "-" + "9" * 4300 + "/7"
     assert cli._echo(Fraction(1, 10**4300)) == "a fraction of 14285 bits"
     assert cli._echo(Fraction(-(10**4300))) == "a negative fraction of 14285 bits"
+    # the conductor exponent A is echoed and printed as log_argument_exponent
+    # by the one rule
+    code, out = run(capsys, "assemble", "U", "1e-500000", "2", "--ak", "1")
+    assert code == 0 and len(out) < 1000
+    rec = json.loads(out)
+    assert rec["inputs"]["A"] == rec["log_argument_exponent"] == "a fraction of 1660965 bits"
 
 
 def test_assemble_override(capsys):
@@ -504,6 +533,7 @@ def test_asym_record(capsys):
     code, rec = run_json(capsys, "asym", "U", "50")
     assert code == 0
     assert float(rec["abs_error"]) < 1e-3
+    assert rec["err_estimate"] == "4.000e-04"  # 1/k^2: U's remainder is 73/(960 k^2)
 
 
 def _log_gk_legendre(sym, k):
