@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING
 import lfmoments
 
 from .errors import DomainError, LfmomentsError, brief
-from .exact_moments import SymmetryClass
+from .exact_moments import SymmetryClass, _checked_log_power
 from .numeric_core import decimal_string, is_prime
 
 if __name__ != "__main__":
@@ -203,6 +203,8 @@ def _cmd_assemble(args) -> dict:
     family = lfmoments.FamilyDescriptor(
         sym=args.sym, conductor_exponent=args.A, label="cli"
     )
+    # B(k) first: a k past the exact constants' bound builds no a_k
+    _checked_log_power(args.sym, args.k)
     record = {}
     if args.ak is not None:
         ak = args.ak

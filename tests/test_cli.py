@@ -471,6 +471,23 @@ def test_a_rational_past_the_int_to_str_limit_is_echoed_by_its_width(capsys):
     assert rec["inputs"]["A"] == rec["log_argument_exponent"] == "a fraction of 1660965 bits"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("Sp", "1", "20000", "--cutoff", "100"), ("U", "1", "2500"), ("U", "1", "2500", "--cutoff", "50")],
+)
+def test_assemble_checks_the_log_power_before_it_builds_a_k(monkeypatch, capsys, argv):
+    # a k past the exact constants' bound is refused before any Euler
+    # product: the B(k) message wins over the cutoff's too
+    def no_product(*args):
+        raise AssertionError(f"a_k built for {args}")
+
+    monkeypatch.setattr(euler_products, "_family_factor", no_product)
+    code, rec = run_json(capsys, "assemble", *argv)
+    assert code == 1
+    assert rec["error"]["type"] == "DomainError"
+    assert "B(k) > 4000000" in rec["error"]["message"]
+
+
 def test_assemble_override(capsys):
     code, rec = run_json(capsys, "assemble", "O", "1", "2", "--ak", "1/2")
     assert code == 0

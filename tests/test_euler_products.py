@@ -1,11 +1,17 @@
 """Arithmetic factors: local factors, truncated products, mean-value shapes."""
 
 import math
+import sys
+import threading
+import time
+from collections import Counter, OrderedDict
 from fractions import Fraction
 from functools import lru_cache, partial
 
 import mpmath as mp
 import pytest
+from hypothesis import assume, example, given, seed, settings
+from hypothesis import strategies as st
 
 from lfmoments import (
     DomainError,
@@ -29,11 +35,12 @@ from lfmoments.euler_products import (
     _sp_local,
     _sp_shape,
     _step_ns,
-    _zeta_factor,
+    _term_ns,
+    _zeta_local,
 )
-from lfmoments.errors import brief
+from lfmoments.errors import WorkBudget, brief
 from lfmoments.numeric_core import check_prime
-from lfmoments.precision import GUARD_BITS, approx, working_precision
+from lfmoments.precision import GUARD_BITS, approx, to_fraction, working_precision
 
 U, O, SP = SymmetryClass.U, SymmetryClass.O, SymmetryClass.Sp
 
@@ -47,7 +54,9 @@ def zeta_local_factor(k, p: int, precision_bits=None):
     the least cutoff."""
     with working_precision(precision_bits) as bits:
         k, budget = _check_cost(k, _MIN_CUTOFF, bits)
-        return approx(_zeta_factor(k, [p], bits, budget, _MIN_CUTOFF)[0], bits)
+        a = min(k, 1 - k)
+        make_local = partial(_zeta_local, a, bits, budget)
+        return approx(_euler_products([p], a * a, make_local, [1])[0], bits)
 
 
 def sp_local_factor(k: int, p: int) -> Fraction:
@@ -60,7 +69,7 @@ def sp_local_factor(k: int, p: int) -> Fraction:
     if not isinstance(k, int) or k < 1:
         raise DomainError("exact local factors need a positive integer k")
     check_prime(p)
-    alpha, coeffs = _sp_shape(k)
+    alpha, coeffs = k * (k - 1) // 2, _sp_shape(k)
     y = Fraction(1, p)
     series = Fraction(0)
     for c in reversed(coeffs):
@@ -222,8 +231,10 @@ def test_prime_cutoff_beyond_the_cost_bound_is_an_error(monkeypatch, product, cu
 
 
 # the rows of the README's table, run against the real budget, and a k
-# whose first series ratio alone passes it: the last five accepted rows were
-# refused by the up-front estimate the charges replaced
+# whose first series ratio alone passes it: the five accepted rows after the
+# third were refused by the up-front estimate the charges replaced, and the
+# last accepted one by the kernel's work over every prime, which the table
+# of prime power sums replaced
 @pytest.mark.parametrize(
     "product, k, cutoff, bits, accepted",
     [
@@ -235,8 +246,11 @@ def test_prime_cutoff_beyond_the_cost_bound_is_an_error(monkeypatch, product, cu
         (zeta_arithmetic_factor, 200, 10**5, 256, True),
         (sp_quadratic_arithmetic_factor, 1000, 10**4, 256, True),
         (sp_quadratic_arithmetic_factor, 2000, 1000, 256, True),
+        (zeta_arithmetic_factor, Fraction(1, 2), 10**6, 512, True),
+        (zeta_arithmetic_factor, 2, 10**4, 2048, True),
+        (zeta_arithmetic_factor, 2, 1000, 4096, True),
+        (sp_quadratic_arithmetic_factor, 3, 10**4, 4096, True),
         (sp_quadratic_arithmetic_factor, 3000, 10**4, 256, False),
-        (zeta_arithmetic_factor, Fraction(1, 2), 10**6, 512, False),
         (zeta_arithmetic_factor, Fraction(1, 2), 10**4, 4096, False),
         (zeta_arithmetic_factor, Fraction(20001, 2), 10**5, 256, False),
         (zeta_arithmetic_factor, Fraction(1, 10**300000), 100, 256, False),
@@ -252,7 +266,8 @@ def test_cost_bound_keeps_its_calibration_rows(product, k, cutoff, bits, accepte
 
 
 # wide sums at the least cutoff, integer k for either family, a long
-# series over many primes
+# series over many primes; the last three have a tail past P0, and both
+# integer shapes and a rational one
 @pytest.mark.parametrize(
     "product, k, cutoff, bits",
     [
@@ -260,15 +275,19 @@ def test_cost_bound_keeps_its_calibration_rows(product, k, cutoff, bits, accepte
         (zeta_arithmetic_factor, 1000, 1000, 256),
         (sp_quadratic_arithmetic_factor, 1000, 1000, 256),
         (zeta_arithmetic_factor, Fraction(1, 3), 10**5, 512),
+        (zeta_arithmetic_factor, 3, 10**4, 128),
+        (sp_quadratic_arithmetic_factor, 3, 10**4, 256),
     ],
     ids=lambda v: getattr(v, "__name__", str(v)),
 )
 def test_charged_steps_are_the_steps_the_kernel_takes(monkeypatch, product, k, cutoff, bits):
-    # every kernel step floor-divides by a prime p (a running product or an
-    # Sp Horner step) or by p << W (a zeta term): ints that record those
-    # divisions see each step, and the budget holds the charges of exactly
-    # those steps on top of what _check_cost charged before the sieve
-    divisions, terms, budgets = [0], [], []
+    # every head step floor-divides by a prime p (a running product or an
+    # Sp Horner step) or by p << W (a zeta term), and every table term by p:
+    # ints that record those divisions see each step.  The budget holds
+    # _check_cost's sieve and running products over every prime, the
+    # charges of exactly the head's local steps and the table's terms, and
+    # the tail series' charge
+    divisions, terms, budgets, limits = Counter(), [], [], []
 
     class Shifted(int):
         def __rfloordiv__(self, other):
@@ -281,7 +300,7 @@ def test_charged_steps_are_the_steps_the_kernel_takes(monkeypatch, product, k, c
             return Shifted(int(self) << shift)
 
         def __rfloordiv__(self, other):
-            divisions[0] += 1
+            divisions[int(self)] += 1
             return other // int(self)
 
     def recording(*args):
@@ -289,33 +308,109 @@ def test_charged_steps_are_the_steps_the_kernel_takes(monkeypatch, product, k, c
         budgets.append((budget, budget.spent))
         return k, budget
 
+    def sieve(limit):
+        limits.append(limit)
+        return [Prime(p) for p in primes_up_to(limit)]
+
     check_cost = euler_products._check_cost
     monkeypatch.setattr(euler_products, "_check_cost", recording)
-    primes = [Prime(p) for p in primes_up_to(cutoff)]
-    monkeypatch.setattr(euler_products, "primes_up_to", lambda limit: primes)
+    monkeypatch.setattr(euler_products, "primes_up_to", sieve)
+    # the table over (128, cutoff] asked for before, so a tail builds it
+    asked = OrderedDict.fromkeys([(7, cutoff, bits + GUARD_BITS)])
+    monkeypatch.setattr(euler_products, "_TABLES", asked)
     product(k, prime_cutoff=cutoff, precision_bits=bits)
-    [(budget, before_sieve)] = budgets
+    [(budget, before)] = budgets
     width = bits + GUARD_BITS + 32
+    estimate = 2 * cutoff // (cutoff.bit_length() - 1)
+    assert before == 16 * cutoff + 2 * estimate * _step_ns(width, width)
+    head = primes_up_to(limits[0])
+    charged = 0
+    if limits[0] < cutoff:
+        # the tail: one table, each of its terms one division by its prime
+        [table] = [t for t in euler_products._TABLES.values() if t]
+        assert limits == [limits[0], cutoff] and limits[0].bit_count() == 1
+        tail = [p for p in primes_up_to(cutoff) if p > limits[0]]
+        steps = sum(divisions.pop(p) for p in tail)
+        assert 2 * len(tail) <= steps and table.charge == steps * _term_ns(bits + GUARD_BITS)
+        assert table.charge <= table.bound < 1.2 * table.charge
+        if product is zeta_arithmetic_factor:
+            shape = euler_products._tail_shape("zeta", min(Fraction(k), 1 - Fraction(k)))
+        else:
+            shape = euler_products._tail_shape("spquad", k)
+        s = limits[0].bit_length() - 1
+        columns = -(-(bits + GUARD_BITS + s + 3) // (s - shape.root_bits))
+        ends = 1 if product is zeta_arithmetic_factor else 2
+        key = min(Fraction(k), 1 - Fraction(k)) if product is zeta_arithmetic_factor else k
+        name = "zeta" if product is zeta_arithmetic_factor else "spquad"
+        shift = 0 if shape.poly else bits + GUARD_BITS + s + 8
+        series = euler_products._series_ns(name, key, columns, shift, ends, bits + GUARD_BITS + s)
+        charged += table.charge + series
+    else:
+        assert limits == [cutoff]
     if product is sp_quadratic_arithmetic_factor:
-        horner = divisions[0] - len(primes)
-        assert horner == len(primes) * (k + 2)
+        # one running-product division and k + 2 Horner steps a head prime
+        assert divisions == Counter({p: k + 3 for p in head})
         step = 9 * (width + k + 2 + 512) >> 5
-        assert budget.spent - before_sieve == horner * step
+        assert budget.spent - before == charged + len(head) * (k + 2) * step
         return
     # zeta: a prime's terms from the shared ratios at the width of its sum,
     # each new ratio and its term at the width of the sum so far
-    assert divisions[0] == len(primes) == len(terms)
+    assert divisions == Counter(head) and len(terms) == len(head)
     a = min(Fraction(k), 1 - Fraction(k))
-    table = width + 2 * max(a.numerator.bit_length(), a.denominator.bit_length())
-    charged = shared = 0
+    ratio = width + 2 * max(a.numerator.bit_length(), a.denominator.bit_length())
+    series = shared = 0
     for quotients in terms:
         total = (1 << width) + sum(quotients[:shared])
-        charged += len(quotients[:shared]) * _step_ns(total.bit_length(), table)
+        series += len(quotients[:shared]) * _step_ns(total.bit_length(), ratio)
         for quotient in quotients[shared:]:
-            charged += (table * (table + 2048) >> 10) + _step_ns(total.bit_length(), table)
+            series += (ratio * (ratio + 2048) >> 10) + _step_ns(total.bit_length(), ratio)
             total += quotient
         shared = max(shared, len(quotients))
-    assert budget.spent - before_sieve == charged > 0
+    assert budget.spent - before == charged + series and series > 0
+
+
+@pytest.mark.parametrize("dear", ["past the budget", "dearer than the kernel"])
+@pytest.mark.parametrize("product, k", [(zeta_arithmetic_factor, 3), (sp_quadratic_arithmetic_factor, 3),
+                                        (zeta_arithmetic_factor, Fraction(1, 3))])
+def test_a_dear_table_runs_the_kernel_over_every_prime(monkeypatch, product, k, dear):
+    # a table term charged past the budget, or a table asked for before
+    # whose charge passes the kernel's over its primes: the kernel runs on
+    # over the tail primes, builds no table and is charged what the kernel
+    # over every prime is (the zeta series' terms are charged as they run)
+    kernel = WorkBudget(10**18 if dear == "past the budget" else 10**30)
+    monkeypatch.setattr(euler_products, "_TABLES", OrderedDict())
+    monkeypatch.setattr(euler_products, "_check_cost", lambda *args: (to_fraction(args[0]), kernel))
+    monkeypatch.setattr(euler_products, "_term_ns", lambda width: 10**18)
+    got = product(k, prime_cutoff=5000, precision_bits=128)
+    assert list(euler_products._TABLES.values()) == [None]
+    with working_precision(128):
+        want = _kernel_oracle("zeta" if product is zeta_arithmetic_factor else "spquad",
+                              Fraction(k), 5000)
+        assert abs(got.value - want) <= mp.ldexp(abs(want), -(128 + 16))
+    if product is sp_quadratic_arithmetic_factor:
+        step = 9 * (128 + GUARD_BITS + 32 + k + 2 + 512) >> 5
+        assert kernel.spent == len(primes_up_to(5000)) * (k + 2) * step
+    # asked for again, the table is built only where it fits the budget
+    product(k, prime_cutoff=5000, precision_bits=128)
+    assert any(euler_products._TABLES.values()) == (dear == "dearer than the kernel")
+
+
+@pytest.mark.parametrize("bits", [128, 4096])
+def test_a_first_request_takes_the_route_cheaper_by_charge(monkeypatch, bits):
+    # an integer shape's table charges more than the kernel's steps over
+    # its primes, so its first request runs the kernel and the next builds
+    # the table; zeta at a rational k sums a long series at every prime, so
+    # its first request builds the table
+    monkeypatch.setattr(euler_products, "_TABLES", OrderedDict())
+    first = sp_quadratic_arithmetic_factor(3, prime_cutoff=5000, precision_bits=bits)
+    assert list(euler_products._TABLES.values()) == [None]
+    again = sp_quadratic_arithmetic_factor(3, prime_cutoff=5000, precision_bits=bits)
+    [table] = euler_products._TABLES.values()
+    assert table and abs(again.value - first.value) <= mp.ldexp(abs(first.value), -(bits + 15))
+    monkeypatch.setattr(euler_products, "_TABLES", OrderedDict())
+    zeta_arithmetic_factor(Fraction(1, 2), prime_cutoff=5000, precision_bits=128)
+    [table] = euler_products._TABLES.values()
+    assert table
 
 
 # ------------------------------------------------------- Sp quadratic family
@@ -328,7 +423,7 @@ def test_sp_shape_is_the_binomial_formula(k):
     coeffs += [0] * (k + 2 - len(coeffs))
     for j in range(k + 1):
         coeffs[j + 1] += (-1) ** j * math.comb(k, j)
-    assert _sp_shape(k) == (k * (k - 1) // 2, coeffs)
+    assert _sp_shape(k) == coeffs
 
 
 def test_sp_local_factor_k_one_closed_form():
@@ -475,7 +570,7 @@ def test_kernel_prefix_past_the_last_prime_is_the_full_product():
     # the full one; by Bertrand's postulate no X >= 100 is such a cutoff, so
     # the kernel is asked directly, with both prefixes ending at the last prime
     primes = primes_up_to(100)
-    alpha, coeffs = _sp_shape(3)
+    alpha, coeffs = 3, _sp_shape(3)
     with working_precision(128):
         half, full = _euler_products(
             primes, alpha, partial(_sp_local, coeffs), [len(primes), len(primes)]
@@ -483,6 +578,186 @@ def test_kernel_prefix_past_the_last_prime_is_the_full_product():
         assert half == full
         want = math.prod(sp_local_factor(3, p) for p in primes)
         assert abs(full - mp.mpf(want.numerator) / want.denominator) < mp.ldexp(full, -144)
+
+
+# ------------------------------------------------ head, tail and the table
+
+
+def _kernel_oracle(name: str, k: Fraction, cutoff: int) -> mp.mpf:
+    """The product by the kernel over every prime up to the cutoff, at the
+    ambient working precision: the route before the table, kept as oracle."""
+    primes = primes_up_to(cutoff)
+    if name == "zeta":
+        a = min(k, 1 - k)
+        bits = mp.mp.prec - GUARD_BITS
+        make_local = partial(_zeta_local, a, bits, WorkBudget(10**18))
+        return _euler_products(primes, a * a, make_local, [len(primes)])[0]
+    k = int(k)
+    alpha, coeffs = k * (k - 1) // 2, _sp_shape(k)
+    return _euler_products(primes, alpha, partial(_sp_local, coeffs), [len(primes)])[0]
+
+
+_FACTORS = {"zeta": zeta_arithmetic_factor, "spquad": sp_quadratic_arithmetic_factor}
+
+
+@st.composite
+def _euler_requests(draw):
+    name = draw(st.sampled_from(["zeta", "spquad"]))
+    if name == "spquad" or draw(st.booleans()):
+        k = Fraction(draw(st.integers(1 if name == "spquad" else 0, 8)))
+    else:
+        den = draw(st.integers(2, 9))
+        k = Fraction(draw(st.integers(-den // 2 + 1, 5 * den)), den)
+    cutoff = int(10 ** draw(st.floats(2, 5)))
+    bits = draw(st.sampled_from([64, 128, 256, 512, 1024]))
+    assume(cutoff * bits <= 2 * 10**7)
+    return name, k, cutoff, bits
+
+
+@seed(34)
+@settings(max_examples=60, deadline=None)
+@given(_euler_requests())
+@example(("zeta", Fraction(1, 2), 10**5, 128))
+@example(("zeta", Fraction(61, 2), 50_000, 256))
+@example(("zeta", Fraction(-1, 4), 3000, 1024))
+@example(("zeta", Fraction(7, 3), 20_000, 512))
+@example(("spquad", Fraction(3), 10**5, 64))
+def test_head_and_tail_match_the_kernel_over_every_prime(request):
+    # the derived bound of _truncated_products, 2^-(bits + 16) relative,
+    # plus the oracle's own: its zeta series stop at a term below
+    # 2^-(bits + 16), so each prime's factor is low by under
+    # 2^-(bits + 16) / (p - 1), under 2^-(bits + 16) in all past P0 = 128;
+    # and within the working-precision radius of the same route 64 bits up
+    name, k, cutoff, bits = request
+    arg = k if name == "zeta" else int(k)
+    # (a first request may run the kernel, cheaper by charge: the second
+    # reads the table, so both are checked)
+    product = _FACTORS[name]
+    first = product(arg, prime_cutoff=cutoff, precision_bits=bits)
+    got = product(arg, prime_cutoff=cutoff, precision_bits=bits)
+    product(arg, prime_cutoff=cutoff, precision_bits=bits + 64)
+    finer = product(arg, prime_cutoff=cutoff, precision_bits=bits + 64)
+    with working_precision(bits):
+        want = _kernel_oracle(name, k, cutoff)
+    with mp.workprec(bits + 256):
+        for value in (first.value, got.value):
+            assert abs(value - want) <= mp.ldexp(abs(want), -(bits + 15)), request
+        assert abs(got.value - finer.value) <= mp.ldexp(abs(got.value), 8 - bits), request
+
+
+def test_one_table_serves_every_k_and_both_families(monkeypatch):
+    # a table is built once per (P0, cutoff, width): every shape with root
+    # bits up to 3 shares P0 = 128, each new width or cutoff builds one
+    # more, a larger P0 one more; a key's first request builds it when it
+    # is cheaper by charge than the kernel (zeta at a rational k), else its
+    # second does.  A kept table gives the same products as a fresh one,
+    # and no more than _MAX_TABLES tables and keys asked for are kept
+    builds = []
+    table = euler_products._Table
+
+    def build(*fields):
+        builds.append(fields[:2])
+        return table(*fields)
+
+    monkeypatch.setattr(euler_products, "_Table", build)
+    monkeypatch.setattr(euler_products, "_TABLES", OrderedDict())
+    orders = [("zeta", Fraction(j, 6)) for j in (-2, 1, 3, 6, 9, 12, 18)]
+    orders += [("spquad", k) for k in (1, 2, 3)]
+    first = [_FACTORS[name](k, 5000, 128) for name, k in orders]
+    assert len(builds) == 1 and list(euler_products._TABLES) == [(7, 5000, 128 + GUARD_BITS)]
+    again = [_FACTORS[name](k, 5000, 128) for name, k in reversed(orders)][::-1]
+    assert again == first and len(builds) == 1
+    for _ in range(2):
+        _FACTORS["zeta"](2, 5000, 256)
+        _FACTORS["spquad"](3, 6000, 128)
+    assert len(builds) == 3
+    # zeta k = 5 (sum_j C(4, j)^2 y^j) has root bits 5: its head runs to 512
+    for _ in range(2):
+        _FACTORS["zeta"](5, 5000, 128)
+    assert len(builds) == 4 and list(euler_products._TABLES)[-1][0] == 9
+    monkeypatch.setattr(euler_products, "_TABLES", OrderedDict())
+    assert [_FACTORS[name](k, 5000, 128) for name, k in orders] == first
+    for cutoff in range(1000, 1000 + 2 * euler_products._MAX_TABLES):
+        _FACTORS["zeta"](Fraction(1, 2), cutoff, 64)
+    assert len(euler_products._TABLES) == euler_products._MAX_TABLES
+
+
+@pytest.mark.parametrize("name", ["zeta", "spquad"])
+@pytest.mark.parametrize("k", range(1, 31))
+def test_log_coefficients_of_integer_shapes(name, k):
+    # m l_m from Newton's identity against log of the exact local factor,
+    # expanded with mpmath's Taylor series; l_1 = 0 for both rows
+    columns, key = 12, 1 - k if name == "zeta" else k
+    alpha, flip = (key * key, 0) if name == "zeta" else (k * (k - 1) // 2, 1)
+    c = euler_products._log_coefficients(name, key, alpha, flip, columns, 0)
+    q = euler_products._tail_shape(name, key).poly
+    with mp.workprec(512):
+        shape = lambda y: (1 - y) ** alpha * mp.polyval(q[::-1], y) / (1 + y) ** flip
+        logs = mp.taylor(lambda y: mp.log(shape(y)), 0, columns - 1)
+        for m in range(1, columns):
+            assert abs(c[m] - m * logs[m]) < mp.mpf(2) ** -400 * (1 + abs(c[m])), (m, c[m])
+    assert c[1] == 0
+
+
+def test_table_cache_is_shared_safely_by_threads(monkeypatch):
+    # six threads ask for more tables than are kept, each twice, at once: a
+    # table dropped between its lookup and its move to the end would raise,
+    # two builds of one table would overlap in its sieve, and a kept table
+    # changed would give sums unlike a table built alone
+    monkeypatch.setattr(euler_products, "_TABLES", OrderedDict())
+    cutoffs = [1000 + 50 * i for i in range(euler_products._MAX_TABLES + 4)]
+    alone = {c: euler_products._power_sum_table(7, c, 96, WorkBudget(10**12), 48, 0, 10**9)[0]
+             for c in cutoffs}
+    euler_products._TABLES.clear()
+    errors, got, active, overlaps = [], [], Counter(), []
+
+    def sieve(limit):
+        active[limit] += 1
+        overlaps.extend([limit] * (active[limit] > 1))
+        time.sleep(0.001)
+        active[limit] -= 1
+        return primes_up_to(limit)
+
+    def ask(order):
+        try:
+            for c in order * 2:
+                table, _ = euler_products._power_sum_table(7, c, 96, WorkBudget(10**12), 48, 0, 10**9)
+                got.append((c, table))
+        except Exception as exc:  # noqa: BLE001 - reported below
+            errors.append(exc)
+
+    monkeypatch.setattr(euler_products, "primes_up_to", sieve)
+    threads = [threading.Thread(target=ask, args=(cutoffs[i:] + cutoffs[:i],)) for i in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors and not overlaps and not any(t.is_alive() for t in threads)
+    assert len(got) == 12 * len(cutoffs)
+    assert all(table[:2] == alone[c][:2] for c, table in got)
+    assert len(euler_products._TABLES) == euler_products._MAX_TABLES
+
+
+def test_a_shape_of_ones_builds_no_table(monkeypatch):
+    # zeta at k = 0 and 1 has every local factor 1: no log coefficient is
+    # nonzero, so no sieve runs past the head and no table is built
+    limits = []
+    monkeypatch.setattr(euler_products, "_TABLES", OrderedDict())
+    monkeypatch.setattr(euler_products, "primes_up_to", lambda n: limits.append(n) or primes_up_to(n))
+    for k in (0, 1):
+        got = zeta_arithmetic_factor(k, prime_cutoff=10**7, precision_bits=64)
+        assert got.value == 1
+    assert limits == [128, 128] and not euler_products._TABLES
+
+
+def test_prime_zeta_two_is_its_floor_at_128_bits():
+    with mp.workprec(256):
+        assert euler_products._PRIME_ZETA_2 == int(mp.floor(mp.ldexp(mp.primezeta(2), 128)))
 
 
 # ------------------------------------------------------------ family table
