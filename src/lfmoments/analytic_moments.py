@@ -134,9 +134,12 @@ def _log_barnes_g_large(z: mp.mpf, zpm1: mp.mpf) -> mp.mpf:
     log G(y+1) = zeta'(-1) + (y/2) log 2pi + (y^2/2 - 1/12) log y
                  - (3/4) y^2 + sum_{k>=1} c_k / y^{2k},  c_k = B_{2k+2} / (4k(k+1)).
     K terms, K the first k whose term falls below 2^-(prec + 8) of the
-    total (or the last before the terms grow), judged from the bit lengths
-    of the fixed-point c_k; the sum runs in W = prec + 32 bit fixed point
-    by Horner from K down on u = floor(2^W / y^2), within K + 1 ulps.
+    total, judged from the bit lengths of the fixed-point c_k; the sum runs
+    in W = prec + 32 bit fixed point by Horner from K down on
+    u = floor(2^W / y^2), within K + 1 ulps.  The terms fall until
+    k ~ pi y, where they are near e^(-2 pi y) ~ 2^(-9.06 y); every caller
+    has y >= prec/8 + 16 (_series_threshold), so the cutoff stops the sum
+    while they still fall, near k ~ 1.7 y.
     """
     y = z - 1
     log_y = mp.log(y)
@@ -149,21 +152,15 @@ def _log_barnes_g_large(z: mp.mpf, zpm1: mp.mpf) -> mp.mpf:
     width = mp.mp.prec + 32
     _, man, exp, _ = y._mpf_
     log2_y = math.log2(man) + exp
-    # term k is under 2^-(prec + 8) max(|total|, 1) once size < cutoff
+    # term k is under 2^-(prec + 8) max(|total|, 1) once its size in bits,
+    # bitlen(c_k) - 2k log2 y, is under cutoff
     cutoff = width - mp.mp.prec - 8 + max(mp.mag(total) - 1, 0)
     coeffs = _LOG_G_COEFFS.get(width, [])
-    prev_size = math.inf
     for k in count(1):
         if k > len(coeffs):
             coeffs = _log_g_coefficients(width, k)
-        size = coeffs[k - 1].bit_length() - 2 * k * log2_y
-        if size > prev_size:
-            # asymptotic series started diverging; stop at the floor
-            k -= 1
+        if coeffs[k - 1].bit_length() - 2 * k * log2_y < cutoff:
             break
-        if size < cutoff:
-            break
-        prev_size = size
     shift = width - 2 * exp
     u = (1 << shift) // (man * man) if shift >= 0 else 0
     acc = 0
@@ -593,6 +590,8 @@ def _exact_log_sum(kind: str, n: int) -> mp.mpf:
     ulps of the working precision.
     """
     primes, weights = _prime_weights(kind, n)
+    # not numeric_core._sliced_product: these weights are mostly distinct,
+    # so grouping the primes by weight first only adds work
     terms = []
     for i in range(max(weights, default=0).bit_length()):
         sliced = compress(primes, [w >> i & 1 for w in weights])

@@ -16,9 +16,8 @@ Each constant is a ratio of factorials, so one engine applies Legendre's
 formula to that all-factorial form and yields the exponent of every prime
 without building g_k: level by level for the primes up to 2k, and B // p
 for the primes above 2k, which have one level.  The factorization, the
-valuations, the integer (a product tree over p**e) and its decimal string
-(built in decimal from the primes grouped by exponent,
-FactoredInteger.decimal_string) all come from it;
+valuations, the integer and its decimal string (both from the primes
+grouped by exponent, FactoredInteger.value and decimal_string) come from it;
 moment_constant_factorial_form, by exact division, is the independent test
 oracle.
 """
@@ -68,8 +67,8 @@ def log_power(sym: SymmetryClass, k):
 
 
 def moment_constant(sym: SymmetryClass, k: int) -> int:
-    """The exact integer moment constant: a balanced product of p**e over
-    its factorization (see moment_factored)."""
+    """The exact integer moment constant, multiplied out from its
+    factorization (see moment_factored and FactoredInteger.value)."""
     return moment_factored(sym, k).value()
 
 

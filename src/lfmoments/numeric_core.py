@@ -2,8 +2,8 @@
 
 All arithmetic here is exact: Python ints, fractions.Fraction, and decimal
 in a context that traps any rounding.  Primes come from a bytearray sieve
-over the odd numbers; a FactoredInteger writes its decimal string from its
-primes grouped by exponent, without building the binary integer.
+over the odd numbers; a FactoredInteger builds its integer and its decimal
+string from one routine over its primes grouped by exponent.
 """
 
 from __future__ import annotations
@@ -154,47 +154,49 @@ class FactoredInteger:
         return FactoredInteger, (dict(self.exponents),)
 
     def value(self) -> int:
-        """The integer, as a balanced product tree over the prime powers."""
-        return _balanced_product([p**e for p, e in self.exponents.items()])
+        """The integer, from the same bit slices as its decimal string."""
+        return _sliced_product(self.exponents, int, mul)
 
     def decimal_string(self) -> str:
-        """str(self.value()), built in decimal without the binary integer,
-        once per instance."""
+        """str(self.value()), built once per instance in exact decimal
+        arithmetic (sub-quadratic products, a linear str()), without the
+        binary integer or its base conversion."""
         return self._decimal_text
 
     @cached_property
     def _decimal_text(self) -> str:
-        """The text of decimal_string, computed on first use.
-
-        The integer is prod_i P_i^(2^i), where P_i is the product of the
-        primes whose exponent has bit i set.  The primes are grouped by
-        exponent once and each group multiplied out once: math.prod over
-        slices of at most _DECIMAL_LEAF_BITS bits, one Decimal per slice,
-        then a decimal product tree.  From the top bit down the accumulator
-        is squared and multiplied by the tree of the groups whose exponent
-        has that bit set.  Decimal multiplication is sub-quadratic and its
-        str() is linear, so this skips both the binary product tree and the
-        base conversion.
-        """
-        groups: Dict[int, List[int]] = {}
-        # g_k's exponents come in runs (B // p above the Legendre cut)
-        for e, run in groupby(self.exponents.items(), itemgetter(1)):
-            groups.setdefault(e, []).extend(map(itemgetter(0), run))
         ctx = _exact_decimal_context()
-        products = {}
-        for e, primes in groups.items():
-            step = max(1, _DECIMAL_LEAF_BITS // max(primes).bit_length())
-            products[e] = _balanced_product(
-                [decimal.Decimal(math.prod(primes[i : i + step]))
-                 for i in range(0, len(primes), step)],
-                ctx.multiply,
-            )
-        acc = decimal.Decimal(1)
-        for i in reversed(range(max(groups, default=0).bit_length())):
-            acc = ctx.multiply(acc, acc)
-            factors = [d for e, d in products.items() if e >> i & 1]
-            acc = ctx.multiply(acc, _balanced_product(factors, ctx.multiply))
-        return str(acc)
+        return str(_sliced_product(self.exponents, decimal.Decimal, ctx.multiply))
+
+
+def _sliced_product(exponents: Mapping[int, int], leaf, multiply):
+    """prod p**e over {p: e}, as prod_i P_i^(2^i) with P_i the product of
+    the primes whose exponent has bit i set.
+
+    The primes are grouped by exponent once and each group multiplied out
+    once: math.prod over slices of at most _DECIMAL_LEAF_BITS bits, one
+    leaf (int or Decimal) per slice, then a product tree under multiply.
+    From the top bit down the accumulator is squared and multiplied by the
+    tree of the groups whose exponent has that bit set, so the large
+    products are squarings instead of a tree over the prime powers.
+    """
+    groups: Dict[int, List[int]] = {}
+    # g_k's exponents come in runs (B // p above the Legendre cut)
+    for e, run in groupby(exponents.items(), itemgetter(1)):
+        groups.setdefault(e, []).extend(map(itemgetter(0), run))
+    products = {}
+    for e, primes in groups.items():
+        step = max(1, _DECIMAL_LEAF_BITS // max(primes).bit_length())
+        products[e] = _balanced_product(
+            [leaf(math.prod(primes[i : i + step])) for i in range(0, len(primes), step)],
+            multiply,
+        )
+    acc = leaf(1)
+    for i in reversed(range(max(groups, default=0).bit_length())):
+        acc = multiply(acc, acc)
+        factors = [d for e, d in products.items() if e >> i & 1]
+        acc = multiply(acc, _balanced_product(factors, multiply))
+    return acc
 
 
 _DECIMAL_LEAF_BITS = 4096

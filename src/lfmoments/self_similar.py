@@ -23,9 +23,9 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterator, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Iterator, List, Tuple, Union
 
-from .errors import DomainError, PreconditionError, WorkBudget, require_int, require_rational
+from .errors import DomainError, PreconditionError, WorkBudget, brief, require_int, require_rational
 from .numeric_core import abs_least_residue, check_prime
 
 if TYPE_CHECKING:
@@ -72,7 +72,7 @@ def _walk_charge(steps: int, modulus: int) -> int:
 
 def _walk_refusal(budget: WorkBudget, steps: int, modulus: int) -> str:
     share = budget.spent * 100 // budget.limit
-    after = f" after earlier walks spent {share}% of it" if budget.spent else ""
+    after = f" after earlier walks spent {share}% of it" if share else ""
     return (
         f"a walk of {steps} or more residues modulo a {modulus.bit_length()}"
         f"-bit number passes the cost bound{after} "
@@ -96,30 +96,28 @@ def _residue_walk(p: int, a: int, b: int) -> Iterator[int]:
         t = t * p % b
 
 
-def _orbit_residues(p: int, a: int, b: int) -> List[int]:
+def _orbit_residues(p: int, a: int, b: int, budget: WorkBudget) -> List[int]:
     """Absolute least residues of a, ap, ap^2, ... mod b, one period.
 
     With gcd(a, b) = 1 and a prime p not dividing b (both callers ensure
     it) the orbit returns to a mod b after exactly the multiplicative order
     r of p mod b.  Raises DomainError, during the walk, once r would pass
-    _ORBIT_BIT_BUDGET // p.bit_length() or the walk bound at b's width.
+    _ORBIT_BIT_BUDGET // p.bit_length() or what is left of budget at b's
+    width; the r steps walked are spent from budget.
     """
-    max_len = min(_ORBIT_BIT_BUDGET // p.bit_length(), _WALK_BUDGET // _walk_charge(1, b))
+    step = _walk_charge(1, b)
+    max_len = min(_ORBIT_BIT_BUDGET // p.bit_length(), (budget.limit - budget.spent) // step)
     residues = []
     for res in _residue_walk(p, a, b):
         if residues and res == residues[0]:
+            budget.spent += len(residues) * step  # within max_len, so within budget
             return residues
         if len(residues) == max_len:
             break
         residues.append(res)
-    if b.bit_length() > 3072:  # the width bound can bind; str(b) stops at 4300 digits
-        raise DomainError(
-            f"the orbit of {p} modulo a {b.bit_length()}-bit number is longer than "
-            f"{max_len} steps (r * p.bit_length() <= 2^18, r * w * (w + 2^14) <= 2^43)"
-        )
     raise DomainError(
-        f"the orbit of {p} mod {b} is longer than {max_len} steps "
-        f"(r * p.bit_length() is capped at {_ORBIT_BIT_BUDGET})"
+        f"the orbit of {p} mod {brief(b)} is longer than {max_len} steps "
+        f"(r * p.bit_length() <= 2^18, r * w * (w + 2^14) <= 2^43)"
     )
 
 
@@ -137,13 +135,12 @@ def _period_sum(p: int, squares: List[int]) -> Tuple[int, int]:
     return left * p_right + right, p_left * p_right
 
 
-def _negative_side(p: int, a: int, b: int, budget: Optional[WorkBudget] = None) -> Fraction:
+def _negative_side(p: int, a: int, b: int, budget: WorkBudget) -> Fraction:
     """The ell <= -1 part of the sum at x = a/b, exactly: r_m^2 / (b^2 p^m)
     for 1 <= m < M, r_m the absolute least residue of a mod b p^m (taken
     from r_(m+1), largest modulus first) and M the least m with
     2a <= b p^m, then the geometric tail x^2 p / ((p - 1) p^M).  The walk
-    is charged to budget, a fresh one by default."""
-    budget = budget or WorkBudget(_WALK_BUDGET)
+    is charged to budget."""
     steps, modulus = 0, b
     while 2 * a > modulus * p:
         steps += 1
@@ -167,7 +164,8 @@ def density_exact(p: int, x) -> Fraction:
     Reduces via c_p(x) = c_p(px) until the denominator is coprime to p,
     then sums: the small-argument side is a geometric series, the
     large-argument side is periodic in the residues of numerator*p^ell
-    and sums to a finite rational combination of geometric series.
+    and sums to a finite rational combination of geometric series.  The
+    orbit and the negative side's walk share one walk budget.
     """
     check_prime(p)
     fx = _as_positive_fraction(x)
@@ -181,8 +179,9 @@ def density_exact(p: int, x) -> Fraction:
     # period r, the multiplicative order of p mod b.  The period sums
     # res_i^2 / (b^2 p^i) for i < r; with num = sum_i res_i^2 p^(r-1-i) and
     # the factor p^r / (p^r - 1) for all periods, that is num p / (b^2 (p^r - 1)).
-    num, p_r = _period_sum(p, [res * res for res in _orbit_residues(p, a, b)])
-    total = _negative_side(p, a, b) + Fraction(num * p, b * b * (p_r - 1))
+    budget = WorkBudget(_WALK_BUDGET)
+    num, p_r = _period_sum(p, [res * res for res in _orbit_residues(p, a, b, budget)])
+    total = _negative_side(p, a, b, budget) + Fraction(num * p, b * b * (p_r - 1))
     return total * b / a
 
 
@@ -244,7 +243,7 @@ def classify_point(p: int, a: int, b: int) -> PointClass:
         raise PreconditionError(
             f"denominator of {fx} shares a factor with p = {p}; rescale by p first"
         )
-    residues = _orbit_residues(p, fx.numerator, fx.denominator)
+    residues = _orbit_residues(p, fx.numerator, fx.denominator, WorkBudget(_WALK_BUDGET))
     if sum(residues) == 0:
         return SelfSimilar(period=len(residues))
     if fx.denominator == 2:
@@ -256,15 +255,15 @@ def classify_point(p: int, a: int, b: int) -> PointClass:
 # 0.02-0.05 ms for p = 2, 3, 5 or 101, so n = 10^4 took 0.16-0.46 s (2-vCPU
 # x86-64, CPython 3.11)
 _MAX_SAMPLES = 10_000
-# walk units w (w + 2^14) charged for a point's exact arithmetic, quadratic in
-# its denominator's width w: it took 25 units' time at w = 1000-3300 and 53 at
-# 16600, where a sample passes the budget within a few hundred points
-_POINT_WALKS = 25
+# w (w + 2^11) units charged per point at denominator width w for its exact
+# arithmetic: at 2^43 units to 1.1 s it took 150 of them at w = 1000, 97 at
+# 3300, 89 at 16600 and 116 at 184000, the widest where a sample fits
+_POINT_UNITS = 160
 
 
 def _point_refusal(n: int, width: int) -> str:
     return (f"the exact arithmetic of {n} points with denominators of up to {width} bits "
-            f"passes the cost bound ({_POINT_WALKS} n w (w + 2^14) <= 2^43)")
+            f"passes the cost bound ({_POINT_UNITS} n w (w + 2^11) <= 2^43)")
 
 
 def sample_density(
@@ -289,6 +288,6 @@ def sample_density(
     budget = WorkBudget(_WALK_BUDGET)
     # every point's denominator divides lcm(den(lo), den(step))
     width = math.lcm(lo.denominator, step.denominator).bit_length()
-    budget.spend(_POINT_WALKS * n * width * (width + (1 << 14)), _point_refusal, n, width)
+    budget.spend(_POINT_UNITS * n * width * (width + (1 << 11)), _point_refusal, n, width)
     points = (lo + i * step for i in range(n))
     return [(float(xi), float(_density_numeric(p, xi, eps, budget))) for xi in points]

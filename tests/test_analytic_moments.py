@@ -1,5 +1,6 @@
 """Analytic continuation in the order parameter: limits, closed forms, poles."""
 
+import bisect
 import functools
 import itertools
 import math
@@ -34,7 +35,14 @@ from lfmoments import (
     pole_order,
 )
 from lfmoments import analytic_moments
-from lfmoments.precision import to_fraction, to_mpf, working_precision
+from lfmoments.precision import (
+    GUARD_BITS,
+    MAX_PRECISION_BITS,
+    MIN_PRECISION_BITS,
+    to_fraction,
+    to_mpf,
+    working_precision,
+)
 
 U, O, SP = SymmetryClass.U, SymmetryClass.O, SymmetryClass.Sp
 
@@ -258,6 +266,41 @@ def test_fixed_point_log_g_series_matches_the_mpf_series(bits):
             got = analytic_moments._log_barnes_g_large(mp.mpf(z), 0)
             want = _mpf_log_barnes_g_large(mp.mpf(z), 0)
             assert abs(got - want) <= abs(want) * mp.mpf(2) ** -(bits + 44), z
+
+
+def test_log_g_series_stops_at_its_cutoff_while_the_terms_still_fall():
+    # _log_barnes_g_large stops at the first k whose term 2^size, with
+    # size = bitlen(floor(2^W c_k)) - 2k log2 y, is under 2^cutoff, and it
+    # has no stop for terms that grow (past k ~ pi y).  Replayed at z = the
+    # series threshold for every working precision, bits + GUARD_BITS plus
+    # any degree guard: the sum stops while the next term still falls.  The
+    # cutoff here is W - prec - 8, without the total's magnitude, which only
+    # stops the sum sooner.  bitlen(floor(2^W c_k)) = W + 1 + floor(log2 |c_k|)
+    # with |B_2n| = 2 (2n)! zeta(2n) / (2 pi)^2n, checked on the table below
+    def floor_log2(k):
+        n = k + 1
+        zeta = math.fsum(m ** (-2.0 * n) for m in range(1, 100))
+        log_b = (math.log(2) + math.lgamma(2 * n + 1) + math.log(zeta)
+                 - 2 * n * math.log(2 * math.pi))
+        return math.floor(log_b / math.log(2) - math.log2(4 * k * (k + 1)))
+
+    logs = [floor_log2(k) for k in range(1, 3600)]
+    width = 300
+    coeffs = analytic_moments._log_g_coefficients(width, 200)
+    assert [c.bit_length() - width - 1 for c in coeffs[:200]] == logs[:200]
+    # term k + 2 is larger than term k + 1 exactly when steps[k] > 2 log2 y
+    steps = [b - a for a, b in zip(logs, logs[1:])]
+    peaks = list(itertools.accumulate(steps, max))
+    lowest = MIN_PRECISION_BITS + GUARD_BITS
+    highest = MAX_PRECISION_BITS + GUARD_BITS + analytic_moments._MAX_DEGREE_GUARD
+    for prec in range(lowest, highest + 1):
+        log2_y = math.log2(max(prec / 8 + 17, 33) - 1)
+        first_rise = bisect.bisect_right(peaks, 2 * log2_y) + 2
+        assert first_rise <= len(logs), prec
+        # the terms fall up to first_rise - 1, so the sum must stop by
+        # first_rise - 2
+        k = first_rise - 2
+        assert logs[k - 1] + 1 - 2 * k * log2_y < -prec - 8, prec
 
 
 def test_barnes_g_and_constants_skip_mpmath_bernoulli_and_glaisher(monkeypatch):
@@ -547,6 +590,16 @@ def test_closed_form_degree_guard_is_capped():
             for degree in (3 * 10**42, 10**2000, -(10**2000) - Fraction(1, 3)):
                 with pytest.raises(DomainError, match="cost bound"):
                     closed_form(sym, degree)
+
+
+def test_err_estimate_past_the_float_range_is_infinite():
+    # g_U(200) is about 1.4 * 10^76647, so its floor |v| 2^(8 - bits) has
+    # no float: approx reports inf (the value itself is still exact there)
+    got = moment_closed_form(U, 200)
+    assert got.err_estimate == math.inf
+    with mp.workprec(got.precision_bits + 64):
+        want = moment_constant(U, 200)
+        assert abs(got.value - want) <= abs(want) * mp.mpf(2) ** (8 - got.precision_bits)
 
 
 def test_closed_form_pole_guards():

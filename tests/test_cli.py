@@ -405,6 +405,21 @@ def test_classify_record(capsys):
     assert rec["period"] == "4"
 
 
+def test_classify_vertical_tangent_record(capsys):
+    # the orbit of 3 mod 11 is 3, -2, 5, 4, 1: its sum is 11, not 0, and 11 != 2
+    code, rec = run_json(capsys, "classify", "3", "3", "11")
+    assert code == 0
+    assert rec["result"] == "vertical-tangent"
+    assert "period" not in rec
+
+
+def test_cp_non_rational_argument_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["cp", "5", "abc"])
+    assert exc.value.code == 2
+    assert "not a rational number: 'abc'" in capsys.readouterr().err
+
+
 def test_glambda_matches_library(capsys):
     code, rec = run_json(capsys, "glambda", "O", "5/2")
     assert code == 0
@@ -445,6 +460,17 @@ def test_ak_zeta_huge_order_is_an_error_record(monkeypatch, capsys):
     assert code == 1
     assert rec["error"]["type"] == "DomainError"
     assert "cost bound" in rec["error"]["message"]
+
+
+@pytest.mark.parametrize("sym, source", [
+    ("U", "zeta-family product, cutoff 1000"),
+    ("Sp", "quadratic-family product, cutoff 1000"),
+])
+def test_assemble_names_its_built_in_factor(capsys, sym, source):
+    code, rec = run_json(capsys, "assemble", sym, "1", "2", "--cutoff", "1000")
+    assert code == 0
+    assert rec["ak_source"] == source
+    assert "note" not in rec
 
 
 def test_assemble_orthogonal_notes_missing_factor(capsys):
@@ -617,6 +643,16 @@ def test_csv_output_is_one_row(capsys):
     header, row = out.strip().split("\n")
     assert header.split(",")[0] == "command"
     assert "24024" in row
+
+
+def test_csv_output_joins_a_list_field(capsys):
+    # --P 0,1 is the list [0, 1], flattened to one field as "0;1"
+    code, out = run(capsys, "mollify", "U", "--P", "0,1", "--Q", "1", "--csv")
+    assert code == 0
+    assert out.splitlines() == [
+        "command,inputs.sym,inputs.P,inputs.Q,result,theta_validity",
+        "mollify,U,0;1,1,1 + theta^-1,4/7",
+    ]
 
 
 def test_timing_flag_adds_elapsed(capsys):

@@ -645,6 +645,25 @@ def test_head_and_tail_match_the_kernel_over_every_prime(request):
         assert abs(got.value - finer.value) <= mp.ldexp(abs(got.value), 8 - bits), request
 
 
+def test_series_root_bits_past_the_least_root_bits(monkeypatch):
+    # zeta at k = 21/2 sums at a = -19/2: the least root bits of a^2 give
+    # 7, but there the series' sum passes 3/4, so its root bits are 8 and
+    # P0 moves from 2^11 to 2^12; a cutoff of 20000 leaves a tail past P0
+    a = Fraction(-19, 2)
+    assert euler_products._least_root_bits(a * a) == 7
+    assert euler_products._series_root_bits(a) == 8
+    monkeypatch.setattr(euler_products, "_TABLES", OrderedDict())
+    first = zeta_arithmetic_factor(Fraction(21, 2), 20000, 128)
+    got = zeta_arithmetic_factor(Fraction(21, 2), 20000, 128)
+    [(key, table)] = euler_products._TABLES.items()
+    assert key[:2] == (12, 20000) and table.e == 8
+    with working_precision(128):
+        want = _kernel_oracle("zeta", Fraction(21, 2), 20000)
+    with mp.workprec(128 + 256):
+        for value in (first.value, got.value):
+            assert abs(value - want) <= mp.ldexp(abs(want), -(128 + 15))
+
+
 def test_one_table_serves_every_k_and_both_families(monkeypatch):
     # a table is built once per (P0, cutoff, width): every shape with root
     # bits up to 3 shares P0 = 128, each new width or cutoff builds one

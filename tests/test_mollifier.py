@@ -57,6 +57,19 @@ def test_polynomial_algebra():
     assert X * X == X2
     assert X + X == 2 * X
     assert (X2 * ONE).degree == 2
+    # the longer operand on either side
+    assert ONE + X2 == X2 + ONE == RationalPolynomial((1, 0, 1))
+
+
+def test_polynomials_hash_and_repr_by_their_coefficients():
+    half = RationalPolynomial((0, Fraction(1, 2)))
+    assert hash(half) == hash(RationalPolynomial([0, Fraction(1, 2), 0]))
+    assert len({X, Y, X2}) == 2
+    assert repr(half) == "RationalPolynomial([Fraction(0, 1), Fraction(1, 2)])"
+    laurent = lp({0: 1, -2: Fraction(-3, 2)})
+    assert hash(laurent) == hash(lp({-2: Fraction(-3, 2), 0: 1, 1: 0}))
+    assert len({laurent, lp({0: 1, -2: Fraction(-3, 2)}), lp({0: 1})}) == 2
+    assert repr(laurent) == "LaurentPolynomial('1 - 3/2*theta^-2')"
 
 
 # ------------------------------------------------------------- the examples

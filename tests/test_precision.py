@@ -115,6 +115,9 @@ def test_to_mpf_rejects_non_finite_values():
         with pytest.raises(DomainError):
             to_mpf(RealApprox(value=mp.nan, precision_bits=128, err_estimate=0.0))
         assert to_mpf(Fraction(10**400)) == mp.mpf(10) ** 400
+        for x in (mp.mpc(1, 2), 1 + 2j):
+            with pytest.raises(DomainError, match="complex degree parameters"):
+                to_mpf(x)
 
 
 def _correctly_rounded(value: mp.mpf, x: Fraction, prec: int) -> bool:

@@ -23,6 +23,7 @@ from lfmoments import (
     sample_density,
 )
 from lfmoments import self_similar
+from lfmoments.errors import WorkBudget
 from lfmoments.precision import approx, to_mpf, working_precision
 
 
@@ -115,7 +116,7 @@ def test_density_exact_matches_the_term_by_term_sum(point):
         assert density_exact(p, x) == want
     fx = Fraction(x)
     assert self_similar._negative_side(
-        p, fx.numerator, fx.denominator
+        p, fx.numerator, fx.denominator, WorkBudget(1 << 43)
     ) == _negative_side_by_terms(p, fx)
 
 
@@ -269,9 +270,10 @@ def test_orbit_budget_boundary(monkeypatch):
 
 
 def test_walk_budget_boundary(monkeypatch):
-    # x = 10^40, p = 3: the negative side walks 84 residues below a 134-bit
+    # x = 10^40, p = 3: the orbit mod 1 is one residue of 1 bit, charged
+    # 1 + 2^14, and the negative side walks 84 residues below a 134-bit
     # modulus, charged 84 * 134 * (134 + 2^14)
-    charge = 84 * 134 * (134 + 2**14)
+    charge = (1 + 2**14) + 84 * 134 * (134 + 2**14)
     monkeypatch.setattr(self_similar, "_WALK_BUDGET", charge)
     assert density_exact(3, 10**40) == Fraction(
         1178761568923274751330436742372275137647, 2 * 10**39
@@ -288,9 +290,30 @@ def test_walk_budget_boundary(monkeypatch):
         density_numeric(3, Fraction(1, 21))
 
 
+def test_density_exact_charges_both_walks_to_one_budget(monkeypatch):
+    # x = 10^6 / 7, p = 3: the orbit of 3 mod 7 is 6 residues of 3 bits,
+    # then the negative side walks below moduli up to 21 bits; a request
+    # whose budget covers each walk alone but not both is refused
+    orbit = 6 * 3 * (3 + 2**14)
+    side = WorkBudget(1 << 43)
+    self_similar._negative_side(3, 10**6, 7, side)
+    want = density_exact(3, Fraction(10**6, 7))
+    monkeypatch.setattr(self_similar, "_WALK_BUDGET", orbit + side.spent)
+    assert density_exact(3, Fraction(10**6, 7)) == want
+    monkeypatch.setattr(self_similar, "_WALK_BUDGET", orbit + side.spent - 1)
+    with pytest.raises(DomainError, match="after earlier walks spent 7% of it"):
+        density_exact(3, Fraction(10**6, 7))
+    # classify_point walks the orbit alone, on a budget of its own
+    monkeypatch.setattr(self_similar, "_WALK_BUDGET", orbit)
+    assert classify_point(3, 10**6, 7) == classify_point(3, 1, 7)
+    monkeypatch.setattr(self_similar, "_WALK_BUDGET", orbit - 1)
+    with pytest.raises(DomainError, match="the orbit of 3 mod 7 is longer than 5 steps"):
+        classify_point(3, 10**6, 7)
+
+
 def test_sample_points_charge_their_exact_arithmetic(monkeypatch):
     # 10^4 points whose denominators divide lcm(10^5000, den(step)), 16610
-    # bits, charge 25 * 10^4 * w * (w + 2^14) before the first: refused at
+    # bits, charge 160 * 10^4 * w * (w + 2^11) before the first: refused at
     # once (their walks alone took 1.8-2.7 s to pass the budget)
     with pytest.raises(DomainError, match="of 10000 points .* to 16610 bits passes the cost bound"):
         sample_density(3, Fraction(1, 10**5000), 1, 10**4)
@@ -299,7 +322,7 @@ def test_sample_points_charge_their_exact_arithmetic(monkeypatch):
     assert len(sample_density(3, Fraction(1, 10**300), 1, 10**4)) == 10**4
     # lo = 1/3 and step = 1/3: w = 2 for each of 3 points, on top of which
     # come the walks
-    charge = self_similar._POINT_WALKS * 3 * 2 * (2 + 2**14)
+    charge = self_similar._POINT_UNITS * 3 * 2 * (2 + 2**11)
     monkeypatch.setattr(self_similar, "_WALK_BUDGET", charge - 1)
     with pytest.raises(DomainError, match="exact arithmetic"):
         sample_density(3, Fraction(1, 3), 1, 3)
@@ -342,7 +365,7 @@ def test_denominators_divide_out_p_at_once():
     assert density_exact(5, Fraction(3, 13 * 5**3)) == Fraction(23, 72)
     # past 2^18 bits b keeps p, and its orbit walk stops at once
     started = time.perf_counter()
-    with pytest.raises(DomainError, match="262201-bit"):
+    with pytest.raises(DomainError, match="mod an integer of 262201 bits"):
         density_exact(2, Fraction(1, 2**262200))
     assert time.perf_counter() - started < 1.0
 
@@ -421,6 +444,12 @@ def test_integers_are_self_similar(p, a):
 def test_half_integers_are_cusps(p, a):
     if a % 2 == 1 and a % p != 0:
         assert classify_point(p, a, 2) == Cusp()
+
+
+@pytest.mark.parametrize("x_min, x_max", [(2, 1), (1, 1), (Fraction(1, 3), Fraction(2, 6))])
+def test_sample_interval_must_be_increasing(x_min, x_max):
+    with pytest.raises(DomainError, match="need x_max > x_min > 0"):
+        sample_density(3, x_min, x_max, 3)
 
 
 def test_sample_density_grid():
