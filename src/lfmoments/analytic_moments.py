@@ -455,6 +455,13 @@ def moment_by_limit(
                 "the limit products are used only for degree >= -1/2; "
                 "use moment_closed_form below that"
             )
+        # none from 40 to 10^80 stabilized by the last N, even to 1 digit, and
+        # at 10^400 a ladder ratio rounded the term to 0 (a ValueError)
+        if lam_v > _LADDER_MAX_N:
+            raise DomainError(
+                f"the limit products are used only for degree <= {_LADDER_MAX_N}, "
+                "their last N; use moment_closed_form above that"
+            )
         gamma_factor = mp.gamma(1 + log_power(sym, lam_v))
         f = _limit_state(sym, lam_v, to_fraction(lam))
         tol = mp.mpf(10) ** (-target_digits)

@@ -58,16 +58,18 @@ def _as_positive_fraction(x) -> Fraction:
     return fx
 
 
-# cap on the residue walks of one request (a density, or a whole sample):
-# a step reduces and squares ints of the modulus' width w, charged
-# w (w + 2^14), which overcharges wide moduli; walks at the cap took
-# 0.8-1.4 s (2-vCPU x86-64, CPython 3.11)
+# cap on the residue walks of one request (a density, or a whole sample),
+# 2^43 units to 1.1 s: a step reduces and squares ints of the modulus'
+# width w, charged 3 w (w + 2^11); a positive-side step took 1.0, 6.4, 91
+# and 900 us at w = 1000, 3300, 16600 and 66000, that is 2.7, 2.9, 2.4 and
+# 1.6 w (w + 2^11) units (2-vCPU x86-64, CPython 3.11).  Below 2^10 bits a
+# step's fixed 0.3-0.8 us dominates, so w is taken as at least 2^10.
 _WALK_BUDGET = 1 << 43
 
 
 def _walk_charge(steps: int, modulus: int) -> int:
-    width = modulus.bit_length()
-    return steps * width * (width + (1 << 14))
+    width = max(modulus.bit_length(), 1 << 10)
+    return 3 * steps * width * (width + (1 << 11))
 
 
 def _walk_refusal(budget: WorkBudget, steps: int, modulus: int) -> str:
@@ -76,7 +78,7 @@ def _walk_refusal(budget: WorkBudget, steps: int, modulus: int) -> str:
     return (
         f"a walk of {steps} or more residues modulo a {modulus.bit_length()}"
         f"-bit number passes the cost bound{after} "
-        f"(steps * w * (w + 2^14), summed over the walks, <= 2^43)"
+        f"(3 * steps * w * (w + 2^11), w >= 2^10, summed over the walks, <= 2^43)"
     )
 
 
@@ -117,7 +119,7 @@ def _orbit_residues(p: int, a: int, b: int, budget: WorkBudget) -> List[int]:
         residues.append(res)
     raise DomainError(
         f"the orbit of {p} mod {brief(b)} is longer than {max_len} steps "
-        f"(r * p.bit_length() <= 2^18, r * w * (w + 2^14) <= 2^43)"
+        f"(r * p.bit_length() <= 2^18, 3 * r * w * (w + 2^11) <= 2^43, w >= 2^10)"
     )
 
 
@@ -141,11 +143,14 @@ def _negative_side(p: int, a: int, b: int, budget: WorkBudget) -> Fraction:
     from r_(m+1), largest modulus first) and M the least m with
     2a <= b p^m, then the geometric tail x^2 p / ((p - 1) p^M).  The walk
     is charged to budget."""
+    # every modulus stays below 2a: up to this many steps no check can fail
+    safe = (budget.limit - budget.spent) // _walk_charge(1, 2 * a)
     steps, modulus = 0, b
     while 2 * a > modulus * p:
         steps += 1
         modulus *= p
-        budget.check(_walk_charge(steps, modulus), _walk_refusal, budget, steps, modulus)
+        if steps > safe:
+            budget.check(_walk_charge(steps, modulus), _walk_refusal, budget, steps, modulus)
     budget.spend(_walk_charge(steps, modulus), _walk_refusal, budget, steps, modulus)
     squares, r = [], a
     for _ in range(steps):

@@ -788,6 +788,15 @@ def test_integer_ladder_fails_like_the_oracle_at_a_low_cap(sym, monkeypatch):
     assert got[0] is NoConvergence and got[2] is DomainError
 
 
+@pytest.mark.parametrize("lam", [2**20 + 1, Fraction(10**400), Fraction(3 * 10**80, 7)])
+def test_limit_route_refuses_a_degree_past_its_last_n(lam):
+    # at 10^400 a ladder ratio rounded the term to 0 and the product's
+    # shift went negative (a ValueError); from 40 up none stabilized anyway
+    for sym in SymmetryClass:
+        with pytest.raises(DomainError, match="degree <= 1048576"):
+            moment_by_limit(sym, lam, target_digits=1)
+
+
 def test_limit_failure_names_the_degree_in_15_digits(monkeypatch):
     # the message printed lambda at the working precision, ~320 digits here
     monkeypatch.setattr(analytic_moments, "_LADDER_MAX_N", 1 << 6)

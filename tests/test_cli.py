@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import time
 from fractions import Fraction
 
@@ -30,6 +31,10 @@ from lfmoments import (
 from lfmoments import cli, euler_products, exact_moments
 from lfmoments.cli import main
 from lfmoments.precision import working_precision
+
+
+# the limit a plain process runs under, read before the fixture lifts it
+_DEFAULT_INT_STR_LIMIT = sys.get_int_max_str_digits()
 
 
 @pytest.fixture(autouse=True)
@@ -169,6 +174,108 @@ def test_family_commands_give_a_record_or_a_usage_error(argv):
         assert {"result", "err_estimate"} <= set(rec)
     else:
         assert code == 1 and set(rec) == {"command", "error"}
+
+
+# odd arguments: signs, overflowing and non-finite decimals, non-numbers,
+# and integers and denominators at CPython's 4300-digit int-to-str limit
+_HUGE = "1" + "0" * 4299
+_ODD = st.sampled_from([
+    "0", "-1", "-7/3", "-1/2", "1e400", "-1e400", "1e-400", "nan", "NaN", "inf",
+    "-inf", "1/0", "x", "", _HUGE, "-" + _HUGE, _HUGE + "1", "1/" + _HUGE,
+    "3/" + "7" * 400, "2/" + "3" * 60,
+])
+_SMALL_INT = st.integers(-2, 30).map(str)
+_SMALL_RATIONAL = _RATIONAL.map(str)
+_INT = st.one_of(_SMALL_INT, _ODD)
+_NUMBER = st.one_of(_SMALL_INT, _SMALL_RATIONAL, _ODD)
+_PRIME = st.one_of(st.sampled_from(["2", "3", "5", "7", "101", "4", "1"]), _ODD)
+_SYM = st.sampled_from(["U", "O", "Sp", "sp", "X"])
+_COEFFS = st.lists(st.one_of(_SMALL_INT, _SMALL_RATIONAL, _ODD), min_size=1, max_size=3).map(",".join)
+_CUTOFF = st.one_of(st.sampled_from(["100", "1000"]), _ODD)
+
+
+def _option(draw, name, values):
+    return [f"{name}={draw(values)}"] if draw(st.booleans()) else []
+
+
+@st.composite
+def cli_argv(draw, out_dir):
+    """argv for one of the 13 subcommands: options first, then (mostly) --
+    and the positionals, so that a negative number reads as one."""
+    command = draw(st.sampled_from(sorted(cli._parser()._subparsers._group_actions[0].choices)))
+    options = ["--timing"] if draw(st.booleans()) else []
+    if command in ("gk", "poles", "asym"):
+        positionals = [draw(_SYM), draw(_INT)]
+        options += ["--factor"] if command == "gk" and draw(st.booleans()) else []
+    elif command in ("vp", "window"):
+        positionals = [draw(_SYM), draw(_PRIME), draw(_INT)]
+    elif command == "cp":
+        positionals = [draw(_PRIME), draw(_NUMBER)]
+        options += _option(draw, "--eps", st.sampled_from(["1e-9", "1e-300", "0", "nan", "-inf"]))
+    elif command == "cp-plot":
+        options = []  # cp-plot has no --timing
+        positionals = [draw(_PRIME), draw(_NUMBER), draw(_NUMBER), draw(_INT)]
+        options += [f"--csv={out_dir}/points.csv"] if draw(st.booleans()) else []
+        options += [f"--svg={out_dir}/points.svg"] if draw(st.booleans()) else []
+    elif command == "classify":
+        positionals = [draw(_PRIME), draw(_INT), draw(_INT)]
+    elif command == "glambda":
+        positionals = [draw(_SYM), draw(_NUMBER)]
+        if draw(st.booleans()):
+            options += ["--limit"] + _option(draw, "--digits", st.one_of(_ODD, st.sampled_from(["4", "12"])))
+    elif command == "ghalf":
+        positionals = []
+    elif command == "ak":
+        positionals = [draw(st.sampled_from(["zeta", "spquad", "foo"])), draw(_NUMBER)]
+        options += _option(draw, "--cutoff", _CUTOFF)
+    elif command == "assemble":
+        positionals = [draw(_SYM), draw(_NUMBER), draw(_INT)]
+        options += _option(draw, "--ak", _NUMBER) + _option(draw, "--cutoff", _CUTOFF)
+    else:
+        assert command == "mollify"
+        positionals = [draw(_SYM)]
+        options += [f"--P={draw(_COEFFS)}", f"--Q={draw(_COEFFS)}"]
+        options += _option(draw, "--theta", _NUMBER)
+    separator = ["--"] if positionals and draw(st.booleans()) else []
+    return [command] + options + separator + positionals
+
+
+# seconds one call may take: the slowest inputs above, the limit ladder run
+# to its last N at degrees 19-30, which no cost bound states, took 2.5-4.3 s
+# on a 2-vCPU x86-64 host; the cost bounds stop the rest within about 3 s
+_CALL_CAP_S = 20.0
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_any_command_gives_one_record_or_a_usage_error(data):
+    with tempfile.TemporaryDirectory() as out_dir:
+        argv = data.draw(cli_argv(out_dir), label="argv")
+        out, err = io.StringIO(), io.StringIO()
+        sys.set_int_max_str_digits(_DEFAULT_INT_STR_LIMIT)
+        started = time.perf_counter()
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+        finally:
+            elapsed = time.perf_counter() - started
+            sys.set_int_max_str_digits(0)
+    assert elapsed < _CALL_CAP_S
+    if code == 2:
+        assert out.getvalue() == "" and "usage:" in err.getvalue()
+        return
+    text = out.getvalue()
+    rec = json.loads(text)
+    assert text == json.dumps(rec, indent=2) + "\n"
+    assert rec["command"] == argv[0]
+    if code == 0:
+        assert "result" in rec and "error" not in rec
+    else:
+        assert code == 1
+        assert set(rec) == {"command", "error"} and set(rec["error"]) == {"type", "message"}
 
 
 # ------------------------------------------------------------------ records
@@ -653,6 +760,45 @@ def test_csv_output_joins_a_list_field(capsys):
         "command,inputs.sym,inputs.P,inputs.Q,result,theta_validity",
         "mollify,U,0;1,1,1 + theta^-1,4/7",
     ]
+
+
+_JSON_TEXT = st.text(
+    st.one_of(st.sampled_from('"\\/\n\t\x00\x1f\x7f\u00e9\u2028\U0001f600'), st.characters()),
+    max_size=6,
+)
+_JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(10**4000), 10**4000),
+    st.integers(-(2**70), 2**70),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]),
+    _JSON_TEXT,
+)
+# every key type json.dumps accepts: it writes int, float, bool and None keys
+# as strings
+_JSON_KEYS = st.one_of(
+    _JSON_TEXT, st.integers(-(10**30), 10**30), st.floats(), st.booleans(), st.none()
+)
+
+
+def _json_like(depth: int):
+    """Scalars, and lists, tuples and dicts nested up to depth levels."""
+    if depth == 0:
+        return _JSON_SCALARS
+    inner = _json_like(depth - 1)
+    return st.one_of(
+        _JSON_SCALARS,
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_JSON_KEYS, inner, max_size=4),
+    )
+
+
+@given(value=_json_like(4))
+@settings(max_examples=300, deadline=None)
+def test_json_text_is_json_dumps_with_indent(value):
+    assert cli._json_text(value) == json.dumps(value, indent=2)
 
 
 def test_timing_flag_adds_elapsed(capsys):

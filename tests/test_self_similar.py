@@ -270,10 +270,11 @@ def test_orbit_budget_boundary(monkeypatch):
 
 
 def test_walk_budget_boundary(monkeypatch):
-    # x = 10^40, p = 3: the orbit mod 1 is one residue of 1 bit, charged
-    # 1 + 2^14, and the negative side walks 84 residues below a 134-bit
-    # modulus, charged 84 * 134 * (134 + 2^14)
-    charge = (1 + 2**14) + 84 * 134 * (134 + 2**14)
+    # x = 10^40, p = 3: the orbit mod 1 is one residue of 1 bit, and the
+    # negative side walks 84 residues below a 134-bit modulus; a modulus
+    # narrower than 2^10 bits is charged as one of 2^10 bits
+    step = 3 * 2**10 * (2**10 + 2**11)
+    charge = step + 84 * step
     monkeypatch.setattr(self_similar, "_WALK_BUDGET", charge)
     assert density_exact(3, 10**40) == Fraction(
         1178761568923274751330436742372275137647, 2 * 10**39
@@ -282,7 +283,7 @@ def test_walk_budget_boundary(monkeypatch):
     with pytest.raises(DomainError, match="cost bound"):
         density_exact(3, 10**40)
     # x = 1/21, eps = 1e-9: the prefix is 22 residues mod 21 (5 bits)
-    charge = 22 * 5 * (5 + 2**14)
+    charge = 22 * step
     monkeypatch.setattr(self_similar, "_WALK_BUDGET", charge)
     density_numeric(3, Fraction(1, 21))
     monkeypatch.setattr(self_similar, "_WALK_BUDGET", charge - 1)
@@ -294,14 +295,14 @@ def test_density_exact_charges_both_walks_to_one_budget(monkeypatch):
     # x = 10^6 / 7, p = 3: the orbit of 3 mod 7 is 6 residues of 3 bits,
     # then the negative side walks below moduli up to 21 bits; a request
     # whose budget covers each walk alone but not both is refused
-    orbit = 6 * 3 * (3 + 2**14)
+    orbit = 6 * 3 * 2**10 * (2**10 + 2**11)
     side = WorkBudget(1 << 43)
     self_similar._negative_side(3, 10**6, 7, side)
     want = density_exact(3, Fraction(10**6, 7))
     monkeypatch.setattr(self_similar, "_WALK_BUDGET", orbit + side.spent)
     assert density_exact(3, Fraction(10**6, 7)) == want
     monkeypatch.setattr(self_similar, "_WALK_BUDGET", orbit + side.spent - 1)
-    with pytest.raises(DomainError, match="after earlier walks spent 7% of it"):
+    with pytest.raises(DomainError, match="after earlier walks spent 35% of it"):
         density_exact(3, Fraction(10**6, 7))
     # classify_point walks the orbit alone, on a budget of its own
     monkeypatch.setattr(self_similar, "_WALK_BUDGET", orbit)
@@ -321,13 +322,17 @@ def test_sample_points_charge_their_exact_arithmetic(monkeypatch):
     # walks fit; adding both denominators' widths (1994) refused it
     assert len(sample_density(3, Fraction(1, 10**300), 1, 10**4)) == 10**4
     # lo = 1/3 and step = 1/3: w = 2 for each of 3 points, on top of which
-    # come the walks
+    # come the walks, 58 steps charged as 2^10-bit ones
     charge = self_similar._POINT_UNITS * 3 * 2 * (2 + 2**11)
     monkeypatch.setattr(self_similar, "_WALK_BUDGET", charge - 1)
     with pytest.raises(DomainError, match="exact arithmetic"):
         sample_density(3, Fraction(1, 3), 1, 3)
-    monkeypatch.setattr(self_similar, "_WALK_BUDGET", 2 * charge)
+    walks = 58 * 3 * 2**10 * (2**10 + 2**11)
+    monkeypatch.setattr(self_similar, "_WALK_BUDGET", charge + walks)
     assert len(sample_density(3, Fraction(1, 3), 1, 3)) == 3
+    monkeypatch.setattr(self_similar, "_WALK_BUDGET", charge + walks - 1)
+    with pytest.raises(DomainError, match="a walk of"):
+        sample_density(3, Fraction(1, 3), 1, 3)
 
 
 def test_sample_points_share_one_walk_budget():
