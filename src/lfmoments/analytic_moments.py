@@ -42,7 +42,7 @@ from itertools import compress, count
 
 import mpmath as mp
 
-from .errors import DomainError, NoConvergence, PoleError, brief, require_int
+from .errors import DomainError, NoConvergence, PoleError, WorkBudget, brief, require_int
 from .exact_moments import SymmetryClass, log_power, require_class
 from .numeric_core import _balanced_product, primes_up_to
 from .precision import RealApprox, approx, to_fraction, to_mpf, working_precision
@@ -54,6 +54,14 @@ _LADDER_MAX_N = 1 << 20
 # bits of _RunningProduct above the working precision: m ladder steps
 # cost m(m + 3) of its ulps, and m <= 2 _LADDER_MAX_N + 1
 _KERNEL_GUARD = 64
+# bits of the limit ladder above its target digits' (_ladder_bits derives it)
+_LADDER_GUARD = 112
+# the ladder charges its kernel steps to a WorkBudget of 3 s before each rung,
+# (w + 832)^2 / 1536 + r (w + 2^10) / 2^8 ns a step on a w-bit term and
+# r-bit ratio ints: timed (best of 12) at 0.5-0.8 us for w = 192 and 50-56 us
+# for w = 8304 at small r, and up to the second term more for r = 22 to 4239
+# (2-vCPU x86-64, CPython 3.11, no gmpy2)
+_LADDER_WORK_NS = 3 * 10**9
 
 
 # ---------------------------------------------------------------------------
@@ -435,6 +443,29 @@ def _richardson_top(values) -> mp.mpf:
     return row[0]
 
 
+def _ladder_bits(target_digits: int, lam: mp.mpf) -> int:
+    """The limit ladder's width for D = target_digits at degree lam:
+    D log2 10 + mag(lam) + G bits, G = _LADDER_GUARD = 112, in multiples of
+    32 (for few mpmath caches) and at most the working precision.  G holds
+    the 28 bits the rounding loses (Richardson's levels under 4, the exponent
+    of 4^(N lam) log2(2N) <= 21 past mag(lam), the steps of f(N) about 3),
+    66 (2^-66 < 1e-20) that keep the value within 1e-20 of the last gap, so
+    that the stopping test and err_estimate are the working precision's,
+    and 18 for a ladder that stops past its target (the gap fell up to 5.8
+    digits below it on the tests' 240-input grid)."""
+    need = math.ceil(target_digits * math.log2(10)) + _LADDER_GUARD + max(0, mp.mag(lam))
+    return min(mp.mp.prec, -(-need // 32) * 32)
+
+
+def _ladder_ns(sym: SymmetryClass, exact: Fraction, n: int) -> int:
+    """The charge of the kernel steps to N = n at lam = a/b: U's n steps on
+    ratios of about 2r bits, O's and Sp's 3n + 1 on r bits, r = bits(2nb + |a|)."""
+    width = mp.mp.prec + _KERNEL_GUARD
+    r = (2 * n * exact.denominator + abs(exact.numerator)).bit_length()
+    steps, r = (n, 2 * r) if sym is SymmetryClass.U else (3 * n + 1, r)
+    return steps * ((width + 832) ** 2 // 1536 + r * (width + 1024) // 256)
+
+
 def moment_by_limit(
     sym: SymmetryClass, lam, target_digits: int = 8, precision_bits=None
 ) -> RealApprox:
@@ -445,6 +476,11 @@ def moment_by_limit(
     Richardson-extrapolates (leading error c/N, with higher powers
     cancelled level by level) until two successive extrapolants agree to
     ``target_digits`` significant digits, at most what the precision carries.
+
+    The ladder runs at the width ``target_digits`` needs, so its cost
+    follows them; ``precision_bits`` sets only the digit cap and the
+    err_estimate floor.  A ladder past 3 s of estimated kernel steps is a
+    DomainError ("cost bound"), raised before the rung that would pass it.
     """
     with working_precision(precision_bits) as bits:
         require_int("target_digits", target_digits, 1, int(bits * math.log10(2)))
@@ -462,26 +498,32 @@ def moment_by_limit(
                 f"the limit products are used only for degree <= {_LADDER_MAX_N}, "
                 "their last N; use moment_closed_form above that"
             )
-        gamma_factor = mp.gamma(1 + log_power(sym, lam_v))
-        f = _limit_state(sym, lam_v, to_fraction(lam))
-        tol = mp.mpf(10) ** (-target_digits)
-        values = []
-        best_prev = None
-        n = _LADDER_START
-        while n <= _LADDER_MAX_N:
-            values.append(f(n))
-            if len(values) >= 2:
-                best = _richardson_top(values)
-                if best_prev is not None:
-                    err = abs(best - best_prev)
-                    # relative test: the raw extrapolant is g / Gamma(1+B),
-                    # which is tiny for large degrees, so an absolute floor
-                    # here would declare convergence far too early
-                    scale = abs(best) if best != 0 else mp.mpf(1)
-                    if err <= tol * scale:
-                        return approx(gamma_factor * best, bits, err=abs(gamma_factor) * err)
-                best_prev = best
-            n *= 2
+        exact = to_fraction(lam)
+        with mp.workprec(_ladder_bits(target_digits, lam_v)):
+            gamma_factor = mp.gamma(1 + log_power(sym, lam_v))
+            f = _limit_state(sym, lam_v, exact)
+            tol = mp.mpf(10) ** (-target_digits)
+            values = []
+            best_prev = None
+            budget = WorkBudget(_LADDER_WORK_NS)
+            n = _LADDER_START
+            while n <= _LADDER_MAX_N:
+                budget.spend(_ladder_ns(sym, exact, n) - budget.spent, lambda: (
+                    f"the limit product for {sym.value} at degree {mp.nstr(lam_v, 15)} passes "
+                    f"the cost bound of the ladder before N = {n}: over 3 s of estimated work"))
+                values.append(f(n))
+                if len(values) >= 2:
+                    best = _richardson_top(values)
+                    if best_prev is not None:
+                        err = abs(best - best_prev)
+                        # relative test: the raw extrapolant is g / Gamma(1+B),
+                        # which is tiny for large degrees, so an absolute floor
+                        # here would declare convergence far too early
+                        scale = abs(best) if best != 0 else mp.mpf(1)
+                        if err <= tol * scale:
+                            return approx(gamma_factor * best, bits, err=abs(gamma_factor) * err)
+                    best_prev = best
+                n *= 2
         raise NoConvergence(
             f"limit product for {sym.value} at degree {mp.nstr(lam_v, 15)} did not "
             f"stabilize to {target_digits} digits by N = {_LADDER_MAX_N}"

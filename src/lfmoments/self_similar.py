@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Iterator, List, Tuple, Union
 
 from .errors import DomainError, PreconditionError, WorkBudget, brief, require_int, require_rational
-from .numeric_core import abs_least_residue, check_prime
+from .numeric_core import check_prime
 
 if TYPE_CHECKING:
     from .precision import RealApprox
@@ -154,7 +154,10 @@ def _negative_side(p: int, a: int, b: int, budget: WorkBudget) -> Fraction:
     budget.spend(_walk_charge(steps, modulus), _walk_refusal, budget, steps, modulus)
     squares, r = [], a
     for _ in range(steps):
-        r = abs_least_residue(r, modulus)
+        # the absolute least residue, inlined: r and modulus are the walk's ints
+        r %= modulus
+        if 2 * r > modulus:
+            r -= modulus
         squares.append(r * r)
         modulus //= p
     # sum_m r_m^2 / (b^2 p^m) = num / (b^2 p^(M-1)), and the tail is

@@ -4,7 +4,9 @@ import bisect
 import functools
 import itertools
 import math
+import os
 import random
+import subprocess
 import sys
 import threading
 from fractions import Fraction
@@ -761,20 +763,121 @@ LADDER_GRID = [
 ]
 
 
+def _at_full_width(limit_state, prec):
+    """limit_state with its Gamma seeds and every f(N) run at prec bits."""
+
+    def state(sym, lam, exact):
+        with mp.workprec(prec):
+            f = limit_state(sym, lam, exact)
+
+        def f_at_prec(n):
+            with mp.workprec(prec):
+                return f(n)
+
+        return f_at_prec
+
+    return state
+
+
+# bits the ladder's value may lose against its precision, as _ladder_bits
+# counts them: Richardson's levels amplify by under 2^4, the exponent of
+# 4^(N lam) loses log2(2N) <= 21 bits past the mag(lam) that _ladder_bits
+# adds, and the steps of f(N) about 3; the most measured on LADDER_GRID is
+# 20.9 (U at -4999/10000, 8 digits, 128 bits)
+_LADDER_LOSS_BITS = 28
+
+
 @pytest.mark.parametrize("sym", list(SymmetryClass))
 def test_integer_ladder_matches_mpf_oracle(sym, monkeypatch):
     got = [_limit_or_error(sym, *case) for case in LADDER_GRID]
-    monkeypatch.setattr(analytic_moments, "_limit_state", _mpf_limit_state)
-    want = [_limit_or_error(sym, *case) for case in LADDER_GRID]
-    for case, g, w in zip(LADDER_GRID, got, want):
+    for case, g in zip(LADDER_GRID, got):
+        lam, digits, bits = case
+        # the oracle's f(N) at the caller's working precision, so that the
+        # oracle is the more accurate side
+        monkeypatch.setattr(
+            analytic_moments, "_limit_state",
+            _at_full_width(_mpf_limit_state, bits + GUARD_BITS),
+        )
+        w = _limit_or_error(sym, *case)
         if isinstance(w, type):
             assert g is w, case
             continue
+        with mp.workprec(bits + GUARD_BITS):
+            ladder_bits = analytic_moments._ladder_bits(digits, to_mpf(lam))
         # same ladder length and the same last Richardson gap; the values
-        # agree to the requested precision, far inside err_estimate
+        # agree to the ladder's precision, far inside err_estimate
         assert g.err_estimate == w.err_estimate, case
-        assert abs(g.value - w.value) <= abs(w.value) * mp.mpf(2) ** -case[2], case
+        loss = mp.mpf(2) ** (_LADDER_LOSS_BITS - ladder_bits)
+        assert abs(g.value - w.value) <= abs(w.value) * loss, case
         assert abs(g.value - w.value) <= 1e-20 * g.err_estimate, case
+
+
+def _width_grid(count=240, seed=39):
+    """(sym, lam, digits, bits): lam from -0.4999 to 6, a tenth of them
+    within 10^-3 of -1/2, digits from 1 to 30 (at most what bits carry)."""
+    rng = random.Random(seed)
+    cases = []
+    for i in range(count):
+        bits = rng.choice([64, 128, 256, 1024])
+        digits = rng.randint(1, min(30, int(bits * math.log10(2))))
+        if i % 10 == 0:
+            lam = Fraction(-1, 2) + Fraction(1, rng.choice([10**3, 10**4, 10**5]))
+        else:
+            lam = Fraction(rng.randint(-4999, 60000), 10000)
+        cases.append((list(SymmetryClass)[i % 3], lam, digits, bits))
+    return cases
+
+
+def test_ladder_at_its_width_matches_the_ladder_at_the_working_precision(monkeypatch):
+    grid = _width_grid()
+    got = [_limit_or_error(*case) for case in grid]
+    monkeypatch.setattr(analytic_moments, "_ladder_bits", lambda digits, lam: mp.mp.prec)
+    # the cost bound is charged at the ladder's width: the reference has none
+    monkeypatch.setattr(analytic_moments, "_LADDER_WORK_NS", math.inf)
+    for case, g in zip(grid, got):
+        w = _limit_or_error(*case)
+        if isinstance(w, type):
+            assert g is w, case
+            continue
+        assert g.err_estimate == w.err_estimate, case
+        assert abs(g.value - w.value) <= 1e-20 * g.err_estimate, case
+
+
+def test_limit_ladder_builds_no_gamma_table_at_the_working_precision():
+    # mpmath keys its Gamma Taylor tables by precision; a 4096-bit table
+    # took 6.8 s to build, the ladder of 12 digits needs 160 bits
+    code = ("import fractions, lfmoments; from mpmath.libmp import gammazeta; "
+            "lfmoments.moment_by_limit(lfmoments.SymmetryClass.O, fractions.Fraction(5, 2), 12, 4096); "
+            "print(max(gammazeta.gamma_taylor_cache, default=0))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(analytic_moments.__file__))})
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 1024
+
+
+def _full_ladder_ns(sym, lam, digits, bits, n=1 << 20):
+    with mp.workprec(bits + GUARD_BITS):
+        with mp.workprec(analytic_moments._ladder_bits(digits, to_mpf(lam))):
+            return analytic_moments._ladder_ns(sym, Fraction(lam), n)
+
+
+# the edges of the cost bound at a ladder that runs to its last N: the
+# charge of its last rung passes 3 s from these digits on
+@pytest.mark.parametrize("sym, lam, digits, bits", [
+    (O, 20, 33, 256), (SP, Fraction(1, 3), 34, 256), (U, 20, 283, 1024),
+])
+def test_limit_cost_bound_edges(sym, lam, digits, bits):
+    limit = analytic_moments._LADDER_WORK_NS
+    assert _full_ladder_ns(sym, lam, digits - 1, bits) <= limit < _full_ladder_ns(sym, lam, digits, bits)
+
+
+def test_limit_ladder_is_refused_before_the_rung_past_its_budget(monkeypatch):
+    # glambda --limit O 20 at 256 bits runs to its last N and is charged
+    # under 3 s: it still ends in NoConvergence
+    assert _full_ladder_ns(O, 20, 12, 256) <= analytic_moments._LADDER_WORK_NS
+    monkeypatch.setattr(analytic_moments, "_LADDER_WORK_NS", _full_ladder_ns(O, 20, 12, 256, 64))
+    with pytest.raises(DomainError, match="O at degree 20.0 passes the cost bound of the ladder before N = 128"):
+        moment_by_limit(O, 20, 12, 256)
 
 
 @pytest.mark.parametrize("sym", list(SymmetryClass))

@@ -240,10 +240,13 @@ def cli_argv(draw, out_dir):
     return [command] + options + separator + positionals
 
 
-# seconds one call may take: the slowest inputs above, the limit ladder run
-# to its last N at degrees 19-30, which no cost bound states, took 2.5-4.3 s
-# on a 2-vCPU x86-64 host; the cost bounds stop the rest within about 3 s
-_CALL_CAP_S = 20.0
+# seconds one call may take: every input above is under a stated cost
+# bound of at most 3 s of estimated work (the limit ladder and the Euler
+# products 3 s, the density walks 2^43 units, about 1.1 s), timed on a quiet
+# 2-vCPU x86-64 host; the slowest, the ladder run to its last N at degrees
+# 19-30, took 2.2-2.5 s there and 4.2 s while the host was busy, so the cap
+# is about three times the bound
+_CALL_CAP_S = 10.0
 
 
 @given(data=st.data())
