@@ -20,7 +20,7 @@ __version__ = "0.1.0"
 # one map from a public name to its module, which the CLI reaches through too
 _MODULES = {
     "numeric_core": (
-        "abs_least_residue", "primes_up_to", "is_prime", "FactoredInteger", "decimal_string",
+        "primes_up_to", "is_prime", "FactoredInteger", "decimal_string",
     ),
     "exact_moments": (
         "SymmetryClass", "log_power", "moment_constant", "moment_constant_factorial_form",
@@ -33,18 +33,16 @@ _MODULES = {
     ),
     "analytic_moments": (
         "barnes_g", "moment_ratio_closed_form", "moment_closed_form", "moment_by_limit",
-        "half_moment_unitary", "pole_order", "log_moment_asymptotic", "log_sum_asymptotics",
-        "SUM_KINDS",
+        "half_moment_unitary", "pole_order", "log_moment_asymptotic",
     ),
     "euler_products": (
         "zeta_arithmetic_factor", "sp_quadratic_arithmetic_factor", "FamilyDescriptor",
         "MeanValueShape", "assemble_mean_value",
     ),
     "mollifier": (
-        "RationalPolynomial", "LaurentPolynomial", "m_unitary", "m_orthogonal",
-        "m_symplectic", "mean_square", "THETA_VALIDITY",
+        "RationalPolynomial", "LaurentPolynomial", "mean_square", "THETA_VALIDITY",
     ),
-    "precision": ("RealApprox", "DEFAULT_PRECISION_BITS", "default_precision"),
+    "precision": ("RealApprox",),
     "errors": (
         "LfmomentsError", "DomainError", "PreconditionError", "IntegralityViolation",
         "UnsupportedClass", "OutOfRegime", "PoleError", "NoConvergence", "ConstraintError",

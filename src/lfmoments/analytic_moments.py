@@ -596,7 +596,7 @@ def log_moment_asymptotic(sym: SymmetryClass, k: int, precision_bits=None) -> Re
         return approx(value, bits, err=err)
 
 
-SUM_KINDS = ("log_j", "log_odd", "j_log_j", "j_log_odd")
+_SUM_KINDS = ("log_j", "log_odd", "j_log_j", "j_log_odd")
 # log_sum_asymptotics answers up to this n; there the slowest kind,
 # j_log_odd, took 0.7-0.8 s at 1024 bits (2-vCPU x86-64, CPython 3.11)
 _LOG_SUM_MAX_N = 300_000
@@ -665,8 +665,8 @@ def log_sum_asymptotics(kind: str, n: int, precision_bits=None):
     bound is n <= 300000 (under a second for every kind at 1024 bits);
     a larger n is a DomainError, raised before any sieve is built.
     """
-    if kind not in SUM_KINDS:
-        raise DomainError(f"unknown sum kind {kind!r}; expected one of {SUM_KINDS}")
+    if kind not in _SUM_KINDS:
+        raise DomainError(f"unknown sum kind {kind!r}; expected one of {_SUM_KINDS}")
     if require_int("n", n, 1) > _LOG_SUM_MAX_N:
         raise DomainError(
             f"n is above the log-sum cost bound {_LOG_SUM_MAX_N}, got {brief(n)}"

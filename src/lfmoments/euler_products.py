@@ -35,7 +35,7 @@ from operator import floordiv
 import mpmath as mp
 
 from .analytic_moments import moment_ratio_closed_form
-from .errors import DomainError, LfmomentsError, WorkBudget, require_int, require_rational
+from .errors import DomainError, LfmomentsError, WorkBudget, brief, require_int, require_rational
 from .exact_moments import SymmetryClass, _checked_log_power, require_class
 from .numeric_core import primes_up_to
 from .precision import RealApprox, approx, to_fraction, to_mpf, working_precision
@@ -650,6 +650,8 @@ def assemble_mean_value(family: FamilyDescriptor, k: int, ak) -> MeanValueShape:
     below the working-precision floor, which covers the ratio's own
     ulp-level rounding (below 1e-9 of the floor up to the B(k) edge).
     """
+    if not isinstance(family, FamilyDescriptor):
+        raise DomainError(f"family must be a FamilyDescriptor, got {brief(family)}")
     b_exp = _checked_log_power(family.sym, k)
     given_bits = ak.precision_bits if isinstance(ak, RealApprox) else None
     with working_precision(given_bits) as bits:

@@ -39,10 +39,10 @@ class SymmetryClass(enum.Enum):
 
     @classmethod
     def parse(cls, label: str) -> "SymmetryClass":
-        key = label.strip().lower()
         table = {"u": cls.U, "o": cls.O, "sp": cls.Sp}
+        key = label.strip().lower() if isinstance(label, str) else None
         if key not in table:
-            raise DomainError(f"unknown symmetry class {label!r} (want U, O or Sp)")
+            raise DomainError(f"unknown symmetry class {brief(label)} (want U, O or Sp)")
         return table[key]
 
 

@@ -9,8 +9,8 @@ floating point anywhere in this module.
 The orthogonal and symplectic functionals share one skeleton: a boundary
 square plus a separable double integral of a square.  The symplectic
 case runs it on the antiderivative of Q, which is also what makes
-``m_symplectic(P, Q') == m_orthogonal(P, Q)`` an exact identity for odd
-Q.  Both are implemented verbatim for either parity of Q; no formula is
+``mean_square(Sp, P, Q') == mean_square(O, P, Q)`` an exact identity for
+odd Q.  Both are implemented verbatim for either parity of Q; no formula is
 available for mixed parity, so that input is rejected rather than
 decomposed.
 """
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import ConstraintError, DomainError, require_int, require_rational
+from .errors import ConstraintError, DomainError, brief, require_int, require_rational
 from .exact_moments import SymmetryClass, require_class
 from .numeric_core import decimal_string
 
@@ -38,6 +38,8 @@ class RationalPolynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coefficients=()):
+        if not hasattr(coefficients, "__iter__"):
+            raise DomainError(f"coefficients must be a sequence, got {brief(coefficients)}")
         cs = [require_rational("a coefficient", c) for c in coefficients]
         while cs and cs[-1] == 0:
             cs.pop()
@@ -174,47 +176,6 @@ class LaurentPolynomial:
         return f"LaurentPolynomial({self.format()!r})"
 
 
-def _as_poly(p) -> RationalPolynomial:
-    if isinstance(p, RationalPolynomial):
-        return p
-    return RationalPolynomial(p)
-
-
-def _check_weight(p: RationalPolynomial) -> None:
-    if p(0) != 0:
-        raise ConstraintError("the mollifier weight P must satisfy P(0) = 0")
-
-
-def _check_parity(q: RationalPolynomial) -> str:
-    even, odd = q.is_even(), q.is_odd()
-    if even:
-        return "even"
-    if odd:
-        return "odd"
-    raise ConstraintError(
-        "Q must be an even or odd polynomial; mixed parity has no formula here"
-    )
-
-
-def m_unitary(p, q) -> LaurentPolynomial:
-    """Unitary functional: boundary square plus one separable integral.
-
-    P(1)^2 Q(0)^2 + theta^-1 * int int (P'(x)Q(y) + theta P(x)Q'(y))^2.
-    """
-    p = _as_poly(p)
-    q = _as_poly(q)
-    _check_weight(p)
-    dp, dq = p.derivative(), q.derivative()
-    return LaurentPolynomial(
-        {
-            -1: (dp * dp).integral_unit() * (q * q).integral_unit(),
-            0: p(1) ** 2 * q(0) ** 2
-            + 2 * (dp * p).integral_unit() * (q * dq).integral_unit(),
-            1: (p * p).integral_unit() * (dq * dq).integral_unit(),
-        }
-    )
-
-
 def _boundary_plus_integral(
     p: RationalPolynomial, g: RationalPolynomial
 ) -> LaurentPolynomial:
@@ -234,36 +195,35 @@ def _boundary_plus_integral(
     )
 
 
-def m_orthogonal(p, q) -> LaurentPolynomial:
-    """Orthogonal functional; Q must be even or odd."""
-    p = _as_poly(p)
-    q = _as_poly(q)
-    _check_weight(p)
-    _check_parity(q)
-    return _boundary_plus_integral(p, q)
+def mean_square(sym: SymmetryClass, p, q) -> LaurentPolynomial:
+    """The mollified mean square of class sym, weight P and shape Q.
 
-
-def m_symplectic(p, q) -> LaurentPolynomial:
-    """Symplectic functional; vanishes identically for odd Q.
-
-    For even Q this is the orthogonal skeleton run on the antiderivative
-    of Q (vanishing at 0).
+    U: P(1)^2 Q(0)^2 + theta^-1 * int int (P'(x)Q(y) + theta P(x)Q'(y))^2.
+    O: the boundary square plus the double integral on Q, which must be
+    even or odd.  Sp: the same on the antiderivative of Q (vanishing at
+    0); it vanishes identically for odd Q.
     """
-    p = _as_poly(p)
-    q = _as_poly(q)
-    _check_weight(p)
-    if _check_parity(q) == "odd":
+    sym = require_class(sym)
+    p, q = (x if isinstance(x, RationalPolynomial) else RationalPolynomial(x) for x in (p, q))
+    if p(0) != 0:
+        raise ConstraintError("the mollifier weight P must satisfy P(0) = 0")
+    if sym is SymmetryClass.U:
+        dp, dq = p.derivative(), q.derivative()
+        return LaurentPolynomial(
+            {
+                -1: (dp * dp).integral_unit() * (q * q).integral_unit(),
+                0: p(1) ** 2 * q(0) ** 2
+                + 2 * (dp * p).integral_unit() * (q * dq).integral_unit(),
+                1: (p * p).integral_unit() * (dq * dq).integral_unit(),
+            }
+        )
+    even = q.is_even()
+    if not even and not q.is_odd():
+        raise ConstraintError(
+            "Q must be an even or odd polynomial; mixed parity has no formula here"
+        )
+    if sym is SymmetryClass.O:
+        return _boundary_plus_integral(p, q)
+    if not even:
         return LaurentPolynomial()
     return _boundary_plus_integral(p, q.antiderivative())
-
-
-_DISPATCH = {
-    SymmetryClass.U: m_unitary,
-    SymmetryClass.O: m_orthogonal,
-    SymmetryClass.Sp: m_symplectic,
-}
-
-
-def mean_square(sym: SymmetryClass, p, q) -> LaurentPolynomial:
-    """Class-dispatching entry point used by the command line."""
-    return _DISPATCH[require_class(sym)](p, q)

@@ -23,14 +23,6 @@ from .errors import DomainError, brief, require_int
 Rational = Union[int, Fraction]
 
 
-def abs_least_residue(n: int, b: int) -> int:
-    """The representative of n mod b lying in (-b/2, b/2]."""
-    r = require_int("n", n, None) % require_int("b", b, 1)
-    if 2 * r > b:
-        r -= b
-    return r
-
-
 def _odd_sieve(limit: int) -> bytearray:
     """Flags for the odd numbers 1, 3, ..., <= limit: flag i is 1 exactly
     when 2i + 1 is prime.  Half the memory and work of a sieve over all n."""

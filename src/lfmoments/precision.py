@@ -30,17 +30,6 @@ GUARD_BITS = 48
 _ENV_VAR = "LFMOMENTS_PRECISION"
 
 
-def default_precision() -> int:
-    raw = os.environ.get(_ENV_VAR)
-    if raw is None:
-        return DEFAULT_PRECISION_BITS
-    try:
-        bits = int(raw)
-    except ValueError:
-        return DEFAULT_PRECISION_BITS
-    return bits if bits >= MIN_PRECISION_BITS else DEFAULT_PRECISION_BITS
-
-
 @dataclass(frozen=True)
 class RealApprox:
     """A real number with its working precision and an error estimate.
@@ -64,9 +53,16 @@ class RealApprox:
 @contextmanager
 def working_precision(precision_bits=None):
     """Run the block at the requested precision plus GUARD_BITS; yields the
-    requested bit count (``None`` means ``default_precision()``), an int
-    from MIN_PRECISION_BITS to MAX_PRECISION_BITS."""
-    bits = default_precision() if precision_bits is None else precision_bits
+    requested bit count, an int from MIN_PRECISION_BITS to MAX_PRECISION_BITS.
+    ``None`` is LFMOMENTS_PRECISION's int if that is at least 64, else 256."""
+    bits = precision_bits
+    if bits is None:
+        try:
+            bits = int(os.environ.get(_ENV_VAR, DEFAULT_PRECISION_BITS))
+        except ValueError:
+            bits = DEFAULT_PRECISION_BITS
+        if bits < MIN_PRECISION_BITS:
+            bits = DEFAULT_PRECISION_BITS
     bits = require_int("precision_bits", bits, MIN_PRECISION_BITS, MAX_PRECISION_BITS)
     with mpmath.workprec(bits + GUARD_BITS):
         yield bits

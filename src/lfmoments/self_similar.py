@@ -202,32 +202,49 @@ def density_numeric(p: int, x, eps: float = 1e-9) -> RealApprox:
     (||.|| <= 1/2) below eps/2.  Both walks share one walk budget.
     """
     check_prime(p)
-    _check_eps(eps)
-    value = _density_numeric(p, _as_positive_fraction(x), eps, WorkBudget(_WALK_BUDGET))
+    fe = _checked_eps(eps)
+    value = _density_numeric(p, _as_positive_fraction(x), fe, WorkBudget(_WALK_BUDGET))
     # bits enough that the rounding floor |value| 2^(8 - bits) of approx
     # stays below eps; 2^magnitude > |value|
     magnitude = value.numerator.bit_length() - value.denominator.bit_length() + 1
-    bits = max(128, math.ceil(-math.log2(eps)) + max(magnitude, 0) + 9)
+    bits = max(128, _neg_log2_ceil(fe) + max(magnitude, 0) + 9)
     # the one user of precision, imported here so the exact densities load no mpmath
     from .precision import approx, to_mpf, working_precision
 
     with working_precision(bits):
-        return approx(to_mpf(value), bits, err=eps)
+        return approx(to_mpf(value), bits, err=to_mpf(fe))
 
 
-def _check_eps(eps: float) -> None:
-    if not 0 < eps < math.inf:  # also false for NaN
-        raise DomainError(f"eps must be positive and finite, got {eps}")
+def _checked_eps(eps) -> Fraction:
+    """eps as an exact positive Fraction; DomainError otherwise."""
+    fe = require_rational("eps", eps)
+    if fe <= 0:
+        raise DomainError(f"eps must be positive, got {brief(eps)}")
+    return fe
 
 
-def _density_numeric(p: int, fx: Fraction, eps: float, budget: WorkBudget) -> Fraction:
+def _neg_log2_ceil(eps: Fraction) -> int:
+    """ceil(-log2 eps): through math.log2 for a float eps, as it always was,
+    so that its bits stay the same (log2 rounds the float just below a power
+    of two to the integer); exactly for any other, whose float may be 0.0."""
+    try:
+        if float(eps) == eps:
+            return math.ceil(-math.log2(eps))
+    except OverflowError:
+        pass
+    n, d = eps.numerator, eps.denominator
+    m = d.bit_length() - n.bit_length()  # the answer or one less
+    return m + (n << m < d if m >= 0 else n < d << -m)
+
+
+def _density_numeric(p: int, fx: Fraction, eps: Fraction, budget: WorkBudget) -> Fraction:
     """density_numeric's truncated sum, exactly, at a checked p, x and eps,
     its walks charged to budget."""
     a, b = fx.numerator, fx.denominator
 
     # L >= 1 with (1/4) sum_{l>=L} p^-l < eps/2 * x, that is
     # p e_d b < 2 (p - 1) e_n a p^L for eps = e_n / e_d
-    e_n, e_d = Fraction(eps).as_integer_ratio()
+    e_n, e_d = eps.numerator, eps.denominator
     steps, bound, target = 1, 2 * (p - 1) * e_n * a * p, p * e_d * b
     while bound <= target:
         steps += 1
@@ -285,7 +302,7 @@ def sample_density(
     """
     require_int("the number of sample points n", n, 2, _MAX_SAMPLES)
     check_prime(p)
-    _check_eps(eps)
+    eps = _checked_eps(eps)
     lo = _as_positive_fraction(x_min)
     hi = _as_positive_fraction(x_max)
     if hi <= lo:

@@ -23,10 +23,7 @@ from lfmoments import (
     half_moment_unitary,
     log_moment_asymptotic,
     log_power,
-    log_sum_asymptotics,
-    m_orthogonal,
-    m_symplectic,
-    m_unitary,
+    mean_square,
     moment_by_limit,
     moment_closed_form,
     moment_constant,
@@ -38,6 +35,7 @@ from lfmoments import (
     zero_valuation_window,
     zeta_arithmetic_factor,
 )
+from lfmoments.analytic_moments import log_sum_asymptotics
 
 U, O, SP = SymmetryClass.U, SymmetryClass.O, SymmetryClass.Sp
 
@@ -280,9 +278,9 @@ def test_c12_mollifier_identities():
     def lp(mapping):
         return LaurentPolynomial({k: Fraction(v) for k, v in mapping.items()})
 
-    assert m_unitary(x, one) == lp({0: 1, -1: 1})
-    assert m_orthogonal(x, one) == lp({-2: 1})
-    assert m_symplectic(x, one) == lp({0: 1, -1: 2, -2: 1})
+    assert mean_square(U, x, one) == lp({0: 1, -1: 1})
+    assert mean_square(O, x, one) == lp({-2: 1})
+    assert mean_square(SP, x, one) == lp({0: 1, -1: 2, -2: 1})
 
     rng = random.Random(7)
     for _ in range(50):
@@ -293,5 +291,5 @@ def test_c12_mollifier_identities():
         for _ in range(rng.randint(1, 3)):
             odd_coeffs += [0, rng.randint(-6, 6)]
         q = RationalPolynomial(odd_coeffs)
-        assert m_symplectic(p, q.derivative()) == m_orthogonal(p, q), (p, q)
+        assert mean_square(SP, p, q.derivative()) == mean_square(O, p, q), (p, q)
     assert time.perf_counter() - start < 5.0

@@ -18,7 +18,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lfmoments import (
-    SUM_KINDS,
     DomainError,
     LfmomentsError,
     NoConvergence,
@@ -28,7 +27,6 @@ from lfmoments import (
     half_moment_unitary,
     log_moment_asymptotic,
     log_power,
-    log_sum_asymptotics,
     moment_by_limit,
     moment_closed_form,
     moment_constant,
@@ -37,6 +35,7 @@ from lfmoments import (
     pole_order,
 )
 from lfmoments import analytic_moments
+from lfmoments.analytic_moments import _SUM_KINDS, log_sum_asymptotics
 from lfmoments.precision import (
     GUARD_BITS,
     MAX_PRECISION_BITS,
@@ -1079,7 +1078,7 @@ def test_asymptotic_rejects_small_k():
 
 
 def test_sum_kinds_registry():
-    assert SUM_KINDS == ("log_j", "log_odd", "j_log_j", "j_log_odd")
+    assert _SUM_KINDS == ("log_j", "log_odd", "j_log_j", "j_log_odd")
 
 
 def test_log_sum_examples():
@@ -1092,7 +1091,7 @@ def test_log_sum_examples():
     assert abs(float(exact) - float(asym)) < 0.01
 
 
-@pytest.mark.parametrize("kind", SUM_KINDS)
+@pytest.mark.parametrize("kind", _SUM_KINDS)
 def test_log_sum_error_shrinks(kind):
     def gap(n):
         exact, asym = log_sum_asymptotics(kind, n)
@@ -1118,7 +1117,7 @@ def _direct_log_sum(kind, n):
 
 
 @pytest.mark.parametrize("bits", [128, 256, 1024])
-@pytest.mark.parametrize("kind", SUM_KINDS)
+@pytest.mark.parametrize("kind", _SUM_KINDS)
 def test_log_sum_matches_term_by_term_oracle(kind, bits):
     for n in (1, 2, 3, 4, 8, 9, 25, 27, 97, 128, 300, 1000, 3000):
         exact, _ = log_sum_asymptotics(kind, n, bits)
@@ -1137,7 +1136,7 @@ def _valuation(m, p):
     return e
 
 
-@pytest.mark.parametrize("kind", SUM_KINDS)
+@pytest.mark.parametrize("kind", _SUM_KINDS)
 def test_log_sum_prime_weights_are_exact(kind):
     # w_p = sum_j f(j) v_p(g(j)), with f(j) = 1 or j and g(j) = j or 2j - 1
     f = (lambda j: j) if kind.startswith("j_") else (lambda j: 1)
@@ -1154,7 +1153,7 @@ def test_log_sum_prime_weights_are_exact(kind):
         assert dict(zip(primes, weights)) == expect, n
 
 
-@pytest.mark.parametrize("kind", SUM_KINDS)
+@pytest.mark.parametrize("kind", _SUM_KINDS)
 def test_log_sum_takes_one_log_per_bit_slice(kind, monkeypatch):
     n = 3000
     _, weights = analytic_moments._prime_weights(kind, n)
@@ -1174,7 +1173,7 @@ def test_log_sum_cost_bound(monkeypatch):
 
     monkeypatch.setattr(analytic_moments, "primes_up_to", no_sieve)
     bound = analytic_moments._LOG_SUM_MAX_N
-    for kind in SUM_KINDS:
+    for kind in _SUM_KINDS:
         with pytest.raises(DomainError, match="cost bound"):
             log_sum_asymptotics(kind, bound + 1, 1024)
         with pytest.raises(DomainError, match="cost bound"):

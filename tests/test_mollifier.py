@@ -13,11 +13,10 @@ from lfmoments import (
     RationalPolynomial,
     SymmetryClass,
     THETA_VALIDITY,
-    m_orthogonal,
-    m_symplectic,
-    m_unitary,
     mean_square,
 )
+
+U, O, Sp = SymmetryClass.U, SymmetryClass.O, SymmetryClass.Sp
 
 X = RationalPolynomial((0, 1))  # P(x) = x
 X2 = RationalPolynomial((0, 0, 1))  # P(x) = x^2
@@ -76,32 +75,32 @@ def test_polynomials_hash_and_repr_by_their_coefficients():
 
 
 def test_unitary_examples():
-    assert m_unitary(X, ONE) == lp({0: 1, -1: 1})
-    assert m_unitary(X2, ONE) == lp({0: 1, -1: Fraction(4, 3)})
-    assert m_unitary(RationalPolynomial(()), ONE).is_zero()
+    assert mean_square(U, X, ONE) == lp({0: 1, -1: 1})
+    assert mean_square(U, X2, ONE) == lp({0: 1, -1: Fraction(4, 3)})
+    assert mean_square(U, RationalPolynomial(()), ONE).is_zero()
 
 
 def test_orthogonal_examples():
-    assert m_orthogonal(X, ONE) == lp({-2: 1})
-    assert m_orthogonal(X, Y) == lp({0: 1, -1: 2, -2: 1})
-    assert m_orthogonal(X2, ONE) == lp({-2: 4, -3: 4})
+    assert mean_square(O, X, ONE) == lp({-2: 1})
+    assert mean_square(O, X, Y) == lp({0: 1, -1: 2, -2: 1})
+    assert mean_square(O, X2, ONE) == lp({-2: 4, -3: 4})
 
 
 def test_symplectic_examples():
-    assert m_symplectic(X, ONE) == lp({0: 1, -1: 2, -2: 1})
-    assert m_symplectic(X, Y).is_zero()
+    assert mean_square(Sp, X, ONE) == lp({0: 1, -1: 2, -2: 1})
+    assert mean_square(Sp, X, Y).is_zero()
     # (1 + 2/theta)^2 + (4/3)/theta^3; the boundary term carries P'(1) = 2
-    assert m_symplectic(X2, ONE) == lp({0: 1, -1: 4, -2: 4, -3: Fraction(4, 3)})
+    assert mean_square(Sp, X2, ONE) == lp({0: 1, -1: 4, -2: 4, -3: Fraction(4, 3)})
 
 
 def test_mean_square_dispatch():
-    assert mean_square(SymmetryClass.U, X, ONE) == m_unitary(X, ONE)
-    assert mean_square(SymmetryClass.O, X, ONE) == m_orthogonal(X, ONE)
-    assert mean_square(SymmetryClass.Sp, X, ONE) == m_symplectic(X, ONE)
+    # the class picks the formula: the three differ at P = x, Q = 1
+    results = {sym: mean_square(sym, X, ONE) for sym in SymmetryClass}
+    assert results == {U: lp({0: 1, -1: 1}), O: lp({-2: 1}), Sp: lp({0: 1, -1: 2, -2: 1})}
 
 
 def test_coefficient_sequences_are_accepted():
-    assert m_unitary([0, 1], [1]) == m_unitary(X, ONE)
+    assert mean_square(U, [0, 1], [1]) == mean_square(U, X, ONE)
 
 
 # ---------------------------------------------------------------- contracts
@@ -109,19 +108,19 @@ def test_coefficient_sequences_are_accepted():
 
 def test_weight_constraint():
     bad = RationalPolynomial((1, 1))  # P(0) = 1
-    for fn in (m_unitary, m_orthogonal, m_symplectic):
+    for sym in SymmetryClass:
         with pytest.raises(ConstraintError):
-            fn(bad, ONE)
+            mean_square(sym, bad, ONE)
 
 
 def test_parity_constraint_for_o_and_sp():
     mixed = RationalPolynomial((1, 1))
     with pytest.raises(ConstraintError):
-        m_orthogonal(X, mixed)
+        mean_square(O, X, mixed)
     with pytest.raises(ConstraintError):
-        m_symplectic(X, mixed)
+        mean_square(Sp, X, mixed)
     # the unitary functional has no parity condition
-    m_unitary(X, mixed)
+    mean_square(U, X, mixed)
 
 
 def test_theta_validity_advisory():
@@ -176,14 +175,14 @@ def odd_poly(draw):
 @given(p=weight_poly(), q=odd_poly())
 @settings(max_examples=80)
 def test_sp_from_o_by_differentiating_q(p, q):
-    assert m_symplectic(p, q.derivative()) == m_orthogonal(p, q)
+    assert mean_square(Sp, p, q.derivative()) == mean_square(O, p, q)
 
 
 @given(p=weight_poly(), c=st.integers(min_value=-5, max_value=5))
 @settings(max_examples=60)
 def test_scaling_is_quadratic(p, c):
-    base = m_unitary(p, ONE)
-    scaled = m_unitary(c * p, ONE)
+    base = mean_square(U, p, ONE)
+    scaled = mean_square(U, c * p, ONE)
     want = LaurentPolynomial(
         {k: Fraction(c * c) * base[k] for k in base.powers()}
     )
@@ -197,13 +196,13 @@ def test_scaling_is_quadratic(p, c):
 @settings(max_examples=80)
 def test_unitary_values_are_nonnegative(p, theta):
     # square plus integrals of squares
-    assert m_unitary(p, ONE).evaluate(theta) >= 0
+    assert mean_square(U, p, ONE).evaluate(theta) >= 0
 
 
 @given(p=weight_poly(), q=odd_poly())
 @settings(max_examples=40)
 def test_odd_q_kills_symplectic(p, q):
-    assert m_symplectic(p, q).is_zero()
+    assert mean_square(Sp, p, q).is_zero()
 
 
 # ------------------------------------------------------------------- format

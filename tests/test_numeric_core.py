@@ -1,4 +1,4 @@
-"""Integer helpers: residues, primes, factored integers."""
+"""Integer helpers: primes, factored integers."""
 
 import copy
 import dataclasses
@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from lfmoments import (
     DomainError,
     FactoredInteger,
-    abs_least_residue,
     decimal_string,
     is_prime,
     moment_constant_factorial_form,
@@ -28,19 +27,6 @@ from lfmoments import FamilyDescriptor, analytic_moments, assemble_mean_value, e
 from lfmoments.euler_products import _check_cost
 from lfmoments.numeric_core import _MAX_SIEVE_LIMIT, check_prime
 from lfmoments.precision import working_precision
-
-
-def test_abs_least_residue_values():
-    assert abs_least_residue(7, 5) == 2
-    assert abs_least_residue(8, 5) == -2
-    assert abs_least_residue(5, 2) == 1
-
-
-@given(st.integers(min_value=-10**6, max_value=10**6), st.integers(min_value=1, max_value=997))
-def test_abs_least_residue_range_and_congruence(n, b):
-    r = abs_least_residue(n, b)
-    assert -Fraction(b, 2) < r <= Fraction(b, 2)
-    assert (n - r) % b == 0
 
 
 def test_primes_up_to():

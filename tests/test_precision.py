@@ -14,10 +14,8 @@ from lfmoments import (
     SymmetryClass,
     assemble_mean_value,
     barnes_g,
-    default_precision,
     half_moment_unitary,
     log_moment_asymptotic,
-    log_sum_asymptotics,
     moment_by_limit,
     moment_closed_form,
     moment_ratio_closed_form,
@@ -25,6 +23,7 @@ from lfmoments import (
     sp_quadratic_arithmetic_factor,
     zeta_arithmetic_factor,
 )
+from lfmoments.analytic_moments import log_sum_asymptotics
 from lfmoments.precision import (
     DEFAULT_PRECISION_BITS,
     GUARD_BITS,
@@ -38,6 +37,12 @@ from lfmoments.precision import (
 
 U, SP = SymmetryClass.U, SymmetryClass.Sp
 HALF = Fraction(1, 2)
+
+
+def default_precision():
+    """The bits working_precision resolves None to."""
+    with working_precision(None) as bits:
+        return bits
 
 
 def _assemble(bits):

@@ -233,6 +233,56 @@ def test_orbit_walks_reject_composite_p():
         density_exact(4, Fraction(1, 6))
 
 
+def _float_eps_grid():
+    """Positive floats from 8.99e307 down to 5e-324: the powers of ten and
+    of two, and the floats next to each power of two."""
+    grid = {10.0**-j for j in range(-308, 324)} | {5e-324}
+    for j in range(-1023, 1075):
+        two = math.ldexp(1.0, -j)
+        grid |= {two, math.nextafter(two, 0), math.nextafter(two, math.inf)}
+    return sorted(grid - {0.0, math.inf})
+
+
+def _least_doubling(eps: Fraction) -> int:
+    """The least m with eps 2^m >= 1, that is ceil(-log2 eps), by search."""
+    m = eps.denominator.bit_length() - eps.numerator.bit_length() - 2
+    while Fraction(2) ** m * eps < 1:
+        m += 1
+    return m
+
+
+def test_eps_bits_of_every_float_are_math_log2s():
+    # density_numeric sized its precision from math.log2(eps); read from
+    # the exact rational, the float just below a power of two would gain a
+    # bit (log2 rounds it to the integer), and so would its cp --eps record
+    grid = _float_eps_grid()
+    moved = 0
+    for eps in grid:
+        want = math.ceil(-math.log2(eps))
+        assert self_similar._neg_log2_ceil(Fraction(eps)) == want, eps
+        moved += _least_doubling(Fraction(eps)) != want
+    assert moved > 1000
+
+
+@pytest.mark.parametrize("eps", [
+    Fraction(1, 10**4000), Fraction(1, 3 * 2**2000), Fraction(2**2000 - 1, 2**4000),
+    Fraction(10**400 + 1), Fraction(2**1100 + 1, 2**1100), Fraction(1, 3), Fraction(2, 3),
+])
+def test_eps_bits_of_a_rational_no_float_holds_are_exact(eps):
+    # float(eps) is 0.0, overflows or rounds: the bits come from integers
+    assert self_similar._neg_log2_ceil(eps) == _least_doubling(eps)
+
+
+def test_density_numeric_keeps_its_bits_down_to_the_least_float():
+    grid = _float_eps_grid()
+    for eps in grid[::97] + [5e-324, math.nextafter(2.0**-200, 0), 1e-9]:
+        got = density_numeric(3, Fraction(2, 7), eps=eps)
+        want = _density_numeric_by_terms(3, Fraction(2, 7), eps)
+        assert got.value._mpf_ == want.value._mpf_, eps
+        assert got.precision_bits == want.precision_bits, eps
+        assert got.err_estimate == want.err_estimate, eps
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_eps_and_x_are_domain_errors(bad):
     # NaN slipped past the eps <= 0 check, and Fraction(nan) or
