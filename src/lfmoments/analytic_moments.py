@@ -12,7 +12,9 @@ function two independent ways:
 
 It also houses the supporting pieces those routes need: a first-party
 Barnes G (a fixed-point log-G series on one exact Bernoulli table, shifted
-through the integer product kernel of the limit ladder), the three
+through the integer product kernel of the limit ladder), Gamma from 1000
+bits on (a log-Gamma series in the same pass, where mpmath would build a
+Gamma table for each working precision), the three
 analytic constants the formulas read (log 2, zeta'(0) and zeta'(-1) from
 the superfactorial, cached per precision), the unitary constant at degree
 1/2, the pole orders counted from the zeros of Barnes G, and the
@@ -45,7 +47,7 @@ import mpmath as mp
 from .errors import DomainError, NoConvergence, PoleError, WorkBudget, brief, require_int
 from .exact_moments import SymmetryClass, log_power, require_class
 from .numeric_core import _balanced_product, primes_up_to
-from .precision import RealApprox, approx, to_fraction, to_mpf, working_precision
+from .precision import RealApprox, _ratio_to_mpf, approx, to_fraction, to_mpf, working_precision
 
 _POLE_RADIUS = mp.mpf("1e-8")
 _LADDER_START = 32
@@ -80,7 +82,7 @@ def _constants(prec: int):
         # G(n + 1) = 1! 2! ... (n-1)! runs in the kernel, term i! with ratio i + 1
         n = math.ceil(_series_threshold()) - 1
         superfactorial = _RunningProduct(mp.mpf(1), lambda i: (i + 1, 1)).advance(n - 1)
-        zpm1 = mp.log(superfactorial) - _log_barnes_g_large(mp.mpf(n + 1), 0)
+        zpm1 = mp.log(superfactorial) - _log_g_gamma(n, 1, 0, gamma=False)[0]
         return log_2, zp0, zpm1
 
 
@@ -93,8 +95,24 @@ _BERNOULLI: list = [Fraction(1, 6)]
 _TANGENT_COLUMN: list = [1]
 # fixed-point width -> floor(2^width B_{2k+2} / (4k(k+1))) for k = 1, 2, ...
 _LOG_G_COEFFS: dict = {}
+# fixed-point width -> floor(2^width B_2k / (2k(2k-1))) for k = 1, 2, ...
+_LOG_GAMMA_COEFFS: dict = {}
 # the tables above grow only under this lock
 _TABLE_LOCK = threading.Lock()
+# from 1000 bits on, mpmath keys its Gamma Taylor table on the exact working
+# precision, so the first mp.gamma at each such width builds its own (88 ms
+# at 1072 bits, 0.73 s at 2096, 6.7 s at 4144); below, the widths share
+# tables rounded up to 10 or 30 bits (6 ms cold and 24 us warm at 304 bits).
+# From here up Gamma comes from _log_g_gamma, below it from mp.gamma
+_GAMMA_TABLE_BITS = 1000
+# the widest p of y = p/q that the log-series Horner divides by exactly, and
+# of the rising factorials _gamma multiplies out exactly; only an mpf's
+# binary ratio is wider.  200 Horner steps at 1072 bits took 3.1 ms exact
+# against 0.86 ms on u for a 1072-bit p, and 0.21 against 0.86 ms for p =
+# 1000; the exact (x)_n took 9.4 ms at 1072 bits and 637 ms at 4144 against
+# 1.3 and 17 ms as mpf factors for an mpf's ratio, and 0.036 and 0.12 ms
+# against 1.2 and 14 ms for x = 58/9
+_NARROW_BITS = 64
 
 
 def _bernoulli_table(count: int) -> list:
@@ -119,14 +137,18 @@ def _bernoulli_table(count: int) -> list:
     return _BERNOULLI
 
 
-def _log_g_coefficients(width: int, count: int) -> list:
-    """The first ``count`` (or more) fixed-point log-G series coefficients."""
+def _coefficients(cache: dict, width: int, count: int) -> list:
+    """The first ``count`` (or more) fixed-point coefficients of the log-G
+    (cache _LOG_G_COEFFS) or log-Gamma (_LOG_GAMMA_COEFFS) series."""
     with _TABLE_LOCK:
-        coeffs = _LOG_G_COEFFS.setdefault(width, [])
+        coeffs = cache.setdefault(width, [])
         bernoulli = _bernoulli_table(count + 1)
         for k in range(len(coeffs) + 1, count + 1):
-            b = bernoulli[k]  # B_{2k+2}
-            coeffs.append((b.numerator << width) // (b.denominator * 4 * k * (k + 1)))
+            if cache is _LOG_G_COEFFS:
+                b, d = bernoulli[k], 4 * k * (k + 1)  # B_{2k+2}
+            else:
+                b, d = bernoulli[k - 1], 2 * k * (2 * k - 1)  # B_2k
+            coeffs.append((b.numerator << width) // (b.denominator * d))
     return coeffs
 
 
@@ -135,80 +157,131 @@ def _series_threshold() -> float:
     return max(mp.mp.prec / 8 + 17, 33)
 
 
-def _log_barnes_g_large(z: mp.mpf, zpm1: mp.mpf) -> mp.mpf:
-    """log G(z) for large positive z via the asymptotic series.
+def _log_g_gamma(p: int, q: int, zpm1, gamma: bool) -> tuple:
+    """(log G(y + 1), log Gamma(y + 1)) at the exact rational y = p/q > 0,
+    y + 1 at or past the series threshold; the first is None when zpm1 is
+    None, the second when not ``gamma``.
 
-    Written in terms of y = z - 1:
-    log G(y+1) = zeta'(-1) + (y/2) log 2pi + (y^2/2 - 1/12) log y
-                 - (3/4) y^2 + sum_{k>=1} c_k / y^{2k},  c_k = B_{2k+2} / (4k(k+1)).
-    K terms, K the first k whose term falls below 2^-(prec + 8) of the
-    total, judged from the bit lengths of the fixed-point c_k; the sum runs
-    in W = prec + 32 bit fixed point by Horner from K down on
-    u = floor(2^W / y^2), within K + 1 ulps.  The terms fall until
-    k ~ pi y, where they are near e^(-2 pi y) ~ 2^(-9.06 y); every caller
-    has y >= prec/8 + 16 (_series_threshold), so the cutoff stops the sum
-    while they still fall, near k ~ 1.7 y.
+    log G(y+1) = zeta'(-1) + (y/2) log 2pi + (y^2/2 - 1/12) log y - (3/4) y^2
+                 + sum_{k>=1} c_k / y^{2k},       c_k = B_{2k+2} / (4k(k+1)),
+    log Gamma(y+1) = (y + 1/2) log y - y + (1/2) log 2pi
+                 + sum_{k>=1} d_k / y^{2k-1},     d_k = B_2k / (2k(2k-1)).
+    Each sum keeps K terms, K the first k whose term falls below
+    2^-(prec + 8) of its total, judged from the bit lengths of the
+    fixed-point coefficients, and runs in W = prec + 32 bit fixed point by
+    Horner from K down in powers of r = q^2/p^2: a step adds the next
+    coefficient, multiplies by q^2 and floor-divides by p^2 (for p wider
+    than _NARROW_BITS, multiplies by u = floor(2^W r) and shifts right by
+    W).  A step rounds down by under 1 ulp (2^-W) and carries the error
+    before it times r <= 1/1024 (y >= 32), each coefficient is floored
+    within 1 ulp, and u's own rounding adds under 1/12 ulp in all, so each
+    sum is within 2 ulps of its K terms.
+    The terms fall until k ~ pi y, where they are near e^(-2 pi y) ~
+    2^(-9.06 y); every caller has y >= prec/8 + 16 (_series_threshold), so
+    the cutoff stops the sum while they still fall, near k ~ 1.7 y.
     """
-    y = z - 1
-    log_y = mp.log(y)
-    total = (
-        zpm1
-        + y / 2 * mp.log(2 * mp.pi)
-        + (y * y / 2 - mp.mpf(1) / 12) * log_y
-        - 3 * y * y / 4
-    )
     width = mp.mp.prec + 32
-    _, man, exp, _ = y._mpf_
-    log2_y = math.log2(man) + exp
-    # term k is under 2^-(prec + 8) max(|total|, 1) once its size in bits,
-    # bitlen(c_k) - 2k log2 y, is under cutoff
-    cutoff = width - mp.mp.prec - 8 + max(mp.mag(total) - 1, 0)
-    coeffs = _LOG_G_COEFFS.get(width, [])
-    for k in count(1):
-        if k > len(coeffs):
-            coeffs = _log_g_coefficients(width, k)
-        if coeffs[k - 1].bit_length() - 2 * k * log2_y < cutoff:
-            break
-    shift = width - 2 * exp
-    u = (1 << shift) // (man * man) if shift >= 0 else 0
-    acc = 0
-    for c in reversed(coeffs[:k]):
-        acc = c + (acc * u >> width)
-    return total + mp.mpf((acc * u >> width, -width))
+    y = _ratio_to_mpf(p, q)
+    log_y, log_2pi = mp.log(y), mp.log(2 * mp.pi)
+    log2_y = math.log2(p) - math.log2(q)
+    p2, q2 = p * p, q * q
+    u = (q2 << width) // p2 if p.bit_length() > _NARROW_BITS else None
+
+    def horner(cache, total, odd):
+        # sum_{k=1..K} coeffs[k] r^(k - odd/2) at 2^-W: term k has about
+        # bitlen(coeffs[k]) - (2k - odd) log2 y bits there, and is under
+        # 2^-(prec + 8) max(|total|, 1) once that is under cutoff
+        cutoff = width - mp.mp.prec - 8 + max(mp.mag(total) - 1, 0)
+        coeffs = cache.get(width, [])
+        for k in count(1):
+            if k > len(coeffs):
+                coeffs = _coefficients(cache, width, k)
+            if coeffs[k - 1].bit_length() - (2 * k - odd) * log2_y < cutoff:
+                break
+        first, acc = (coeffs[0], 0) if odd else (0, 0)
+        rest = coeffs[odd:k]
+        if u is None:
+            for c in reversed(rest):
+                acc = (acc + c) * q2 // p2
+        else:
+            for c in reversed(rest):
+                acc = (acc + c) * u >> width
+        # odd: (d_1 + sum_{k>=2} d_k r^(k-1)) / y
+        return total + mp.mpf(((first + acc) * q // p if odd else acc, -width))
+
+    log_g = log_gamma = None
+    if zpm1 is not None:
+        log_g = horner(_LOG_G_COEFFS, zpm1 + y / 2 * log_2pi
+                       + (y * y / 2 - mp.mpf(1) / 12) * log_y - 3 * y * y / 4, 0)
+    if gamma:
+        log_gamma = horner(_LOG_GAMMA_COEFFS, (y + 0.5) * log_y - y + log_2pi / 2, 1)
+    return log_g, log_gamma
 
 
-def _barnes_g_raw(z, zpm1: mp.mpf) -> mp.mpf:
-    """Barnes G at working precision; caller guards nonpositive integers.
+def _exact_ratio(z) -> tuple:
+    """(a, b) with a/b = z: an int's or Fraction's own when b is no wider
+    than the working precision, otherwise the binary ratio of z rounded to
+    it (at 1072 bits a 150-step shift took 0.83 ms on such a ratio, whose
+    denominator is about 2^prec, against 0.30 ms on lambda + 1/2's ints)."""
+    if isinstance(z, (int, Fraction)) and z.denominator.bit_length() <= mp.mp.prec:
+        return z.numerator, z.denominator
+    return to_fraction(to_mpf(z)).as_integer_ratio()
 
-    Below the series threshold, z is shifted up by n steps with one
-    Gamma call: G(z) = G(z + n) / prod_{i<n} Gamma(z + i), and
+
+def _barnes_g_raw(z, zpm1: mp.mpf) -> tuple:
+    """(G(z), Gamma(z)) at working precision; caller guards nonpositive integers.
+
+    z = a/b (_exact_ratio; an mpf or an exact Fraction) is shifted up by
+    n >= 0 steps to x = z + n at or past the series threshold, where one
+    _log_g_gamma pass on y = x - 1 = (a + (n - 1) b)/b gives log G(x) and
+    log Gamma(x).  Then G(z) = G(x) / prod_{i<n} Gamma(z + i), and
     prod_{i<n} Gamma(z + i) = Gamma(z)^n prod_{i=1}^{n-1} (z)_i, whose
-    rising factorials run in _RunningProduct on z = a/b exactly.  z is an
-    mpf or an exact Fraction.  A Fraction no wider than the working
-    precision keeps its own a/b; otherwise a/b is the rounded mpf's binary
-    ratio, whose denominator is about 2^prec (at 1072 bits the 150-step
-    product took 0.83 ms on it against 0.30 ms on lambda + 1/2's small
-    ints).  The cost
-    is linear in n, and the kernel's rounding bound holds for n up to
+    rising factorials run in _RunningProduct on a/b exactly; its last term
+    is (z)_n, so Gamma(z) = Gamma(x) / (z)_n.  A shifted z below
+    _GAMMA_TABLE_BITS takes Gamma(z) from mp.gamma instead.  The cost is
+    linear in n, and the kernel's rounding bound holds for n up to
     _LADDER_MAX_N; a longer shift is a DomainError, raised before any work.
     """
     zv = to_mpf(z)
-    threshold = _series_threshold()
-    if zv >= threshold:
-        return mp.exp(_log_barnes_g_large(zv, zpm1))
-    n = int(mp.ceil(threshold - zv))
+    n = max(0, int(mp.ceil(_series_threshold() - zv)))
     if n > _LADDER_MAX_N:
         raise DomainError(
             f"Barnes G at {mp.nstr(zv, 15)} needs a shift of more than "
             f"{_LADDER_MAX_N} steps, the cost bound"
         )
-    large = mp.exp(_log_barnes_g_large(zv + n, zpm1))
-    if isinstance(z, Fraction) and z.denominator.bit_length() <= mp.mp.prec:
-        a, b = z.as_integer_ratio()
+    a, b = _exact_ratio(z)
+    series_gamma = n == 0 or mp.mp.prec >= _GAMMA_TABLE_BITS
+    log_g, log_gamma = _log_g_gamma(a + (n - 1) * b, b, zpm1, series_gamma)
+    product = rising = mp.mpf(1)
+    if n:
+        kernel = _RunningProduct(zv, lambda i: (a + i * b, b))
+        product, rising = kernel.advance(n - 1), kernel.term()
+    gamma = mp.gamma(zv) if log_gamma is None else mp.exp(log_gamma) / rising
+    return mp.exp(log_g) / (gamma**n * product), gamma
+
+
+def _gamma(x: Fraction) -> mp.mpf:
+    """Gamma(x) for a rational x > 0 at the working precision.
+
+    Below _GAMMA_TABLE_BITS it is mp.gamma's.  From there up x = a/b
+    (_exact_ratio) is shifted n >= 0 steps to x + n at or past the series
+    threshold, Gamma(x) = Gamma(x + n) / (x)_n, with Gamma(x + n) from
+    _log_g_gamma and (x)_n = prod_{i<n} (a + ib) / b^n multiplied out
+    exactly, or for a + (n - 1) b wider than _NARROW_BITS as n rounded mpf
+    factors (within n ulps).
+    """
+    if mp.mp.prec < _GAMMA_TABLE_BITS:
+        return mp.gamma(to_mpf(x))
+    a, b = _exact_ratio(x)
+    n = max(0, int(mp.ceil(_series_threshold() - to_mpf(x))))
+    p = a + (n - 1) * b
+    _, log_gamma = _log_g_gamma(p, b, None, gamma=True)
+    if p.bit_length() <= _NARROW_BITS:
+        rising = _ratio_to_mpf(_balanced_product(list(range(a, a + n * b, b))), b**n)
     else:
-        a, b = to_fraction(zv).as_integer_ratio()
-    rising_product = _RunningProduct(zv, lambda i: (a + i * b, b)).advance(n - 1)
-    return large / (mp.gamma(zv) ** n * rising_product)
+        xv = to_mpf(x)
+        rising = mp.fprod(xv + i for i in range(n))
+    return mp.exp(log_gamma) / rising
 
 
 def barnes_g(z, precision_bits=None) -> RealApprox:
@@ -216,9 +289,11 @@ def barnes_g(z, precision_bits=None) -> RealApprox:
 
     Computed by shifting z up n steps into the asymptotic regime of the
     log-G series, G(z) = G(z + n) / (Gamma(z)^n prod_{i=1}^{n-1} (z)_i),
-    so one Gamma call and a running rising factorial replace the n Gamma
-    factors.  Nonpositive integers are zeros of G; they are rejected so
-    that the reciprocal is well defined everywhere we accept input.  The
+    so one Gamma value and a running rising factorial replace the n Gamma
+    factors; from 1000 bits on Gamma(z) comes from the same series pass
+    (_barnes_g_raw).  Nonpositive integers are zeros of G; they are
+    rejected so that the reciprocal is well defined everywhere we accept
+    input.  The
     cost grows linearly with n, so z below about -2^20 (a shift past
     _LADDER_MAX_N) is a DomainError.  log G(z) has size about
     z^2 log|z| / 2, so G runs at the closed forms' _degree_guard more bits
@@ -229,7 +304,7 @@ def barnes_g(z, precision_bits=None) -> RealApprox:
             zv = to_mpf(z)
             if zv <= 0 and mp.isint(zv):
                 raise PoleError(f"1/G has a pole at the nonpositive integer {zv}")
-            value = _barnes_g_raw(to_fraction(z), _constants(mp.mp.prec)[2])
+            value, _ = _barnes_g_raw(to_fraction(z), _constants(mp.mp.prec)[2])
         return approx(+value, bits)
 
 
@@ -267,18 +342,19 @@ def _ratio_closed_raw(sym: SymmetryClass, lam, c: tuple) -> mp.mpf:
     U and O each have one log-prefactor formula; Sp is the shifted O value
     g_Sp(lambda) = 2^-lambda g_O(lambda + 1), whose log power B_O(lambda + 1)
     equals B_Sp(lambda).  U needs G(lambda + 1/2) G(lambda + 3/2), and
-    G(z + 1) = Gamma(z) G(z) turns that into Gamma(lambda + 1/2) G(lambda + 1/2)^2.
-    ``lam`` is an mpf or an exact Fraction, which G's argument keeps.
+    G(z + 1) = Gamma(z) G(z) turns that into Gamma(lambda + 1/2) G(lambda + 1/2)^2,
+    both from one _barnes_g_raw.  ``lam`` is an mpf or an exact Fraction,
+    which G's argument keeps.
     ``c`` is ``_constants(mp.mp.prec)``.
     """
     if sym is SymmetryClass.Sp:
         return _ratio_closed_raw(SymmetryClass.O, lam + 1, c) / mp.power(2, to_mpf(lam))
     ln2, zp0, zpm1 = c
-    g = _barnes_g_raw(lam + Fraction(1, 2), zpm1)
+    g, gamma = _barnes_g_raw(lam + Fraction(1, 2), zpm1)
     lam = to_mpf(lam)
     if sym is SymmetryClass.U:
         log_pref = ln2 / 12 + 3 * zpm1 - 2 * lam * zp0 - 2 * lam * lam * ln2
-        return mp.exp(log_pref) / (mp.gamma(lam + 0.5) * g * g)
+        return mp.exp(log_pref) / (gamma * g * g)
     log_pref = (
         -mp.mpf(17) / 24 * ln2
         + mp.mpf(3) / 2 * zpm1
@@ -317,11 +393,11 @@ def _closed_form(sym: SymmetryClass, lam, precision_bits, with_gamma: bool) -> R
     """The ratio closed form, times Gamma(1 + B) with_gamma, at _degree_guard more bits."""
     with working_precision(precision_bits) as bits:
         with mp.workprec(mp.mp.prec + _degree_guard(to_mpf(lam))):
-            lam_v = to_mpf(lam)
-            _check_pole(sym, lam_v)
-            value = _ratio_closed_raw(sym, to_fraction(lam), _constants(mp.mp.prec))
+            _check_pole(sym, to_mpf(lam))
+            exact = to_fraction(lam)
+            value = _ratio_closed_raw(sym, exact, _constants(mp.mp.prec))
             if with_gamma:
-                value = mp.gamma(1 + log_power(sym, lam_v)) * value
+                value = _gamma(1 + log_power(sym, exact)) * value
         return approx(+value, bits)
 
 
@@ -369,6 +445,11 @@ class _RunningProduct:
         # step count, term mantissa and exponent, product mantissa and exponent
         self._state = (0, -man if sign else man, exp, 1, 0)
 
+    def term(self) -> mp.mpf:
+        """The next term: term_{m+1} after m steps."""
+        _, t, t_exp, _, _ = self._state
+        return mp.mpf((t, t_exp))
+
     def advance(self, m_target: int) -> mp.mpf:
         width, ratio = self._width, self._ratio
         m, t, t_exp, v, v_exp = self._state
@@ -394,22 +475,23 @@ def _limit_state(sym: SymmetryClass, lam: mp.mpf, exact: Fraction):
     (Sp) and Q(M) = prod_{m<=M} Gamma(m)/Gamma(m+lam),
     f(N) = c N^-B 4^(N lam) Q(2N + 2h)/Q(N + 2h) prod_{j<=N} Gamma(j+h+lam)/Gamma(j+h),
     where c = 1/2 for O and 1 for Sp.  With lam = a/b exact, every ladder
-    ratio is a ratio of integers, so the products run in _RunningProduct.
+    ratio is a ratio of integers, so the products run in _RunningProduct,
+    and their first terms are _gamma values at exact arguments.
     """
     a, b = exact.numerator, exact.denominator
     b_exp = log_power(sym, lam)
     if sym is SymmetryClass.U:
         prod = _RunningProduct(
-            mp.gamma(1 + 2 * lam) / mp.gamma(1 + lam) ** 2,
+            _gamma(1 + 2 * exact) / _gamma(1 + exact) ** 2,
             lambda j: (j * (j * b + 2 * a) * b, (j * b + a) ** 2),
         )
         return lambda n: mp.power(n, -b_exp) * prod.advance(n)
     orthogonal = sym is SymmetryClass.O
-    h = mp.mpf(-0.5 if orthogonal else 0.5)
+    h = Fraction(-1 if orthogonal else 1, 2)
     shift = -1 if orthogonal else 1  # 2h
-    q = _RunningProduct(1 / mp.gamma(1 + lam), lambda m: (m * b, m * b + a))
+    q = _RunningProduct(1 / _gamma(1 + exact), lambda m: (m * b, m * b + a))
     r = _RunningProduct(
-        mp.gamma(1 + h + lam) / mp.gamma(1 + h),
+        _gamma(1 + h + exact) / _gamma(1 + h),
         lambda j: ((2 * j + shift) * b + 2 * a, (2 * j + shift) * b),
     )
 
@@ -500,7 +582,7 @@ def moment_by_limit(
             )
         exact = to_fraction(lam)
         with mp.workprec(_ladder_bits(target_digits, lam_v)):
-            gamma_factor = mp.gamma(1 + log_power(sym, lam_v))
+            gamma_factor = _gamma(1 + log_power(sym, exact))
             f = _limit_state(sym, lam_v, exact)
             tol = mp.mpf(10) ** (-target_digits)
             values = []
@@ -666,7 +748,7 @@ def log_sum_asymptotics(kind: str, n: int, precision_bits=None):
     a larger n is a DomainError, raised before any sieve is built.
     """
     if kind not in _SUM_KINDS:
-        raise DomainError(f"unknown sum kind {kind!r}; expected one of {_SUM_KINDS}")
+        raise DomainError(f"unknown sum kind {brief(kind)}; expected one of {_SUM_KINDS}")
     if require_int("n", n, 1) > _LOG_SUM_MAX_N:
         raise DomainError(
             f"n is above the log-sum cost bound {_LOG_SUM_MAX_N}, got {brief(n)}"

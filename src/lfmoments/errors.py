@@ -2,9 +2,10 @@
 
 Every domain failure raises one of these instead of a bare ValueError so the
 command-line layer can map them to structured error records.  require_int
-checks every integer argument and require_rational every exact rational
-one; messages name a caller's value through brief(), which never formats
-a huge integer.  WorkBudget is the one cost bound charged as work runs.
+checks every integer argument, require_rational every exact rational one
+and require_mapping every mapping; messages name a caller's value through
+brief(), which never formats a huge integer and cuts a long repr.
+WorkBudget is the one cost bound charged as work runs.
 """
 
 from fractions import Fraction
@@ -12,18 +13,24 @@ from fractions import Fraction
 # values up to this width are printed in messages; a longer int may pass
 # CPython's int-to-str limit, where formatting it raises ValueError
 _BRIEF_BITS = 128
+# a longer repr (of a str or anything else) is cut to its first characters
+_BRIEF_CHARS = 64
 
 
 def brief(value) -> str:
     """repr(value) for a message, or the sign and width of a long int or
-    Fraction."""
+    Fraction, or the start and length of any other repr past _BRIEF_CHARS."""
     if isinstance(value, (int, Fraction)):
         bits = max(value.numerator.bit_length(), value.denominator.bit_length())
         if bits > _BRIEF_BITS:
             noun = "integer" if isinstance(value, int) else "fraction"
             article = "a negative" if value < 0 else "an" if noun == "integer" else "a"
             return f"{article} {noun} of {bits} bits"
-    return repr(value)
+        return repr(value)
+    text = repr(value)
+    if len(text) > _BRIEF_CHARS:
+        return f"{text[:32]}... (a repr of {len(text)} characters)"
+    return text
 
 
 def require_int(name: str, value, low, high=None) -> int:
@@ -50,6 +57,17 @@ def require_rational(name: str, value) -> Fraction:
         except (TypeError, ValueError, OverflowError, ZeroDivisionError):
             pass
     raise DomainError(f"{name} must be a finite rational number, got {brief(value)}")
+
+
+def require_mapping(name: str, value) -> dict:
+    """value as a new dict: a mapping or an iterable of pairs; a DomainError
+    for anything else."""
+    try:
+        return dict(value)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(
+            f"{name} must be a mapping or pairs, got {brief(value)}"
+        ) from exc
 
 
 class LfmomentsError(Exception):

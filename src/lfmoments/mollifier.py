@@ -19,7 +19,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import ConstraintError, DomainError, brief, require_int, require_rational
+from .errors import (
+    ConstraintError, DomainError, brief, require_int, require_mapping, require_rational,
+)
 from .exact_moments import SymmetryClass, require_class
 from .numeric_core import decimal_string
 
@@ -116,14 +118,15 @@ class RationalPolynomial:
 
 
 class LaurentPolynomial:
-    """Finite Laurent polynomial in theta with rational coefficients."""
+    """Finite Laurent polynomial in theta with rational coefficients, from
+    a mapping of powers to coefficients (None: the zero polynomial)."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, mapping=None):
         coeffs = {}
-        if mapping:
-            for power, c in dict(mapping).items():
+        if mapping is not None:
+            for power, c in require_mapping("a LaurentPolynomial", mapping).items():
                 power = require_int("a power of theta", power, None)
                 c = require_rational("a coefficient", c)
                 if c != 0:

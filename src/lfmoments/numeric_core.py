@@ -18,7 +18,7 @@ from operator import itemgetter, mul
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Union
 
-from .errors import DomainError, brief, require_int
+from .errors import DomainError, brief, require_int, require_mapping
 
 Rational = Union[int, Fraction]
 
@@ -122,14 +122,15 @@ class FactoredInteger:
 
     Immutable: exponents is a read-only view of a private copy of the
     mapping it was built from, so a shared instance cannot be changed.
-    Keys must be ints >= 2 and exponents ints >= 1 (bool is neither),
-    else DomainError; primality is the caller's to ensure.
+    A non-mapping, keys other than ints >= 2 or exponents other than
+    ints >= 1 (bool is neither) are a DomainError; primality is the
+    caller's to ensure.
     """
 
     exponents: Mapping[int, int] = field(default_factory=dict)
 
     def __post_init__(self):
-        exponents = dict(self.exponents)
+        exponents = require_mapping("a FactoredInteger's exponents", self.exponents)
         # whole-mapping checks: a require_int per item cost more than the
         # Legendre engine at U k = 250
         if exponents and not (

@@ -20,8 +20,10 @@ from .errors import DomainError, brief, require_int
 
 DEFAULT_PRECISION_BITS = 256
 MIN_PRECISION_BITS = 64
-# cold on 2 vCPUs, every route took 6-15 s at 8192 bits, as at 4096 bits;
-# ghalf took 102 s at 16384 bits
+# cold on 2 vCPUs, glambda and ghalf took 3.3-4.1 s at 8192 bits (0.5 s at
+# 4096), most of it extending the Bernoulli table of the log-G and
+# log-Gamma series; with mpmath's Gamma they took 6-15 s, and ghalf 102 s
+# at 16384 bits
 MAX_PRECISION_BITS = 8192
 # extra working bits on top of the requested precision
 GUARD_BITS = 48

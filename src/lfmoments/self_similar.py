@@ -209,8 +209,13 @@ def density_numeric(p: int, x, eps: float = 1e-9) -> RealApprox:
     magnitude = value.numerator.bit_length() - value.denominator.bit_length() + 1
     bits = max(128, _neg_log2_ceil(fe) + max(magnitude, 0) + 9)
     # the one user of precision, imported here so the exact densities load no mpmath
-    from .precision import approx, to_mpf, working_precision
+    from .precision import MAX_PRECISION_BITS, approx, to_mpf, working_precision
 
+    if bits > MAX_PRECISION_BITS:
+        raise DomainError(
+            f"eps asks for {bits} bits, past the {MAX_PRECISION_BITS}-bit precision "
+            f"ceiling, got {brief(eps)}"
+        )
     with working_precision(bits):
         return approx(to_mpf(value), bits, err=to_mpf(fe))
 

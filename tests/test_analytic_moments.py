@@ -112,7 +112,7 @@ def test_barnes_recursion(z):
 def _mpf_log_barnes_g_large(z: mp.mpf, zpm1: mp.mpf) -> mp.mpf:
     """log G(z) by the asymptotic series in mpf arithmetic, one mpmath
     Bernoulli number and one division per term: the reference for the
-    fixed-point series analytic_moments._log_barnes_g_large."""
+    fixed-point log-G series of analytic_moments._log_g_gamma."""
     y = z - 1
     log_y = mp.log(y)
     total = (
@@ -128,6 +128,30 @@ def _mpf_log_barnes_g_large(z: mp.mpf, zpm1: mp.mpf) -> mp.mpf:
     prev_size = mp.inf
     for k in itertools.count(1):
         term = mp.bernoulli(2 * k + 2) / (4 * k * (k + 1) * power)
+        size = abs(term)
+        if size > prev_size:
+            break
+        total += term
+        if size < tol * scale:
+            break
+        prev_size = size
+        power *= y2
+    return total
+
+
+def _mpf_log_gamma_large(z: mp.mpf) -> mp.mpf:
+    """log Gamma(z) by Stirling's series in mpf arithmetic with mpmath's
+    Bernoulli numbers: the reference for the fixed-point log-Gamma series of
+    analytic_moments._log_g_gamma."""
+    y = z - 1
+    total = (y + mp.mpf(1) / 2) * mp.log(y) - y + mp.log(2 * mp.pi) / 2
+    y2 = y * y
+    power = y
+    tol = mp.mpf(2) ** (-(mp.mp.prec + 8))
+    scale = max(abs(total), mp.mpf(1))
+    prev_size = mp.inf
+    for k in itertools.count(1):
+        term = mp.bernoulli(2 * k) / (2 * k * (2 * k - 1) * power)
         size = abs(term)
         if size > prev_size:
             break
@@ -164,8 +188,9 @@ def test_barnes_shift_matches_per_step_gamma_product(bits, cases):
         for _ in range(cases):
             z = mp.mpf(_off_zeros(rng))
             want = _per_step_barnes_g(z, zpm1)
-            got = analytic_moments._barnes_g_raw(z, zpm1)
+            got, gamma = analytic_moments._barnes_g_raw(z, zpm1)
             assert abs(got - want) < abs(want) * mp.mpf(2) ** -(bits + 16), z
+            assert abs(gamma - mp.gamma(z)) < abs(gamma) * mp.mpf(2) ** -(bits + 16), z
 
 
 def test_barnes_shift_matches_per_step_gamma_product_at_4096_bits():
@@ -177,8 +202,9 @@ def test_barnes_shift_matches_per_step_gamma_product_at_4096_bits():
     with working_precision(4096):
         for z in (mp.mpf(-5) / 2, mp.mpf(7) / 2):
             want = _per_step_barnes_g(z, zpm1)
-            got = analytic_moments._barnes_g_raw(z, zpm1)
+            got, gamma = analytic_moments._barnes_g_raw(z, zpm1)
             assert abs(got - want) < abs(want) * mp.mpf(2) ** -(4096 + 16), z
+            assert abs(gamma - mp.gamma(z)) < abs(gamma) * mp.mpf(2) ** -(4096 + 16), z
 
 
 def test_barnes_g_reaches_the_floor_above_2300_bits():
@@ -221,22 +247,25 @@ def test_bernoulli_table_matches_mpmath_up_to_b400():
     assert table[:200] == [Fraction(*mp.bernfrac(2 * m)) for m in range(1, 201)]
     # the fixed-point series coefficients are floor(2^W B_{2k+2} / (4k(k+1)))
     width = 300
-    coeffs = analytic_moments._log_g_coefficients(width, 50)
+    coeffs = analytic_moments._coefficients(analytic_moments._LOG_G_COEFFS, width, 50)
     for k in range(1, 51):
         exact = table[k] / (4 * k * (k + 1)) * 2**width
         assert coeffs[k - 1] == math.floor(exact), k
 
 
 def test_log_g_tables_grow_safely_from_threads(monkeypatch):
-    # six threads extend cold tables to different lengths at once; a lost
-    # or doubled append would misplace every later coefficient
+    # six threads extend cold tables, log-G and log-Gamma in turn, to
+    # different lengths at once; a lost or doubled append would misplace
+    # every later coefficient
     monkeypatch.setattr(analytic_moments, "_BERNOULLI", [Fraction(1, 6)])
     monkeypatch.setattr(analytic_moments, "_TANGENT_COLUMN", [1])
     monkeypatch.setattr(analytic_moments, "_LOG_G_COEFFS", {})
+    monkeypatch.setattr(analytic_moments, "_LOG_GAMMA_COEFFS", {})
+    caches = (analytic_moments._LOG_G_COEFFS, analytic_moments._LOG_GAMMA_COEFFS)
     width, counts = 200, [20 + 15 * i for i in range(6)]
     threads = [
-        threading.Thread(target=analytic_moments._log_g_coefficients, args=(width, c))
-        for c in counts
+        threading.Thread(target=analytic_moments._coefficients, args=(caches[i % 2], width, c))
+        for i, c in enumerate(counts)
     ]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -250,44 +279,55 @@ def test_log_g_tables_grow_safely_from_threads(monkeypatch):
     assert not any(t.is_alive() for t in threads)
     table = analytic_moments._BERNOULLI
     assert table == [Fraction(*mp.bernfrac(2 * m)) for m in range(1, len(table) + 1)]
-    coeffs = analytic_moments._LOG_G_COEFFS[width]
-    assert len(coeffs) == max(counts)
-    for k, c in enumerate(coeffs, start=1):
+    log_g, log_gamma = (cache[width] for cache in caches)
+    assert (len(log_g), len(log_gamma)) == (max(counts[::2]), max(counts[1::2]))
+    for k, c in enumerate(log_g, start=1):
         assert c == math.floor(table[k] / (4 * k * (k + 1)) * 2**width), k
+    for k, c in enumerate(log_gamma, start=1):
+        assert c == math.floor(table[k - 1] / (2 * k * (2 * k - 1)) * 2**width), k
 
 
 @pytest.mark.parametrize("bits", [128, 256, 1024, 2304])
 def test_fixed_point_log_g_series_matches_the_mpf_series(bits):
     # at and above the series threshold both stop within 2^-(prec + 8) of
     # the sum, prec = bits + 48, and round the total at prec bits; 2^700
-    # leaves no term above 2^-W
+    # leaves no term above 2^-W.  y = z - 1 is exact: 7/3 past the threshold
+    # keeps the Horner's exact steps, 2^700 - 1 takes its u steps
     with working_precision(bits):
-        threshold = mp.mpf(analytic_moments._series_threshold())
-        for z in (threshold, threshold + mp.mpf(7) / 3, 1e6, mp.mpf(2) ** 700):
-            got = analytic_moments._log_barnes_g_large(mp.mpf(z), 0)
-            want = _mpf_log_barnes_g_large(mp.mpf(z), 0)
-            assert abs(got - want) <= abs(want) * mp.mpf(2) ** -(bits + 44), z
+        threshold = Fraction(analytic_moments._series_threshold())
+        for z in (threshold, threshold + Fraction(7, 3), 10**6, 2**700):
+            y = Fraction(z) - 1
+            got_g, got_gamma = analytic_moments._log_g_gamma(y.numerator, y.denominator, 0, True)
+            want_g = _mpf_log_barnes_g_large(to_mpf(z), 0)
+            want_gamma = _mpf_log_gamma_large(to_mpf(z))
+            assert abs(got_g - want_g) <= abs(want_g) * mp.mpf(2) ** -(bits + 44), z
+            assert abs(got_gamma - want_gamma) <= abs(want_gamma) * mp.mpf(2) ** -(bits + 44), z
 
 
-def test_log_g_series_stops_at_its_cutoff_while_the_terms_still_fall():
-    # _log_barnes_g_large stops at the first k whose term 2^size, with
-    # size = bitlen(floor(2^W c_k)) - 2k log2 y, is under 2^cutoff, and it
-    # has no stop for terms that grow (past k ~ pi y).  Replayed at z = the
+@pytest.mark.parametrize("odd", [0, 1], ids=["log_g", "log_gamma"])
+def test_log_g_series_stops_at_its_cutoff_while_the_terms_still_fall(odd):
+    # each series of _log_g_gamma stops at the first k whose term 2^size,
+    # with size = bitlen(floor(2^W c_k)) - (2k - odd) log2 y, is under
+    # 2^cutoff (odd = 0: log G, c_k = B_{2k+2} / (4k(k+1)); odd = 1: log
+    # Gamma, c_k = B_2k / (2k(2k-1))), and it has no stop for terms that
+    # grow (past k ~ pi y).  Replayed at z = the
     # series threshold for every working precision, bits + GUARD_BITS plus
     # any degree guard: the sum stops while the next term still falls.  The
     # cutoff here is W - prec - 8, without the total's magnitude, which only
     # stops the sum sooner.  bitlen(floor(2^W c_k)) = W + 1 + floor(log2 |c_k|)
     # with |B_2n| = 2 (2n)! zeta(2n) / (2 pi)^2n, checked on the table below
     def floor_log2(k):
-        n = k + 1
+        n = k + 1 - odd
         zeta = math.fsum(m ** (-2.0 * n) for m in range(1, 100))
         log_b = (math.log(2) + math.lgamma(2 * n + 1) + math.log(zeta)
                  - 2 * n * math.log(2 * math.pi))
-        return math.floor(log_b / math.log(2) - math.log2(4 * k * (k + 1)))
+        divisor = 2 * k * (2 * k - 1) if odd else 4 * k * (k + 1)
+        return math.floor(log_b / math.log(2) - math.log2(divisor))
 
     logs = [floor_log2(k) for k in range(1, 3600)]
     width = 300
-    coeffs = analytic_moments._log_g_coefficients(width, 200)
+    cache = analytic_moments._LOG_GAMMA_COEFFS if odd else analytic_moments._LOG_G_COEFFS
+    coeffs = analytic_moments._coefficients(cache, width, 200)
     assert [c.bit_length() - width - 1 for c in coeffs[:200]] == logs[:200]
     # term k + 2 is larger than term k + 1 exactly when steps[k] > 2 log2 y
     steps = [b - a for a, b in zip(logs, logs[1:])]
@@ -301,7 +341,7 @@ def test_log_g_series_stops_at_its_cutoff_while_the_terms_still_fall():
         # the terms fall up to first_rise - 1, so the sum must stop by
         # first_rise - 2
         k = first_rise - 2
-        assert logs[k - 1] + 1 - 2 * k * log2_y < -prec - 8, prec
+        assert logs[k - 1] + 1 - (2 * k - odd) * log2_y < -prec - 8, prec
 
 
 def test_barnes_g_and_constants_skip_mpmath_bernoulli_and_glaisher(monkeypatch):
@@ -343,8 +383,12 @@ def test_barnes_g_and_constants_skip_mpmath_bernoulli_and_glaisher(monkeypatch):
     assert calls[0] == "bernoulli" and "glaisher" in calls
 
 
-def test_barnes_g_makes_one_gamma_call(monkeypatch):
-    _zeta_prime_minus1(1024)
+@pytest.mark.parametrize("bits, shifted_calls", [(256, 1), (1024, 0)])
+def test_barnes_g_makes_one_gamma_call(monkeypatch, bits, shifted_calls):
+    # a shifted z needs Gamma(z): one mp.gamma call below 1000 bits, where
+    # mpmath's Gamma tables are shared, and none from there up, where the
+    # log-G pass gives it; an unshifted z needs none
+    _zeta_prime_minus1(bits)
     calls = []
     gamma = mp.gamma
 
@@ -355,10 +399,10 @@ def test_barnes_g_makes_one_gamma_call(monkeypatch):
     monkeypatch.setattr(mp, "gamma", counting_gamma)
     for z in (Fraction(-7, 3), Fraction(1, 3), Fraction(31, 4)):
         calls.clear()
-        barnes_g(z, precision_bits=1024)
-        assert len(calls) == 1, z
+        barnes_g(z, precision_bits=bits)
+        assert len(calls) == shifted_calls, z
     calls.clear()
-    barnes_g(200, precision_bits=1024)
+    barnes_g(200, precision_bits=bits)
     assert calls == []
 
 
@@ -560,6 +604,37 @@ def test_closed_form_err_estimate_covers_twice_the_precision(sym, bits, cases):
         want = moment_closed_form(sym, lam, precision_bits=2 * bits)
         with mp.workprec(2 * bits):
             assert abs(got.value - want.value) <= got.err_estimate, (sym, lam)
+
+
+def _series_gamma_grid(bits: int):
+    # seeded degrees in [-3.5, 6] off the poles, a large and a long-denominator
+    # degree, a float and an mpf as wide as the working precision
+    rng = random.Random(f"series-gamma/{bits}")
+    with mp.workprec(bits + GUARD_BITS):
+        wide = -mp.mpf(7) / 3
+    for sym in SymmetryClass:
+        lams = [_off_poles(sym, rng) for _ in range(3)]
+        yield from ((sym, lam) for lam in lams)
+        yield from ((sym, lam) for lam in (
+            Fraction(10**6 + 1, 3), Fraction(10**40 + 7, 3 * 10**40), 2.3, wide))
+
+
+@pytest.mark.parametrize("bits", [1024, 2048, 4096])
+def test_series_gamma_matches_the_mp_gamma_route(bits, monkeypatch):
+    # from 1000 bits on every Gamma of the closed forms (in G's shift, U's
+    # Gamma(lambda + 1/2) and Gamma(1 + B)) comes from _log_g_gamma; the
+    # oracle is the same route with mp.gamma, at 64 bits more.  The bound is
+    # 1e-9 of the err_estimate floor |value| 2^(8 - bits), which a float
+    # cannot hold at these widths.  Building mpmath's Gamma table for the
+    # 4096-bit oracle takes about 6 s, once per process
+    cases = list(_series_gamma_grid(bits))
+    got = [moment_closed_form(sym, lam, bits) for sym, lam in cases]
+    monkeypatch.setattr(analytic_moments, "_GAMMA_TABLE_BITS", math.inf)
+    for (sym, lam), value in zip(cases, got):
+        want = moment_closed_form(sym, lam, bits + 64).value
+        with mp.workprec(bits + 128):
+            floor = abs(want) * mp.mpf(2) ** (8 - bits)
+            assert abs(value.value - want) <= 1e-9 * floor, (sym, lam)
 
 
 @pytest.mark.parametrize("bits", [64, 256, 1024])
@@ -842,16 +917,46 @@ def test_ladder_at_its_width_matches_the_ladder_at_the_working_precision(monkeyp
         assert abs(g.value - w.value) <= 1e-20 * g.err_estimate, case
 
 
+_NO_GAMMA_TABLE = """
+import math
+from fractions import Fraction
+from mpmath.libmp import gammazeta
+from lfmoments import (NoConvergence, SymmetryClass as S, analytic_moments as am, barnes_g,
+                       half_moment_unitary, moment_by_limit, moment_closed_form)
+
+def check(route, call):
+    try:
+        call()
+    except NoConvergence:
+        pass
+    print(route, max(gammazeta.gamma_taylor_cache, default=0))
+
+# the ladder of 12 digits needs 160 bits
+check("ladder-12-digits", lambda: moment_by_limit(S.O, Fraction(5, 2), 12, 4096))
+for bits in (1024, 2048, 4096):
+    check(f"closed-{bits}", lambda: moment_closed_form(S.U, Fraction(7, 3), bits))
+    check(f"barnes-{bits}", lambda: barnes_g(Fraction(-7, 3), bits))
+    check(f"half-{bits}", lambda: half_moment_unitary(bits))
+# a ladder at its full width computes its Gamma seeds, then stops at N = 64
+am._LADDER_MAX_N = 64
+for bits in (1024, 2048, 4096):
+    for sym in S:
+        digits = int(bits * math.log10(2))
+        check(f"ladder-{sym.value}-{bits}", lambda: moment_by_limit(sym, Fraction(7, 3), digits, bits))
+"""
+
+
 def test_limit_ladder_builds_no_gamma_table_at_the_working_precision():
-    # mpmath keys its Gamma Taylor tables by precision; a 4096-bit table
-    # took 6.8 s to build, the ladder of 12 digits needs 160 bits
-    code = ("import fractions, lfmoments; from mpmath.libmp import gammazeta; "
-            "lfmoments.moment_by_limit(lfmoments.SymmetryClass.O, fractions.Fraction(5, 2), 12, 4096); "
-            "print(max(gammazeta.gamma_taylor_cache, default=0))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+    # mpmath keys its Gamma Taylor tables by the exact precision from 1000
+    # bits on, and a 4096-bit table took 6.8 s to build; the closed forms,
+    # Barnes G and the ladder's seeds take Gamma from the log-G pass there
+    proc = subprocess.run([sys.executable, "-c", _NO_GAMMA_TABLE], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(analytic_moments.__file__))})
     assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout) < 1024
+    lines = [line.split() for line in proc.stdout.splitlines()]
+    assert len(lines) == 1 + 3 * 6
+    for route, key in lines:
+        assert int(key) < 1000, route
 
 
 def _full_ladder_ns(sym, lam, digits, bits, n=1 << 20):

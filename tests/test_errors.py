@@ -53,3 +53,12 @@ def test_brief_names_long_ints_and_fractions_by_width():
     assert brief(Fraction(1, 2**200)) == "a fraction of 201 bits"
     assert brief(Fraction(-(2**300), 3)) == "a negative fraction of 301 bits"
     assert brief(Fraction(7, 2)) == "Fraction(7, 2)"
+
+
+def test_brief_cuts_a_long_repr():
+    # up to 64 characters a repr is printed whole, so a 62-character str is
+    assert brief("x" * 62) == "'" + "x" * 62 + "'"
+    assert brief("x" * 63) == "'" + "x" * 31 + "... (a repr of 65 characters)"
+    assert brief("x" * 1000) == "'" + "x" * 31 + "... (a repr of 1002 characters)"
+    assert brief([0] * 1000).endswith("... (a repr of 3000 characters)")
+    assert brief(None) == "None"

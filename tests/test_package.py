@@ -139,6 +139,8 @@ _CLASS_SLOTS = {
     "assemble_mean_value.family": lambda v: lfmoments.assemble_mean_value(v, 2, 1),
     "RationalPolynomial.coefficients": lfmoments.RationalPolynomial,
     "mean_square.P_sequence": lambda v: lfmoments.mean_square(U, v, [1]),
+    "FactoredInteger.exponents": lfmoments.FactoredInteger,
+    "LaurentPolynomial.mapping": lfmoments.LaurentPolynomial,
 }
 # one call per exact-rational slot (require_rational) and per slot that
 # to_mpf reads, the other arguments valid
@@ -160,15 +162,18 @@ _RATIONAL_SLOTS = {
     "barnes_g.z": lfmoments.barnes_g,
     "zeta_arithmetic_factor.k": lambda v: lfmoments.zeta_arithmetic_factor(v, 100),
 }
+# a message names a long text by its start and length, as brief does
+_LONG_TEXT = "x" * 1000
 _NOT_RATIONALS = {
     "True": True, "False": False, "nan": math.nan, "inf": math.inf, "-inf": -math.inf,
-    "text": "x", "None": None,
+    "text": "x", "None": None, "long_text": _LONG_TEXT,
 }
 _NOT_INTS = {
     "True": True, "False": False, "1.5": 1.5, "nan": math.nan, "inf": math.inf,
     "-inf": -math.inf, "str": "2", "7/2": Fraction(7, 2), "1/huge": Fraction(1, _HUGE),
+    "long_text": _LONG_TEXT,
 }
-_NOT_CLASSES = {"str": "U", "None": None, "0": 0}
+_NOT_CLASSES = {"str": "U", "None": None, "0": 0, "long_text": _LONG_TEXT}
 # valid rationals far past a float's range and precision: each rational
 # slot answers them or raises a toolkit error of its own
 _LONG_RATIONALS = {
@@ -203,8 +208,10 @@ def _hostile_calls():
             yield pytest.param(partial(call, value), True, id=f"{slot}-{name}")
     for slot, call in _CLASS_SLOTS.items():
         for name, value in _NOT_CLASSES.items():
-            if slot == "SymmetryClass.parse.label" and isinstance(value, str):
+            if slot == "SymmetryClass.parse.label" and value == "U":
                 continue  # parse takes the text of a class
+            if slot == "LaurentPolynomial.mapping" and value is None:
+                continue  # None is the zero polynomial
             yield pytest.param(partial(call, value), False, id=f"{slot}-{name}")
 
 

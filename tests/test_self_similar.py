@@ -283,6 +283,15 @@ def test_density_numeric_keeps_its_bits_down_to_the_least_float():
         assert got.err_estimate == want.err_estimate, eps
 
 
+def test_an_eps_past_the_precision_ceiling_is_refused_by_name():
+    # 2^-8305 < eps asks for 8314 bits; the refusal named precision_bits,
+    # which the caller never passed.  2^-6644 < 10^-2000 still answers
+    with pytest.raises(DomainError, match=r"^eps asks for 8314 bits, past the 8192-bit") as exc:
+        density_numeric(3, Fraction(1, 3), eps=Fraction(1, 10**2500))
+    assert "precision_bits" not in str(exc.value)
+    assert density_numeric(3, Fraction(1, 3), eps=Fraction(1, 10**2000)).precision_bits == 6653
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_eps_and_x_are_domain_errors(bad):
     # NaN slipped past the eps <= 0 check, and Fraction(nan) or
